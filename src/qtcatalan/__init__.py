@@ -20,7 +20,6 @@ from .catalog import (
 from .cones import (
     HalfOpenCone,
     RationalGF,
-    gf_arith,
     gf_equals,
     gf_extract_parity,
     gf_substitute,
@@ -43,12 +42,12 @@ from .paths import (
     BounceTrace,
     DyckPath,
     KVector,
-    closed_stats_k4,
-    closed_stats_kaaa,
-    closed_stats_three,
     count_paths,
     enumerate_paths,
     path_stats,
+    stats_k4,
+    stats_kaaa,
+    stats_three,
 )
 from .polynomial import (
     QT_CONTEXT,
@@ -56,7 +55,6 @@ from .polynomial import (
     VariableContext,
     coefficient_grid,
     is_qt_symmetric,
-    poly_arith,
     poly_from_grid,
     qt_swap,
     substitute_monomials,

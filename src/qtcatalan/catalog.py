@@ -22,25 +22,23 @@ formulas from :func:`printed_theorem`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import lru_cache, reduce
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .cones import (
     HalfOpenCone,
     RationalGF,
-    gf_arith,
     gf_extract_parity,
     gf_substitute,
     integer_point_transform,
     parallelepiped_points,
 )
 from .errors import InternalInvariantError, UsageError
-from .paths import stats_k4, stats_kaaa, stats_three
+from .families import FAMILIES, K4_OUT, THREE_OUT, FamilyInfo, Point, family
 from .polynomial import Exponents, LaurentPoly, VariableContext
-
-Point = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -106,76 +104,6 @@ class CaseSpec:
     corrections: Tuple[Tuple[int, LatticePiece], ...] = ()
     subst: Optional[Tuple[Tuple[str, Exponents], ...]] = None  # None = pointwise
     sign: int = 1
-
-
-@dataclass(frozen=True)
-class FamilyInfo:
-    name: str
-    coords: Tuple[str, ...]
-    zctx: VariableContext
-    out_ctx: VariableContext
-    theorem_ctx: VariableContext
-    stats: Callable[..., Tuple[int, int]]
-    # marking specialization applied when assembling the theorem; None = identity
-    specialize: Optional[Tuple[Tuple[str, Exponents], ...]]
-
-    def out_exponents(self, point: Point) -> Exponents:
-        """Image of a lattice point: marks, then q^area t^bounce."""
-        area, bounce = self.stats(*point)
-        marks = len(self.out_ctx) - 2
-        return tuple(point[:marks]) + (area, bounce)
-
-
-THREE_OUT = VariableContext(("x1", "x2", "x3", "q", "t"))
-K4_OUT = VariableContext(("x", "y1", "y2", "y3", "q", "t"))
-K4_THEOREM = VariableContext(("x", "q", "t"))
-KAAA_OUT = VariableContext(("x", "y", "z1", "z2", "z3", "q", "t"))
-KAAA_THEOREM = VariableContext(("x", "y", "q", "t"))
-
-FAMILIES: Dict[str, FamilyInfo] = {
-    "three": FamilyInfo(
-        name="three",
-        coords=("k1", "k2", "k3", "r2", "r3"),
-        zctx=VariableContext(("z1", "z2", "z3", "w2", "w3")),
-        out_ctx=THREE_OUT,
-        theorem_ctx=THREE_OUT,
-        stats=stats_three,
-        specialize=None,
-    ),
-    "k4": FamilyInfo(
-        name="k4",
-        coords=("k", "a", "b", "c"),
-        zctx=VariableContext(("y", "z1", "z2", "z3")),
-        out_ctx=K4_OUT,
-        theorem_ctx=K4_THEOREM,
-        stats=stats_k4,
-        specialize=(
-            ("x", K4_THEOREM.monomial(x=1)),
-            ("y1", K4_THEOREM.monomial()),
-            ("y2", K4_THEOREM.monomial()),
-            ("y3", K4_THEOREM.monomial()),
-            ("q", K4_THEOREM.monomial(q=1)),
-            ("t", K4_THEOREM.monomial(t=1)),
-        ),
-    ),
-    "kaaa": FamilyInfo(
-        name="kaaa",
-        coords=("k", "m", "a", "b", "c"),
-        zctx=VariableContext(("k", "m", "a", "b", "c")),
-        out_ctx=KAAA_OUT,
-        theorem_ctx=KAAA_THEOREM,
-        stats=stats_kaaa,
-        specialize=(
-            ("x", KAAA_THEOREM.monomial(x=1)),
-            ("y", KAAA_THEOREM.monomial(y=1)),
-            ("z1", KAAA_THEOREM.monomial()),
-            ("z2", KAAA_THEOREM.monomial()),
-            ("z3", KAAA_THEOREM.monomial()),
-            ("q", KAAA_THEOREM.monomial(q=1)),
-            ("t", KAAA_THEOREM.monomial(t=1)),
-        ),
-    ),
-}
 
 
 # -- family "three": coordinates (k1, k2, k3, r2, r3) -------------------------
@@ -610,16 +538,21 @@ def _kaaa_cases() -> Tuple[CaseSpec, ...]:
     )
 
 
+_CASES = {"three": _three_cases, "k4": _k4_cases, "kaaa": _kaaa_cases}
+
+
 @lru_cache(maxsize=None)
-def case_catalog(family: str) -> Tuple[CaseSpec, ...]:
+def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
     """The fixed, ordered case list of a family."""
-    if family == "three":
-        return _three_cases()
-    if family == "k4":
-        return _k4_cases()
-    if family == "kaaa":
-        return _kaaa_cases()
-    raise UsageError(f"unknown family {family!r}; expected three, k4, or kaaa")
+    return _CASES[family(name).name]()
+
+
+def _parity_holds(spec: CaseSpec, point: Sequence[int]) -> bool:
+    """Whether the point meets the case's parity constraint, if it has one."""
+    if spec.parity is None:
+        return True
+    coord, parity = spec.parity
+    return point[FAMILIES[spec.family].coords.index(coord)] % 2 == (parity == "odd")
 
 
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
@@ -628,20 +561,13 @@ def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     if len(point) != len(fam.coords):
         raise UsageError(f"point has {len(point)} coordinates, expected {len(fam.coords)}")
     values = dict(zip(fam.coords, point))
-    if not all(c.holds(values) for c in spec.region):
-        return False
-    if spec.parity is not None:
-        coord, parity = spec.parity
-        want = 0 if parity == "even" else 1
-        if values[coord] % 2 != want:
-            return False
-    return True
+    return all(c.holds(values) for c in spec.region) and _parity_holds(spec, point)
 
 
-def _piece_gf(piece: LatticePiece, zctx: VariableContext) -> RationalGF:
+def _piece_gf(piece: LatticePiece, zctx: VariableContext, sign: int = 1) -> RationalGF:
     terms: Dict[Exponents, int] = {}
     for coef, base in piece.bases:
-        terms[base] = terms.get(base, 0) + coef
+        terms[base] = terms.get(base, 0) + sign * coef
     return RationalGF(zctx, LaurentPoly(zctx, terms), piece.generators)
 
 
@@ -691,45 +617,49 @@ def assemble_case(spec: CaseSpec) -> RationalGF:
     fam = FAMILIES[spec.family]
     zgf = _realization_gf(spec, fam.zctx)
     for sign, piece in spec.corrections:
-        zgf = gf_arith(zgf, _piece_gf(piece, fam.zctx), "add" if sign > 0 else "sub")
+        zgf = zgf + _piece_gf(piece, fam.zctx, sign)
     if spec.parity is not None:
         coord, parity = spec.parity
-        zvar = fam.zctx.names[fam.coords.index(coord)]
-        zgf = gf_extract_parity(zgf, zvar, parity)
+        # the coordinate variables follow the coordinates' order
+        zgf = gf_extract_parity(zgf, fam.zctx.names[fam.coords.index(coord)], parity)
     if spec.subst is not None:
         return gf_substitute(zgf, fam.out_ctx, dict(spec.subst))
     return _pointwise_map(zgf, fam)
 
 
-def assemble_theorem(family: str) -> RationalGF:
+def _signed_case(spec: CaseSpec) -> RationalGF:
+    gf = assemble_case(spec)
+    return gf if spec.sign > 0 else -gf
+
+
+def assemble_theorem(name: str) -> RationalGF:
     """Signed sum of the family's cases, marking variables set to 1."""
-    fam = FAMILIES[family]
-    total: Optional[RationalGF] = None
-    for spec in case_catalog(family):
-        gf = assemble_case(spec)
-        if total is None:
-            if spec.sign < 0:
-                gf = RationalGF(gf.context, -gf.numerator, gf.denominator)
-            total = gf
-        else:
-            total = gf_arith(total, gf, "add" if spec.sign > 0 else "sub")
-    assert total is not None
-    if fam.specialize is not None:
-        total = gf_substitute(total, fam.theorem_ctx, dict(fam.specialize))
-    return total
+    fam = family(name)
+    total = reduce(operator.add, map(_signed_case, case_catalog(name)))
+    return gf_substitute(total, fam.theorem_ctx, fam.specialize)
 
 
 # -- transcribed product formulas ---------------------------------------------
+#
+# Each numerator is a signed sum of (stem, sign, body) groups, one per
+# monomial in the size variables; each denominator lists the monomials m of
+# its (1 - m) factors.  Overall signs are normalized so that the constant
+# term is +1.
 
-_K4_NUMERATOR_X0 = "1"
-_K4_NUMERATOR_X1 = "q^5*t + q*t^5 + q^4*t^2 + q^2*t^4 + q^4*t + q*t^4 + q^3*t^2 + q^2*t^3 + q^3*t^3"
-_K4_NUMERATOR_X2 = (
-    "-q^7*t^3 - q^3*t^7 + q^6*t^5 + q^5*t^6 - q^6*t^4 - q^4*t^6 - q^5*t^5 - q^5*t^4 - q^4*t^5"
+_THREE_NUMERATOR_GROUPS = (  # (1 - x1*x2*q*t^2)(1 - x1*x2*q^2*t), expanded
+    ("1", 1, "1"),
+    ("x1*x2", -1, "q*t^2 + q^2*t"),
+    ("x1^2*x2^2", 1, "q^3*t^3"),
 )
-_K4_NUMERATOR_X3 = "q^8*t^8 + q^9*t^6 + q^6*t^9 + q^8*t^7 + q^7*t^8"
 
-# Numerator of the (k, k+m, k+m, k+m) series, grouped by x^i y^j; the overall
-# sign is normalized so that the constant term is +1.
+_K4_NUMERATOR_GROUPS = (
+    ("1", 1, "1"),
+    ("x", 1, "q^5*t + q*t^5 + q^4*t^2 + q^2*t^4 + q^4*t + q*t^4 + q^3*t^2 + q^2*t^3 + q^3*t^3"),
+    ("x^2", 1,
+     "-q^7*t^3 - q^3*t^7 + q^6*t^5 + q^5*t^6 - q^6*t^4 - q^4*t^6 - q^5*t^5 - q^5*t^4 - q^4*t^5"),
+    ("x^3", -1, "q^8*t^8 + q^9*t^6 + q^6*t^9 + q^8*t^7 + q^7*t^8"),
+)
+
 _KAAA_NUMERATOR_GROUPS = (
     ("x^3*y^2", -1,
      "q^13*t^7 + q^7*t^13 + q^12*t^8 + q^8*t^12 + q^9*t^12 + q^12*t^9 + q^11*t^11"
@@ -756,61 +686,28 @@ _KAAA_NUMERATOR_GROUPS = (
     ("1", 1, "1"),
 )
 
+_FORMULAS = {
+    "three": (_THREE_NUMERATOR_GROUPS, "x2*q x2*t x1*q*t x1*t^2 x1*q^2 x1*x2*q*t x3"),
+    "k4": (_K4_NUMERATOR_GROUPS, "x*q^3*t x*q*t^3 x*q^2*t^2 x*q^6 x*t^6"),
+    "kaaa": (
+        _KAAA_NUMERATOR_GROUPS,
+        "x*q^6 x*t^6 x*q^3*t x*q*t^3 x*q^2*t^2 y*q^3 y*t^3 y*q*t",
+    ),
+}
+
 
 @lru_cache(maxsize=None)
-def printed_theorem(family: str) -> RationalGF:
+def printed_theorem(name: str) -> RationalGF:
     """The closed product form that the family's assembled series must equal."""
-    if family == "three":
-        ctx = THREE_OUT
-        numerator = LaurentPoly.parse(ctx, "1 - x1*x2*q*t^2") * LaurentPoly.parse(
-            ctx, "1 - x1*x2*q^2*t"
-        )
-        denominator = [
-            ctx.monomial(x2=1, q=1),
-            ctx.monomial(x2=1, t=1),
-            ctx.monomial(x1=1, q=1, t=1),
-            ctx.monomial(x1=1, t=2),
-            ctx.monomial(x1=1, q=2),
-            ctx.monomial(x1=1, x2=1, q=1, t=1),
-            ctx.monomial(x3=1),
-        ]
-        return RationalGF(ctx, numerator, denominator)
-    if family == "k4":
-        ctx = K4_THEOREM
-        x = LaurentPoly.variable(ctx, "x")
-        numerator = (
-            LaurentPoly.parse(ctx, _K4_NUMERATOR_X0)
-            + LaurentPoly.parse(ctx, _K4_NUMERATOR_X1) * x
-            + LaurentPoly.parse(ctx, _K4_NUMERATOR_X2) * x * x
-            - LaurentPoly.parse(ctx, _K4_NUMERATOR_X3) * x * x * x
-        )
-        denominator = [
-            ctx.monomial(x=1, q=3, t=1),
-            ctx.monomial(x=1, q=1, t=3),
-            ctx.monomial(x=1, q=2, t=2),
-            ctx.monomial(x=1, q=6),
-            ctx.monomial(x=1, t=6),
-        ]
-        return RationalGF(ctx, numerator, denominator)
-    if family == "kaaa":
-        ctx = KAAA_THEOREM
-        numerator = LaurentPoly.zero(ctx)
-        for stem, sign, body in _KAAA_NUMERATOR_GROUPS:
-            numerator = numerator + sign * LaurentPoly.parse(ctx, stem) * LaurentPoly.parse(
-                ctx, body
-            )
-        denominator = [
-            ctx.monomial(x=1, q=6),
-            ctx.monomial(x=1, t=6),
-            ctx.monomial(x=1, q=3, t=1),
-            ctx.monomial(x=1, q=1, t=3),
-            ctx.monomial(x=1, q=2, t=2),
-            ctx.monomial(y=1, q=3),
-            ctx.monomial(y=1, t=3),
-            ctx.monomial(y=1, q=1, t=1),
-        ]
-        return RationalGF(ctx, numerator, denominator)
-    raise UsageError(f"unknown family {family!r}")
+    ctx = family(name).theorem_ctx
+    groups, denominator = _FORMULAS[name]
+    numerator = sum(
+        (sign * LaurentPoly.parse(ctx, stem) * LaurentPoly.parse(ctx, body)
+         for stem, sign, body in groups),
+        LaurentPoly.zero(ctx),
+    )
+    factors = [next(iter(LaurentPoly.parse(ctx, m).terms)) for m in denominator.split()]
+    return RationalGF(ctx, numerator, factors)
 
 
 # -- signed point coverage (partition checks) ----------------------------------
@@ -910,12 +807,8 @@ def _realization_piece(spec: CaseSpec) -> LatticePiece:
 def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
     """How many times the case's realization (with corrections) hits a point."""
     point = tuple(int(x) for x in point)
-    if spec.parity is not None:
-        fam = FAMILIES[spec.family]
-        coord, parity = spec.parity
-        want = 0 if parity == "even" else 1
-        if point[fam.coords.index(coord)] % 2 != want:
-            return 0
+    if not _parity_holds(spec, point):
+        return 0
     total = _piece_covers(_realization_piece(spec), point)
     for sign, piece in spec.corrections:
         total += sign * _piece_covers(piece, point)

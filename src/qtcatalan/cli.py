@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .catalog import FAMILIES
 from .cones import (
     integer_point_transform,
     lattice_index,
@@ -19,6 +18,7 @@ from .cones import (
     parse_cone,
 )
 from .errors import DomainError, InternalInvariantError, UsageError
+from .families import FAMILIES, REPEATED_TAIL
 from .paths import KVector, enumerate_paths, path_stats
 from .polynomial import (
     QT_CONTEXT,
@@ -27,6 +27,7 @@ from .polynomial import (
     coefficient_grid,
 )
 from .verify import (
+    check_last_param,
     kvectors_of_length,
     lambda_catalan,
     refined_catalan,
@@ -49,6 +50,16 @@ def _parse_parts(text: str) -> Tuple[int, ...]:
     if not parts:
         raise UsageError("empty run-length list")
     return parts
+
+
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
@@ -130,7 +141,7 @@ def _format_factor(cone_ctx: VariableContext, monomial: Sequence[int]) -> str:
 def _cmd_cone(args: argparse.Namespace) -> int:
     try:
         text = Path(args.file).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.file}: {exc}") from None
     cone = parse_cone(text)
     ctx = VariableContext(tuple(f"z{i + 1}" for i in range(cone.dim)))
@@ -161,10 +172,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.family is not None:
-        if args.family != "kaaa":
-            raise UsageError("only the repeated-tail family 'kaaa' is scannable")
-        lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else [2, 3, 4, 5]
-        vectors = repeated_tail_vectors(args.max, lengths)
+        vectors = repeated_tail_vectors(args.max, _parse_parts(args.lengths))
     else:
         vectors = kvectors_of_length(args.all_length, args.max)
     all_symmetric = True
@@ -180,12 +188,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_lastparam(args: argparse.Namespace) -> int:
-    prefix = _parse_parts(args.prefix)
-    if args.m < 1 or args.l < 1:
-        raise UsageError("m and l must be positive")
-    left = refined_catalan(prefix + (args.m,))
-    right = refined_catalan(prefix + (args.l,))
-    if left == right:
+    if check_last_param(_parse_parts(args.prefix), args.m, args.l):
         print("equal")
         return EXIT_OK
     print("different")
@@ -228,21 +231,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check one series family against its product formula")
     p.add_argument("--theorem", required=True, choices=tuple(FAMILIES))
-    p.add_argument("--bound", type=int, default=5)
+    p.add_argument("--bound", type=_positive, default=5)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("scan", help="symmetry scan over a family of run-length vectors")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", choices=("kaaa",))
-    group.add_argument("--all-length", dest="all_length", type=int)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--lengths", help="lengths for --family scans (default 2,3,4,5)")
+    group.add_argument("--family", choices=(REPEATED_TAIL,))
+    group.add_argument("--all-length", dest="all_length", type=_positive)
+    p.add_argument("--max", type=_positive, required=True)
+    p.add_argument("--lengths", default="2,3,4,5", help="lengths for --family scans (default 2,3,4,5)")
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("lastparam", help="compare two choices of the final run length")
     p.add_argument("--prefix", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--m", type=_positive, required=True)
+    p.add_argument("--l", type=_positive, required=True)
     p.set_defaults(handler=_cmd_lastparam)
 
     return parser

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -211,15 +212,35 @@ class RationalGF:
         object.__setattr__(self, "denominator", factors)
 
     def denominator_poly(self) -> LaurentPoly:
-        out = LaurentPoly.constant(self.context, 1)
-        for m in self.denominator:
-            out = out * _one_minus(self.context, m)
-        return out
+        return _times_factors(LaurentPoly.constant(self.context, 1), self.denominator)
+
+    def __add__(self, other: "RationalGF") -> "RationalGF":
+        """Sum over the least common multiset of denominators."""
+        mine, theirs = _factor_counts(self, other)
+        left = _times_factors(self.numerator, (theirs - mine).elements())
+        right = _times_factors(other.numerator, (mine - theirs).elements())
+        return RationalGF(self.context, left + right, (mine | theirs).elements())
+
+    def __neg__(self) -> "RationalGF":
+        return RationalGF(self.context, -self.numerator, self.denominator)
+
+    def __sub__(self, other: "RationalGF") -> "RationalGF":
+        return self + (-other)
 
 
-def _one_minus(context: VariableContext, monomial: Exponents) -> LaurentPoly:
-    one = (0,) * len(context)
-    return LaurentPoly(context, {one: 1, tuple(monomial): -1})
+def _factor_counts(lhs: RationalGF, rhs: RationalGF) -> Tuple[Counter, Counter]:
+    """The two denominators as multisets, after checking that the contexts agree."""
+    if lhs.context != rhs.context:
+        raise UsageError("context mismatch between generating functions")
+    return Counter(lhs.denominator), Counter(rhs.denominator)
+
+
+def _times_factors(poly: LaurentPoly, factors: Iterable[Exponents]) -> LaurentPoly:
+    """``poly`` times one ``(1 - z^m)`` per monomial ``m`` in ``factors``."""
+    one = (0,) * len(poly.context)
+    for m in factors:
+        poly = poly * LaurentPoly(poly.context, {one: 1, tuple(m): -1})
+    return poly
 
 
 def integer_point_transform(cone: HalfOpenCone, context: VariableContext) -> RationalGF:
@@ -228,61 +249,6 @@ def integer_point_transform(cone: HalfOpenCone, context: VariableContext) -> Rat
         raise UsageError(f"context size {len(context)} != cone dimension {cone.dim}")
     numerator = LaurentPoly(context, {p: 1 for p in parallelepiped_points(cone)})
     return RationalGF(context, numerator, cone.generators)
-
-
-def _multiset_diff(big: Tuple[Exponents, ...], small: Tuple[Exponents, ...]) -> List[Exponents]:
-    remaining = list(big)
-    for m in small:
-        remaining.remove(m)
-    return remaining
-
-
-def _multiset_union(a: Tuple[Exponents, ...], b: Tuple[Exponents, ...]) -> List[Exponents]:
-    union: Dict[Exponents, int] = {}
-    for m in a:
-        union[m] = union.get(m, 0) + 1
-    other: Dict[Exponents, int] = {}
-    for m in b:
-        other[m] = other.get(m, 0) + 1
-    for m, c in other.items():
-        union[m] = max(union.get(m, 0), c)
-    out: List[Exponents] = []
-    for m, c in union.items():
-        out.extend([m] * c)
-    return sorted(out)
-
-
-def _multiset_intersection(a: Tuple[Exponents, ...], b: Tuple[Exponents, ...]) -> List[Exponents]:
-    counts: Dict[Exponents, int] = {}
-    for m in a:
-        counts[m] = counts.get(m, 0) + 1
-    out: List[Exponents] = []
-    for m in b:
-        if counts.get(m, 0) > 0:
-            counts[m] -= 1
-            out.append(m)
-    return sorted(out)
-
-
-def gf_arith(lhs: RationalGF, rhs: RationalGF, op: str) -> RationalGF:
-    """Add or subtract over the least common multiset of denominators."""
-    if lhs.context != rhs.context:
-        raise UsageError("context mismatch between generating functions")
-    if op not in ("add", "sub"):
-        raise UsageError(f"unknown op {op!r}")
-    common = tuple(_multiset_union(lhs.denominator, rhs.denominator))
-    left = lhs.numerator
-    for m in _multiset_diff(common, lhs.denominator):
-        left = left * _one_minus(lhs.context, m)
-    right = rhs.numerator
-    for m in _multiset_diff(common, rhs.denominator):
-        right = right * _one_minus(lhs.context, m)
-    numerator = left + right if op == "add" else left - right
-    return RationalGF(lhs.context, numerator, common)
-
-
-def gf_neg(g: RationalGF) -> RationalGF:
-    return RationalGF(g.context, -g.numerator, g.denominator)
 
 
 def gf_substitute(
@@ -311,16 +277,9 @@ def gf_substitute(
 
 def gf_equals(lhs: RationalGF, rhs: RationalGF) -> bool:
     """Exact equality by cross-multiplication, after cancelling shared factors."""
-    if lhs.context != rhs.context:
-        raise UsageError("context mismatch between generating functions")
-    shared = _multiset_intersection(lhs.denominator, rhs.denominator)
-    left = lhs.numerator
-    for m in _multiset_diff(rhs.denominator, tuple(shared)):
-        left = left * _one_minus(lhs.context, m)
-    right = rhs.numerator
-    for m in _multiset_diff(lhs.denominator, tuple(shared)):
-        right = right * _one_minus(lhs.context, m)
-    return left == right
+    mine, theirs = _factor_counts(lhs, rhs)
+    left = _times_factors(lhs.numerator, (theirs - mine).elements())
+    return left == _times_factors(rhs.numerator, (mine - theirs).elements())
 
 
 def _weight_of(monomial: Exponents, weights: Sequence[int]) -> int:

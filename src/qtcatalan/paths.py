@@ -7,9 +7,9 @@ the path takes ``r_i + k_i - r_{i+1}`` unit east steps (with ``r_{m+1} = 0``).
 
 Two independent routes to the statistics are provided: the general
 rank-tableau bounce algorithm (:func:`path_stats`) and closed-form piecewise
-formulas for the three supported shape families (:func:`closed_stats_three`,
-:func:`closed_stats_k4`, :func:`closed_stats_kaaa`).  The test suite checks
-them against each other exhaustively on small inputs.
+formulas for the three supported shape families (:func:`stats_three`,
+:func:`stats_k4`, :func:`stats_kaaa`).  The test suite checks them against
+each other exhaustively on small inputs.
 """
 
 from __future__ import annotations
@@ -255,10 +255,6 @@ def stats_three(k1: int, k2: int, k3: int, r2: int, r3: int) -> Tuple[int, int]:
     return area, bounce
 
 
-def closed_stats_three(k1: int, k2: int, k3: int, r2: int, r3: int) -> Tuple[int, int]:
-    return stats_three(k1, k2, k3, r2, r3)
-
-
 def stats_k4(k: int, a: int, b: int, c: int) -> Tuple[int, int]:
     """Area and bounce for four equal runs of length k.
 
@@ -293,10 +289,6 @@ def stats_k4(k: int, a: int, b: int, c: int) -> Tuple[int, int]:
         else:
             bounce = 3 * a + b + 1 + _ceil_div(c - 1, 3)
     return area, bounce
-
-
-def closed_stats_k4(k: int, a: int, b: int, c: int) -> Tuple[int, int]:
-    return stats_k4(k, a, b, c)
 
 
 def stats_kaaa(k: int, m: int, a: int, b: int, c: int) -> Tuple[int, int]:
@@ -345,7 +337,3 @@ def stats_kaaa(k: int, m: int, a: int, b: int, c: int) -> Tuple[int, int]:
         else:
             bounce = 6 * a + 3 * b - 4 * k + c - m
     return area, bounce
-
-
-def closed_stats_kaaa(k: int, m: int, a: int, b: int, c: int) -> Tuple[int, int]:
-    return stats_kaaa(k, m, a, b, c)

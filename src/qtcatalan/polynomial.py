@@ -274,17 +274,6 @@ class LaurentPoly:
         return total
 
 
-def poly_arith(lhs: LaurentPoly, rhs: LaurentPoly, op: str) -> LaurentPoly:
-    """Dispatch form of +, -, * used by callers that take the op as data."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    raise UsageError(f"unknown op {op!r}")
-
-
 def substitute_monomials(
     poly: LaurentPoly,
     target: VariableContext,

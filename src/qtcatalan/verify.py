@@ -15,15 +15,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .catalog import assemble_theorem, printed_theorem
 from .cones import RationalGF, gf_equals, gf_substitute, series_expand
 from .errors import DomainError, InternalInvariantError, UsageError
-from .paths import (
-    DyckPath,
-    KVector,
-    closed_stats_k4,
-    closed_stats_kaaa,
-    closed_stats_three,
-    enumerate_paths,
-    path_stats,
-)
+from .families import family
+from .paths import KVector, enumerate_paths, path_stats
 from .polynomial import QT_CONTEXT, LaurentPoly, VariableContext, coefficient_grid
 
 Q_CONTEXT = VariableContext(("q",))
@@ -119,48 +112,18 @@ def check_last_param(prefix: Sequence[int], m: int, l: int) -> bool:
 # -- closed-form vs algorithm agreement ---------------------------------------
 
 
-def _family_vectors(family: str, bound: int) -> List[Tuple[int, ...]]:
-    if family == "three":
-        return kvectors_of_length(3, bound)
-    if family == "k4":
-        return [(k,) * 4 for k in range(1, bound + 1)]
-    if family == "kaaa":
-        return [
-            (k,) + (k + m,) * 3
-            for k in range(1, bound + 1)
-            for m in range(0, bound - k + 1)
-        ]
-    raise UsageError(f"unknown family {family!r}")
-
-
-def _closed_form_stats(family: str, path: DyckPath) -> Tuple[int, int]:
-    parts, ranks = path.kvec.parts, path.ranks
-    if family == "three":
-        return closed_stats_three(*parts, ranks[1], ranks[2])
-    if family == "k4":
-        k = parts[0]
-        a = k - ranks[1]
-        b = 2 * k - a - ranks[2]
-        c = 3 * k - a - b - ranks[3]
-        return closed_stats_k4(k, a, b, c)
-    k, km = parts[0], parts[1]
-    m = km - k
-    a = k - ranks[1]
-    b = 2 * k + m - a - ranks[2]
-    c = 3 * k + 2 * m - a - b - ranks[3]
-    return closed_stats_kaaa(k, m, a, b, c)
-
-
-def check_bounce_agreement(family: str, bound: int) -> bool:
+def check_bounce_agreement(name: str, bound: int) -> bool:
     """Exhaustively compare the tableau algorithm against the closed form.
 
     Raises :class:`InternalInvariantError` describing the first disagreement;
     a disagreement means one of the two implementations is wrong.
     """
-    for parts in _family_vectors(family, bound):
+    fam = family(name)
+    for sizes in fam.sizes(bound):
+        parts = fam.kvector(sizes)
         for path in enumerate_paths(KVector(parts)):
             got = path_stats(path)
-            expected = _closed_form_stats(family, path)
+            expected = fam.stats(*fam.coords_of(path))
             if (got.area, got.bounce) != expected:
                 raise InternalInvariantError(
                     f"stats disagree on runs {parts} ranks {path.ranks}: "
@@ -186,34 +149,6 @@ def gf_qt_swap(g: RationalGF) -> RationalGF:
     return gf_substitute(g, ctx, images)
 
 
-def _brute_series_cases(family: str, bound: int) -> List[Tuple[Dict[str, int], Tuple[int, ...]]]:
-    """(size-variable assignment, run-length vector) pairs to compare."""
-    cases = []
-    if family == "three":
-        for k1 in range(1, bound + 1):
-            for k2 in range(1, bound + 1 - k1):
-                for k3 in range(1, bound + 1 - k1 - k2):
-                    cases.append(({"x1": k1, "x2": k2, "x3": k3}, (k1, k2, k3)))
-    elif family == "k4":
-        for k in range(1, bound + 1):
-            cases.append(({"x": k}, (k,) * 4))
-    elif family == "kaaa":
-        for k in range(1, bound + 1):
-            for m in range(0, bound - k + 1):
-                cases.append(({"x": k, "y": m}, (k,) + (k + m,) * 3))
-    else:
-        raise UsageError(f"unknown family {family!r}")
-    return cases
-
-
-def _series_weights(family: str) -> Dict[str, int]:
-    if family == "three":
-        return {"x1": 1, "x2": 1, "x3": 1}
-    if family == "k4":
-        return {"x": 1}
-    return {"x": 1, "y": 1}
-
-
 @dataclass(frozen=True)
 class TheoremReport:
     family: str
@@ -227,12 +162,19 @@ class TheoremReport:
         return self.formula_match and self.series_match and self.symmetric
 
 
-def series_matches_paths(gf: RationalGF, family: str, bound: int) -> bool:
-    """Compare series coefficients of ``gf`` against path enumeration."""
-    expansion = series_expand(gf, _series_weights(family), bound)
-    for assignment, parts in _brute_series_cases(family, bound):
-        coefficient = expansion.extract_coefficient(assignment, QT_CONTEXT)
-        if coefficient != refined_catalan(parts):
+def series_matches_paths(gf: RationalGF, name: str, bound: int) -> bool:
+    """Compare series coefficients of ``gf`` against path enumeration.
+
+    Every size variable weighs 1, so the members compared are those whose
+    sizes sum to at most ``bound``.
+    """
+    fam = family(name)
+    expansion = series_expand(gf, dict.fromkeys(fam.size_names, 1), bound)
+    for sizes in fam.sizes(bound):
+        if sum(sizes) > bound:
+            continue
+        coefficient = expansion.extract_coefficient(dict(zip(fam.size_names, sizes)), QT_CONTEXT)
+        if coefficient != refined_catalan(fam.kvector(sizes)):
             return False
     return True
 

@@ -11,7 +11,6 @@ import itertools
 import pytest
 
 from qtcatalan.catalog import (
-    FAMILIES,
     assemble_case,
     assemble_theorem,
     case_catalog,
@@ -22,6 +21,7 @@ from qtcatalan.catalog import (
 )
 from qtcatalan.cones import RationalGF, gf_equals, integer_point_transform, series_expand
 from qtcatalan.errors import UsageError
+from qtcatalan.families import FAMILIES
 from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly
 from qtcatalan.verify import refined_catalan
 
@@ -358,14 +358,6 @@ def test_realized_points_stay_in_region(family):
                 assert case_membership(spec, point), (spec.case_id, point)
 
 
-def _case_weights(family):
-    if family == "three":
-        return {"x1": 1, "x2": 1, "x3": 1}
-    if family == "k4":
-        return {"x": 1}
-    return {"x": 1, "y": 1}
-
-
 def _marks_exponents(fam, point, area, bounce):
     return tuple(point[: len(fam.out_ctx) - 2]) + (area, bounce)
 
@@ -380,7 +372,7 @@ def test_case_series_match_statistics(family):
     """
     fam = FAMILIES[family]
     bound = 4
-    weights = _case_weights(family)
+    weights = dict.fromkeys(fam.size_names, 1)
     for spec in case_catalog(family):
         series = series_expand(assemble_case(spec), weights, bound)
         expected = {}

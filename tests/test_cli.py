@@ -134,3 +134,30 @@ def test_outputs_are_reproducible(capsys):
     first = run(capsys, "catalan", "--k", "2,1,2")
     second = run(capsys, "catalan", "--k", "2,1,2")
     assert first == second
+
+
+def test_bad_scan_lengths_are_usage_errors(capsys):
+    code, out, err = run(capsys, "scan", "--family", "kaaa", "--lengths", "x", "--max", "2")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+    code, _, err = run(capsys, "scan", "--family", "kaaa", "--lengths", "1", "--max", "2")
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_undecodable_cone_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cone.txt"
+    path.write_bytes(b"\xff\xfe dim 2\n")
+    code, out, err = run(capsys, "cone", str(path), "--pi")
+    assert code == 2 and out == "" and err.startswith("error: cannot read ")
+
+
+def test_bounds_below_one_are_usage_errors(capsys):
+    for argv in (
+        ("verify", "--theorem", "k4", "--bound", "0"),
+        ("verify", "--theorem", "k4", "--bound", "-1"),
+        ("scan", "--family", "kaaa", "--max", "0"),
+        ("scan", "--all-length", "3", "--max", "0"),
+        ("scan", "--all-length", "-1", "--max", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error: " in err, argv

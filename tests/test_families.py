@@ -1,0 +1,101 @@
+"""The family table: its derived data, its lookup, and its imports."""
+
+import ast
+import itertools
+from pathlib import Path
+
+import pytest
+
+import qtcatalan
+from qtcatalan.catalog import (
+    assemble_theorem,
+    case_catalog,
+    printed_theorem,
+    signed_multiplicity,
+)
+from qtcatalan.errors import UsageError
+from qtcatalan.families import family
+from qtcatalan.verify import check_bounce_agreement, series_matches_paths
+
+
+def test_member_vectors_up_to_a_bound():
+    def members(name, bound):
+        fam = family(name)
+        return [fam.kvector(sizes) for sizes in fam.sizes(bound)]
+
+    assert members("three", 3) == list(itertools.product(range(1, 4), repeat=3))
+    assert members("k4", 3) == [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3)]
+    assert members("kaaa", 3) == [
+        (1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 3), (2, 2, 2, 2), (2, 3, 3, 3), (3, 3, 3, 3),
+    ]
+
+
+def test_series_cases_are_the_members_of_total_size_at_most_the_bound():
+    fam = family("three")
+    cases = [s for s in fam.sizes(5) if sum(s) <= 5]
+    assert cases == [
+        (k1, k2, k3)
+        for k1 in range(1, 6)
+        for k2 in range(1, 6 - k1)
+        for k3 in range(1, 6 - k1 - k2)
+    ]
+    assert fam.size_names == ("x1", "x2", "x3")
+    assert family("k4").size_names == ("x",)
+    assert family("kaaa").size_names == ("x", "y")
+
+
+def test_specialization_drops_only_the_marks():
+    k4 = family("k4").specialize
+    assert k4 == {
+        "x": (1, 0, 0), "y1": (0, 0, 0), "y2": (0, 0, 0), "y3": (0, 0, 0),
+        "q": (0, 1, 0), "t": (0, 0, 1),
+    }
+    kaaa = family("kaaa").specialize
+    assert kaaa == {
+        "x": (1, 0, 0, 0), "y": (0, 1, 0, 0),
+        "z1": (0, 0, 0, 0), "z2": (0, 0, 0, 0), "z3": (0, 0, 0, 0),
+        "q": (0, 0, 1, 0), "t": (0, 0, 0, 1),
+    }
+    three = family("three")
+    assert all(
+        image == three.theorem_ctx.monomial(**{name: 1})
+        for name, image in three.specialize.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: assemble_theorem("bogus"),
+        lambda: printed_theorem("bogus"),
+        lambda: case_catalog("bogus"),
+        lambda: signed_multiplicity("bogus", (1, 1, 1, 1)),
+        lambda: check_bounce_agreement("bogus", 2),
+        lambda: series_matches_paths(printed_theorem("k4"), "bogus", 2),
+    ],
+    ids=[
+        "assemble_theorem",
+        "printed_theorem",
+        "case_catalog",
+        "signed_multiplicity",
+        "check_bounce_agreement",
+        "series_matches_paths",
+    ],
+)
+def test_unknown_family_is_a_usage_error(call):
+    with pytest.raises(UsageError, match="unknown family 'bogus'"):
+        call()
+
+
+@pytest.mark.parametrize("module", ["paths", "polynomial", "families"])
+def test_path_route_does_not_import_the_cone_route(module):
+    source = Path(qtcatalan.__file__).with_name(f"{module}.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert not imported & {"cones", "catalog"}, imported

@@ -6,12 +6,12 @@ from qtcatalan.errors import DomainError
 from qtcatalan.paths import (
     DyckPath,
     KVector,
-    closed_stats_k4,
-    closed_stats_kaaa,
-    closed_stats_three,
     count_paths,
     enumerate_paths,
     path_stats,
+    stats_k4,
+    stats_kaaa,
+    stats_three,
 )
 
 
@@ -94,19 +94,19 @@ def test_classical_symmetry_small():
 
 
 def test_closed_three_examples():
-    assert closed_stats_three(1, 1, 1, 0, 0) == (0, 3)
-    assert closed_stats_three(1, 1, 1, 1, 2) == (3, 0)
+    assert stats_three(1, 1, 1, 0, 0) == (0, 3)
+    assert stats_three(1, 1, 1, 1, 2) == (3, 0)
     with pytest.raises(DomainError):
-        closed_stats_three(1, 1, 1, 2, 0)
+        stats_three(1, 1, 1, 2, 0)
     with pytest.raises(DomainError):
-        closed_stats_three(1, 1, 1, 0, 3)
+        stats_three(1, 1, 1, 0, 3)
 
 
 def test_closed_three_agrees_with_algorithm():
     for k1, k2, k3 in itertools.product(range(1, 4), repeat=3):
         for path in enumerate_paths(KVector((k1, k2, k3))):
             stats = path_stats(path)
-            got = closed_stats_three(k1, k2, k3, path.ranks[1], path.ranks[2])
+            got = stats_three(k1, k2, k3, path.ranks[1], path.ranks[2])
             assert got == (stats.area, stats.bounce), (k1, k2, k3, path.ranks)
 
 
@@ -119,27 +119,27 @@ def _k4_coords(path):
 
 
 def test_closed_k4_examples():
-    assert closed_stats_k4(1, 0, 0, 0) == (6, 0)
-    assert closed_stats_k4(1, 1, 1, 1) == (0, 6)
+    assert stats_k4(1, 0, 0, 0) == (6, 0)
+    assert stats_k4(1, 1, 1, 1) == (0, 6)
     with pytest.raises(DomainError):
-        closed_stats_k4(1, 2, 0, 0)
+        stats_k4(1, 2, 0, 0)
     with pytest.raises(DomainError):
-        closed_stats_k4(2, 1, 4, 0)
+        stats_k4(2, 1, 4, 0)
 
 
 def test_closed_k4_agrees_with_algorithm():
     for k in range(1, 4):
         for path in enumerate_paths(KVector((k,) * 4)):
             stats = path_stats(path)
-            assert closed_stats_k4(*_k4_coords(path)) == (stats.area, stats.bounce)
+            assert stats_k4(*_k4_coords(path)) == (stats.area, stats.bounce)
 
 
 def test_closed_kaaa_examples():
-    assert closed_stats_kaaa(1, 1, 1, 0, 0) == (6, 3)
+    assert stats_kaaa(1, 1, 1, 0, 0) == (6, 3)
     with pytest.raises(DomainError):
-        closed_stats_kaaa(1, -1, 0, 0, 0)
+        stats_kaaa(1, -1, 0, 0, 0)
     with pytest.raises(DomainError):
-        closed_stats_kaaa(1, 1, 0, 4, 0)
+        stats_kaaa(1, 1, 0, 4, 0)
 
 
 def test_closed_kaaa_specializes_to_k4():
@@ -147,7 +147,7 @@ def test_closed_kaaa_specializes_to_k4():
         for a in range(k + 1):
             for b in range(2 * k - a + 1):
                 for c in range(3 * k - a - b + 1):
-                    assert closed_stats_kaaa(k, 0, a, b, c) == closed_stats_k4(k, a, b, c)
+                    assert stats_kaaa(k, 0, a, b, c) == stats_k4(k, a, b, c)
 
 
 def test_closed_kaaa_agrees_with_algorithm():
@@ -159,4 +159,4 @@ def test_closed_kaaa_agrees_with_algorithm():
                 a = k - path.ranks[1]
                 b = 2 * k + m - a - path.ranks[2]
                 c = 3 * k + 2 * m - a - b - path.ranks[3]
-                assert closed_stats_kaaa(k, m, a, b, c) == (stats.area, stats.bounce)
+                assert stats_kaaa(k, m, a, b, c) == (stats.area, stats.bounce)

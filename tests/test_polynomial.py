@@ -9,7 +9,6 @@ from qtcatalan.polynomial import (
     VariableContext,
     coefficient_grid,
     is_qt_symmetric,
-    poly_arith,
     poly_from_grid,
     qt_swap,
     substitute_monomials,
@@ -34,10 +33,11 @@ def test_canonical_order():
 
 
 def test_arith_examples():
-    assert poly_arith(P("q + t"), P("q - t"), "mul") == P("q^2 - t^2")
+    assert P("q + t") * P("q - t") == P("q^2 - t^2")
     p = P("q^2 + 3*t")
-    assert poly_arith(p, LaurentPoly.zero(QT), "add") == p
-    assert poly_arith(P("q + t"), P("q^2 + q*t + t^2"), "mul") == P(
+    assert p + LaurentPoly.zero(QT) == p
+    assert p - LaurentPoly.zero(QT) == p
+    assert P("q + t") * P("q^2 + q*t + t^2") == P(
         "q^3 + 2*q^2*t + 2*q*t^2 + t^3"
     )
 
@@ -45,7 +45,11 @@ def test_arith_examples():
 def test_arith_context_mismatch():
     other = VariableContext(("q", "u"))
     with pytest.raises(UsageError):
-        poly_arith(P("q"), LaurentPoly.parse(other, "q"), "add")
+        P("q") + LaurentPoly.parse(other, "q")
+    with pytest.raises(UsageError):
+        P("q") - LaurentPoly.parse(other, "q")
+    with pytest.raises(UsageError):
+        P("q") * LaurentPoly.parse(other, "q")
 
 
 def _random_poly(rng, ctx, max_terms=5, span=3):
