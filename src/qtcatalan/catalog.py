@@ -38,6 +38,7 @@ from .cones import (
 )
 from .errors import InternalInvariantError, UsageError
 from .families import FAMILIES, K4_OUT, THREE_OUT, FamilyInfo, Point, family
+from .lattice import diagonal_form
 from .polynomial import Exponents, LaurentPoly, VariableContext
 
 
@@ -713,93 +714,21 @@ def printed_theorem(name: str) -> RationalGF:
 # -- signed point coverage (partition checks) ----------------------------------
 
 
-@lru_cache(maxsize=None)
-def _membership_solver(generators: Tuple[Point, ...]):
-    """Integer solver for ``sum lam_j v_j = target`` with lam in N^r.
-
-    Precomputes the adjugate of an invertible row submatrix so membership
-    tests run in pure integer arithmetic.
-    """
-    r = len(generators)
-    d = len(generators[0])
-    rows = [[g[i] for g in generators] for i in range(d)]
-
-    # pick r linearly independent rows by incremental elimination
-    chosen: List[int] = []
-    reduced: List[List[Fraction]] = []
-    for i, row in enumerate(rows):
-        work = [Fraction(x) for x in row]
-        for base_row in reduced:
-            lead = next(j for j, x in enumerate(base_row) if x != 0)
-            if work[lead] != 0:
-                factor = work[lead] / base_row[lead]
-                work = [x - factor * y for x, y in zip(work, base_row)]
-        if any(x != 0 for x in work):
-            reduced.append(work)
-            chosen.append(i)
-        if len(chosen) == r:
-            break
-    if len(chosen) != r:
-        raise InternalInvariantError("piece generators are linearly dependent")
-
-    square = [[rows[i][j] for j in range(r)] for i in chosen]
-    det = Fraction(1)
-    inverse = [[Fraction(1 if i == j else 0) for j in range(r)] for i in range(r)]
-    work_rows = [[Fraction(x) for x in row] for row in square]
-    for col in range(r):
-        pivot = next(i for i in range(col, r) if work_rows[i][col] != 0)
-        if pivot != col:
-            work_rows[col], work_rows[pivot] = work_rows[pivot], work_rows[col]
-            inverse[col], inverse[pivot] = inverse[pivot], inverse[col]
-            det = -det
-        det *= work_rows[col][col]
-        scale = 1 / work_rows[col][col]
-        work_rows[col] = [x * scale for x in work_rows[col]]
-        inverse[col] = [x * scale for x in inverse[col]]
-        for i in range(r):
-            if i != col and work_rows[i][col] != 0:
-                factor = work_rows[i][col]
-                work_rows[i] = [x - factor * y for x, y in zip(work_rows[i], work_rows[col])]
-                inverse[i] = [x - factor * y for x, y in zip(inverse[i], inverse[col])]
-    det_int = int(det)
-    adjugate = [[inverse[i][j] * det_int for j in range(r)] for i in range(r)]
-    if any(x.denominator != 1 for row in adjugate for x in row):
-        raise InternalInvariantError("adjugate of an integer matrix must be integral")
-    adj = [[int(x) for x in row] for row in adjugate]
-    if det_int < 0:
-        det_int = -det_int
-        adj = [[-x for x in row] for row in adj]
-
-    def solve(target: Point):
-        sub = [target[i] for i in chosen]
-        lams = []
-        for i in range(r):
-            v = sum(adj[i][j] * sub[j] for j in range(r))
-            if v < 0 or v % det_int:
-                return None
-            lams.append(v // det_int)
-        for i in range(d):
-            if sum(rows[i][j] * lams[j] for j in range(r)) != target[i]:
-                return None
-        return tuple(lams)
-
-    return solve
-
-
 def _piece_covers(piece: LatticePiece, point: Point) -> int:
-    solve = _membership_solver(piece.generators)
+    form = diagonal_form(piece.generators)
+    if form.rank != len(piece.generators):
+        raise InternalInvariantError("piece generators are linearly dependent")
     total = 0
     for coef, base in piece.bases:
-        if solve(tuple(p - b for p, b in zip(point, base))) is not None:
+        lams = form.solve(tuple(p - b for p, b in zip(point, base)))
+        if lams is not None and min(lams) >= 0:
             total += coef
     return total
 
 
 @lru_cache(maxsize=None)
-def _realization_piece(spec: CaseSpec) -> LatticePiece:
-    if isinstance(spec.realization, LatticePiece):
-        return spec.realization
-    cone = spec.realization
+def _cone_piece(cone: HalfOpenCone) -> LatticePiece:
+    """The cone's points as parallelepiped bases over its generators."""
     bases = tuple((1, p) for p in parallelepiped_points(cone))
     return LatticePiece(bases=bases, generators=cone.generators)
 
@@ -809,7 +738,10 @@ def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
     point = tuple(int(x) for x in point)
     if not _parity_holds(spec, point):
         return 0
-    total = _piece_covers(_realization_piece(spec), point)
+    realization = spec.realization
+    if isinstance(realization, HalfOpenCone):
+        realization = _cone_piece(realization)
+    total = _piece_covers(realization, point)
     for sign, piece in spec.corrections:
         total += sign * _piece_covers(piece, point)
     return total

@@ -17,7 +17,7 @@ from .cones import (
     parallelepiped_points,
     parse_cone,
 )
-from .errors import DomainError, InternalInvariantError, UsageError
+from .errors import DomainError, UsageError
 from .families import FAMILIES, REPEATED_TAIL
 from .paths import KVector, enumerate_paths, path_stats
 from .polynomial import (
@@ -40,6 +40,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# Largest lattice index whose parallelepiped `cone --pi/--transform` enumerates;
+# the enumeration makes one point per unit of index.
+MAX_ENUMERATED_INDEX = 100_000
 
 
 def _parse_parts(text: str) -> Tuple[int, ...]:
@@ -145,9 +149,13 @@ def _cmd_cone(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot read {args.file}: {exc}") from None
     cone = parse_cone(text)
     ctx = VariableContext(tuple(f"z{i + 1}" for i in range(cone.dim)))
+    index = lattice_index(cone)
     if args.index:
-        index = lattice_index(cone)
         print(f"index={index} unimodular={'yes' if index == 1 else 'no'}")
+    elif index > MAX_ENUMERATED_INDEX:
+        raise UsageError(
+            f"lattice index {index} exceeds the enumeration limit {MAX_ENUMERATED_INDEX}"
+        )
     elif args.pi:
         for point in parallelepiped_points(cone):
             print(" ".join(str(x) for x in point))
@@ -262,8 +270,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # an InternalInvariantError or any other escape is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

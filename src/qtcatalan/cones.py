@@ -14,12 +14,10 @@ equality decided by cross-multiplication and never by cancellation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -28,73 +26,8 @@ from .errors import (
     ParityError,
     UsageError,
 )
+from .lattice import diagonal_form
 from .polynomial import Exponents, LaurentPoly, VariableContext, substitute_monomials
-
-
-def _solve_exact(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
-    """Solve ``sum_j lam_j * columns[j] = target`` exactly, or return None.
-
-    The columns must be linearly independent; inconsistency (target outside
-    their span) returns None.
-    """
-    rows = len(target)
-    k = len(columns)
-    mat = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(rows)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        pivot = next((i for i in range(r, rows) if mat[i][col] != 0), None)
-        if pivot is None:
-            return None  # dependent columns; constructor should have rejected
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, rows):
-        if mat[i][k] != 0:
-            return None
-    return tuple(mat[i][k] for i in range(k))
-
-
-def _rank(columns: Sequence[Sequence[int]], dim: int) -> int:
-    mat = [[Fraction(columns[j][i]) for j in range(len(columns))] for i in range(dim)]
-    rank = 0
-    for col in range(len(columns)):
-        pivot = next((i for i in range(rank, dim) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for i in range(dim):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col] / mat[rank][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _det(matrix: List[List[int]]) -> int:
-    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
-    mat = [row[:] for row in matrix]
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                mat[i][j] = (mat[i][j] * mat[col][col] - mat[i][col] * mat[col][j]) // prev
-        prev = mat[col][col]
-    return sign * mat[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -124,7 +57,7 @@ class HalfOpenCone:
             raise UsageError("need one open flag per generator")
         if not generators:
             raise UsageError("cone needs at least one generator")
-        if len(generators) > dim or _rank(generators, dim) != len(generators):
+        if diagonal_form(generators).rank != len(generators):
             raise UsageError(f"generators {generators} are not linearly independent")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "apex", apex)
@@ -142,14 +75,7 @@ def lattice_index(cone: HalfOpenCone) -> int:
     Full-dimensional cones: absolute determinant.  Lower-dimensional ones:
     gcd of the absolute values of all maximal minors.
     """
-    k, d = cone.k, cone.dim
-    if k == d:
-        return abs(_det([[cone.generators[j][i] for j in range(k)] for i in range(d)]))
-    value = 0
-    for rows in itertools.combinations(range(d), k):
-        minor = _det([[cone.generators[j][i] for j in range(k)] for i in rows])
-        value = gcd(value, abs(minor))
-    return value
+    return diagonal_form(cone.generators).index
 
 
 def is_unimodular(cone: HalfOpenCone) -> bool:
@@ -160,32 +86,20 @@ def parallelepiped_points(cone: HalfOpenCone) -> List[Exponents]:
     """Integer points of the fundamental parallelepiped, sorted.
 
     A point qualifies when ``p - apex = sum lam_j v_j`` with each coefficient
-    in [0, 1) for a closed generator and (0, 1] for an open one.  Candidates
-    are drawn from the integer bounding box of the closed parallelepiped.
+    in [0, 1) for a closed generator and (0, 1] for an open one.  Each class
+    of ``lam`` modulo 1 that lands on an integer point is reduced into that
+    range, so there is one point per coset of the generators' lattice.
     """
-    d = cone.dim
     points = []
-    ranges = []
-    for i in range(d):
-        lo = cone.apex[i] + sum(min(0, g[i]) for g in cone.generators)
-        hi = cone.apex[i] + sum(max(0, g[i]) for g in cone.generators)
-        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
-    for candidate in itertools.product(*ranges):
-        target = [Fraction(candidate[i]) - cone.apex[i] for i in range(d)]
-        lams = _solve_exact(cone.generators, target)
-        if lams is None:
-            continue
-        ok = True
+    for lams in diagonal_form(cone.generators).cosets(cone.apex):
+        reduced = []
         for lam, is_open in zip(lams, cone.open_flags):
-            if is_open:
-                if not (0 < lam <= 1):
-                    ok = False
-                    break
-            elif not (0 <= lam < 1):
-                ok = False
-                break
-        if ok:
-            points.append(tuple(candidate))
+            lam -= math.floor(lam)
+            reduced.append(1 if is_open and not lam else lam)
+        points.append(tuple(
+            int(a + sum(lam * g[i] for lam, g in zip(reduced, cone.generators)))
+            for i, a in enumerate(cone.apex)
+        ))
     points.sort()
     return points
 

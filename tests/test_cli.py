@@ -161,3 +161,19 @@ def test_bounds_below_one_are_usage_errors(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "error: " in err, argv
+
+
+def test_cone_index_beyond_the_enumeration_limit_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cone.txt"
+    path.write_text("dim 2\ngen closed 100000 0\ngen closed 0 100000\n")
+    for flag in ("--pi", "--transform"):
+        code, out, err = run(capsys, "cone", str(path), flag)
+        assert code == 2 and out == "" and "10000000000" in err, flag
+    code, out, _ = run(capsys, "cone", str(path), "--index")
+    assert code == 0 and out == "index=10000000000 unimodular=no\n"
+
+
+def test_unexpected_exceptions_are_internal_errors(capsys):
+    code, out, err = run(capsys, "paths", "--k", "99999999999999999999999")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1

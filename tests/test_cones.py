@@ -1,7 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qtcatalan.cones import (
     HalfOpenCone,
@@ -137,17 +140,67 @@ def test_transform_goldens():
     assert got == want
 
 
+def minor_gcd(generators):
+    """gcd of the maximal minors, each by cofactor expansion; 0 iff dependent."""
+
+    def det(m):
+        if not m:
+            return 1
+        return sum(
+            (-1) ** j * m[0][j] * det([row[:j] + row[j + 1 :] for row in m[1:]])
+            for j in range(len(m))
+        )
+
+    d = len(generators[0])
+    return math.gcd(*(
+        det([[g[i] for g in generators] for i in rows])
+        for rows in itertools.combinations(range(d), len(generators))
+    ))
+
+
+def cone_coefficients(cone):
+    """Map an integer point p to the lam with p - apex = sum lam_j v_j, or None.
+
+    Gauss-Jordan elimination on [V | I] over the rationals, done once per cone,
+    gives an integer E and den with E V = den * [I_k; 0]; a point lies on the
+    cone's affine span iff the rows of E past k send p - apex to zero.
+    """
+    k, d = cone.k, cone.dim
+    rows = [
+        [Fraction(g[i]) for g in cone.generators] + [Fraction(int(i == j)) for j in range(d)]
+        for i in range(d)
+    ]
+    for col in range(k):
+        pivot = next(i for i in range(col, d) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(d):
+            if i != col and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
+    den = math.lcm(*(x.denominator for row in rows for x in row[k:]))
+    scale = math.lcm(*(a.denominator for a in cone.apex))
+    left = [[int(x * den) for x in row[k:]] for row in rows]
+    shift = [int(scale * sum(e * a for e, a in zip(row, cone.apex))) for row in left]
+
+    def coefficients(point):
+        y = [scale * sum(e * x for e, x in zip(row, point)) - s for row, s in zip(left, shift)]
+        if any(y[k:]):
+            return None
+        return [Fraction(v, den * scale) for v in y[:k]]
+
+    return coefficients
+
+
 def brute_cone_points(cone, bound):
     """All integer cone points with coordinate sum <= bound (box scan oracle)."""
-    from qtcatalan.cones import _solve_exact
-
+    coefficients = cone_coefficients(cone)
     span = bound + 1
     out = []
     for candidate in itertools.product(range(-span, span + 1), repeat=cone.dim):
         if sum(abs(x) for x in candidate) > 3 * span:
             continue
-        target = [Fraction(c) - a for c, a in zip(candidate, cone.apex)]
-        lams = _solve_exact(cone.generators, target)
+        lams = coefficients(candidate)
         if lams is None:
             continue
         ok = all(
@@ -157,6 +210,70 @@ def brute_cone_points(cone, bound):
         if ok and sum(candidate) <= bound:
             out.append(candidate)
     return out
+
+
+def box_scan_parallelepiped(cone):
+    """Fundamental-parallelepiped points by testing every point of its bounding box."""
+    coefficients = cone_coefficients(cone)
+    ranges = []
+    for i, a in enumerate(cone.apex):
+        lo = a + sum(min(0, g[i]) for g in cone.generators)
+        hi = a + sum(max(0, g[i]) for g in cone.generators)
+        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
+    points = []
+    for candidate in itertools.product(*ranges):
+        lams = coefficients(candidate)
+        if lams is not None and all(
+            (0 < lam <= 1 if is_open else 0 <= lam < 1)
+            for lam, is_open in zip(lams, cone.open_flags)
+        ):
+            points.append(candidate)
+    return points
+
+
+@st.composite
+def cone_data(draw):
+    """(dim, apex, generators, flags): dimension 1-4, k <= dim, entries -3..3."""
+    dim = draw(st.integers(1, 4))
+    k = draw(st.integers(1, dim))
+    generators = draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * dim), min_size=k, max_size=k
+    ))
+    apex = draw(st.lists(
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=dim, max_size=dim
+    ))
+    flags = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return dim, apex, generators, flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(cone_data())
+def test_constructor_rejects_exactly_the_dependent_generators(data):
+    dim, apex, generators, flags = data
+    if minor_gcd(generators) == 0:
+        with pytest.raises(UsageError):
+            HalfOpenCone(dim, apex, generators, flags)
+    else:
+        assert HalfOpenCone(dim, apex, generators, flags).generators == tuple(generators)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_data())
+def test_parallelepiped_matches_box_scan_and_index(data):
+    dim, apex, generators, flags = data
+    index = minor_gcd(generators)
+    assume(0 < index <= 60)
+    cone = HalfOpenCone(dim, apex, generators, flags)
+    points = parallelepiped_points(cone)
+    assert points == box_scan_parallelepiped(cone)
+    assert lattice_index(cone) == index
+    # a lower-dimensional cone's affine span may miss the lattice entirely
+    assert len(points) == index or (cone.k < dim and not points)
+
+
+def test_unimodular_cone_with_a_large_box():
+    cone = HalfOpenCone(2, (0, 0), ((300, 299), (301, 300)))
+    assert parallelepiped_points(cone) == [(0, 0)]
 
 
 @pytest.mark.parametrize(

@@ -87,15 +87,27 @@ def test_unknown_family_is_a_usage_error(call):
         call()
 
 
-@pytest.mark.parametrize("module", ["paths", "polynomial", "families"])
-def test_path_route_does_not_import_the_cone_route(module):
+def _imported_names(module):
     source = Path(qtcatalan.__file__).with_name(f"{module}.py").read_text()
     imported = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
+            if node.level:
+                imported.add(".")
             imported.update((node.module or "").split("."))
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 imported.update(alias.name.split("."))
-    assert not imported & {"cones", "catalog"}, imported
+    return imported
+
+
+@pytest.mark.parametrize("module", ["paths", "polynomial", "families"])
+def test_path_route_does_not_import_the_cone_route(module):
+    imported = _imported_names(module)
+    assert not imported & {"cones", "catalog", "lattice"}, imported
+
+
+def test_lattice_imports_no_package_module():
+    imported = _imported_names("lattice")
+    assert not imported & {".", "qtcatalan"}, imported
