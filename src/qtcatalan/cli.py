@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .cones import (
     integer_point_transform,
@@ -19,7 +19,7 @@ from .cones import (
 )
 from .errors import DomainError, UsageError
 from .families import FAMILIES, REPEATED_TAIL
-from .paths import KVector, enumerate_paths, path_stats
+from .paths import KVector, count_paths, enumerate_paths, path_stats
 from .polynomial import (
     QT_CONTEXT,
     LaurentPoly,
@@ -30,6 +30,7 @@ from .verify import (
     check_last_param,
     kvectors_of_length,
     lambda_catalan,
+    rearrangements,
     refined_catalan,
     repeated_tail_vectors,
     symmetry_report,
@@ -45,6 +46,10 @@ EXIT_INTERNAL = 3
 # the enumeration makes one point per unit of index.
 MAX_ENUMERATED_INDEX = 100_000
 
+# Largest path work, the number of paths times the total run length n summed
+# over the vectors, that a command on run-length vectors lists paths for.
+MAX_PATH_WORK = 10_000_000
+
 
 def _parse_parts(text: str) -> Tuple[int, ...]:
     try:
@@ -53,6 +58,32 @@ def _parse_parts(text: str) -> Tuple[int, ...]:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
     if not parts:
         raise UsageError("empty run-length list")
+    return parts
+
+
+def _check_path_work(vectors: Iterable[Sequence[int]]) -> None:
+    """Refuse, before any path is listed, vectors whose path work exceeds the limit."""
+    work = 0
+    for parts in vectors:
+        kvec = KVector(parts)
+        # every rank has at least k + 1 successors, so n * prod(k + 1) over all
+        # runs but the last is a lower bound that keeps count_paths off huge vectors
+        low = kvec.n
+        for k in kvec.parts[:-1]:
+            if work + low > MAX_PATH_WORK:
+                break
+            low *= k + 1
+        work += low if work + low > MAX_PATH_WORK else count_paths(kvec) * kvec.n
+        if work > MAX_PATH_WORK:
+            raise UsageError(
+                f"run lengths {kvec} exceed the path work limit {MAX_PATH_WORK} (paths times n)"
+            )
+
+
+def _vector(text: str) -> Tuple[int, ...]:
+    """A run-length vector whose paths are within the work limit."""
+    parts = _parse_parts(text)
+    _check_path_work([parts])
     return parts
 
 
@@ -67,8 +98,7 @@ def _positive(text: str) -> int:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
-    kvec = KVector(_parse_parts(args.k))
-    for path in enumerate_paths(kvec):
+    for path in enumerate_paths(KVector(_vector(args.k))):
         stats = path_stats(path)
         ranks = ",".join(str(r) for r in path.ranks)
         east = ",".join(str(a) for a in path.east_runs)
@@ -78,15 +108,17 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 def _cmd_catalan(args: argparse.Namespace) -> int:
     if args.k is not None:
-        poly = refined_catalan(_parse_parts(args.k))
+        poly = refined_catalan(_vector(args.k))
     else:
-        poly = lambda_catalan(_parse_parts(args.lam))
+        partition = _parse_parts(args.lam)
+        _check_path_work(rearrangements(partition))
+        poly = lambda_catalan(partition)
     print(poly)
     return EXIT_OK
 
 
 def _cmd_symmetric(args: argparse.Namespace) -> int:
-    report = symmetry_report(_parse_parts(args.k))
+    report = symmetry_report(_vector(args.k))
     print(report.witness_line())
     return EXIT_OK if report.symmetric else EXIT_FAIL
 
@@ -119,7 +151,7 @@ def parse_grid_tsv(text: str) -> LaurentPoly:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    grid = coefficient_grid(refined_catalan(_parse_parts(args.k)))
+    grid = coefficient_grid(refined_catalan(_vector(args.k)))
     if args.format == "tsv":
         print(grid_to_tsv(grid))
         return EXIT_OK
@@ -196,7 +228,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_lastparam(args: argparse.Namespace) -> int:
-    if check_last_param(_parse_parts(args.prefix), args.m, args.l):
+    prefix = _parse_parts(args.prefix)
+    _check_path_work([prefix + (args.m,), prefix + (args.l,)])
+    if check_last_param(prefix, args.m, args.l):
         print("equal")
         return EXIT_OK
     print("different")

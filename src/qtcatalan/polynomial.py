@@ -9,7 +9,7 @@ share a :class:`VariableContext`.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import UsageError
 
@@ -169,6 +169,22 @@ class LaurentPoly:
 
     def coefficient(self, exps: Sequence[int]) -> int:
         return self.terms.get(tuple(exps), 0)
+
+    def group_terms(self, names: Sequence[str]) -> Dict[Exponents, List[Exponents]]:
+        """The exponent tuples of the terms, keyed by their exponents of `names`.
+
+        One pass over the terms; the groups hold the polynomial's own tuples,
+        so :meth:`restrict` can rebuild any one group when it is needed.
+        """
+        positions = [self.context.index(name) for name in names]
+        groups: Dict[Exponents, List[Exponents]] = {}
+        for exps in self.terms:
+            groups.setdefault(tuple(exps[pos] for pos in positions), []).append(exps)
+        return groups
+
+    def restrict(self, keys: Iterable[Exponents]) -> "LaurentPoly":
+        """The sum of this polynomial's terms at the given exponent tuples."""
+        return LaurentPoly(self.context, {exps: self.terms[exps] for exps in keys})
 
     def extract_coefficient(
         self, assignment: Mapping[str, int], target: VariableContext

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import assemble_theorem, printed_theorem
 from .cones import RationalGF, gf_equals, gf_substitute, series_expand
@@ -32,13 +32,35 @@ def refined_catalan(parts: Sequence[int]) -> LaurentPoly:
     return LaurentPoly(QT_CONTEXT, total)
 
 
+def rearrangements(parts: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """The distinct orderings of ``parts``, in ascending lexicographic order.
+
+    Each ordering is made from the previous one in linear time, so repeated
+    parts cost nothing: ``(1,) * 12`` yields one tuple, not 12! of them.
+    """
+    current = sorted(parts)
+    while True:
+        yield tuple(current)
+        # the longest non-increasing suffix starts right after the pivot
+        pivot = len(current) - 2
+        while pivot >= 0 and current[pivot] >= current[pivot + 1]:
+            pivot -= 1
+        if pivot < 0:
+            return
+        swap = len(current) - 1
+        while current[swap] <= current[pivot]:
+            swap -= 1
+        current[pivot], current[swap] = current[swap], current[pivot]
+        current[pivot + 1:] = reversed(current[pivot + 1:])
+
+
 def lambda_catalan(partition: Sequence[int]) -> LaurentPoly:
     """Sum of :func:`refined_catalan` over all distinct rearrangements."""
     partition = tuple(int(p) for p in partition)
     if any(p < 1 for p in partition) or list(partition) != sorted(partition, reverse=True):
         raise DomainError(f"{partition} is not a partition (weakly decreasing, positive)")
     total = LaurentPoly.zero(QT_CONTEXT)
-    for arrangement in sorted(set(itertools.permutations(partition))):
+    for arrangement in rearrangements(partition):
         total = total + refined_catalan(arrangement)
     return total
 
@@ -166,14 +188,18 @@ def series_matches_paths(gf: RationalGF, name: str, bound: int) -> bool:
     """Compare series coefficients of ``gf`` against path enumeration.
 
     Every size variable weighs 1, so the members compared are those whose
-    sizes sum to at most ``bound``.
+    sizes sum to at most ``bound``.  The expansion is grouped by its size
+    exponents once; each size's coefficient is read from its own group, and
+    a size with no group has coefficient zero.
     """
     fam = family(name)
     expansion = series_expand(gf, dict.fromkeys(fam.size_names, 1), bound)
+    groups = expansion.group_terms(fam.size_names)
     for sizes in fam.sizes(bound):
         if sum(sizes) > bound:
             continue
-        coefficient = expansion.extract_coefficient(dict(zip(fam.size_names, sizes)), QT_CONTEXT)
+        part = expansion.restrict(groups.get(sizes, ()))
+        coefficient = part.extract_coefficient(dict(zip(fam.size_names, sizes)), QT_CONTEXT)
         if coefficient != refined_catalan(fam.kvector(sizes)):
             return False
     return True

@@ -1,3 +1,4 @@
+from qtcatalan import cli
 from qtcatalan.cli import grid_to_tsv, main, parse_grid_tsv
 from qtcatalan.polynomial import coefficient_grid
 from qtcatalan.verify import refined_catalan
@@ -173,7 +174,35 @@ def test_cone_index_beyond_the_enumeration_limit_is_a_usage_error(tmp_path, caps
     assert code == 0 and out == "index=10000000000 unimodular=no\n"
 
 
-def test_unexpected_exceptions_are_internal_errors(capsys):
-    code, out, err = run(capsys, "paths", "--k", "99999999999999999999999")
+def test_unexpected_exceptions_are_internal_errors(capsys, monkeypatch):
+    def overflow(parts):
+        raise OverflowError("int too large to convert")
+
+    monkeypatch.setattr(cli, "refined_catalan", overflow)
+    code, out, err = run(capsys, "catalan", "--k", "1,2")
     assert code == 3 and out == ""
-    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert err == "internal error: OverflowError: int too large to convert\n"
+
+
+def test_run_lengths_beyond_the_path_work_limit_are_usage_errors(capsys):
+    limit = str(cli.MAX_PATH_WORK)
+    for argv in (
+        ("paths", "--k", "99999999999999999999999"),
+        ("paths", "--k", "1000000000"),
+        ("catalan", "--k", ",".join(["2"] * 11)),
+        ("catalan", "--lambda", ",".join(["1"] * 40)),
+        ("symmetric", "--k", "1,1,1,100000000"),
+        ("grid", "--k", "100000000,1"),
+        ("lastparam", "--prefix", "1,1,1", "--m", "2", "--l", "100000000"),
+        ("lastparam", "--prefix", "1,1,1", "--m", "100000000", "--l", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and limit in err, argv
+
+
+def test_path_work_limit_admits_the_largest_documented_inputs(capsys):
+    # 16,796 paths of n = 10, and 6,006 paths over the rearrangements of (3,2,2,1,1)
+    code, out, _ = run(capsys, "catalan", "--k", ",".join(["1"] * 10))
+    assert code == 0 and out.strip()
+    code, out, _ = run(capsys, "catalan", "--lambda", "3,2,2,1,1")
+    assert code == 0 and out.strip()

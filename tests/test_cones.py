@@ -326,6 +326,24 @@ def test_gf_equals_rescaling():
     assert not gf_equals(base, bumped)
 
 
+Z3 = VariableContext(("z1", "z2", "z3"))
+nonzero_monomials = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3), st.integers(-3, 3), max_size=5),
+    st.lists(nonzero_monomials, max_size=3),
+    nonzero_monomials,
+)
+def test_gf_equals_ignores_a_shared_factor(numerator, denominator, v):
+    base = RationalGF(Z3, LaurentPoly(Z3, numerator), denominator)
+    factor = LaurentPoly(Z3, {(0, 0, 0): 1, v: -1})
+    scaled = RationalGF(Z3, base.numerator * factor, list(base.denominator) + [v])
+    assert gf_equals(base, scaled)
+    assert gf_equals(scaled, base)
+
+
 def test_gf_substitute_golden():
     out = VariableContext(("x1", "x2", "x3", "q", "t"))
     images = {

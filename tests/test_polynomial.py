@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtcatalan.errors import UsageError
 from qtcatalan.polynomial import (
@@ -168,3 +170,48 @@ def test_context_validation():
         VariableContext(("q", "q"))
     with pytest.raises(UsageError):
         QT.index("nope")
+
+
+V5 = VariableContext(("a", "b", "c", "d", "e"))
+
+
+def laurent_polys(ctx, span=3):
+    """Random Laurent polynomials over ``ctx``, exponents in [-span, span]."""
+    exponents = st.tuples(*[st.integers(-span, span)] * len(ctx))
+    return st.dictionaries(exponents, st.integers(-5, 5), max_size=8).map(
+        lambda terms: LaurentPoly(ctx, terms)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(laurent_polys(V5))
+def test_parse_inverts_str(poly):
+    assert LaurentPoly.parse(V5, str(poly)) == poly
+
+
+# up to four of the five names, in any order; the rest stay live in the target
+grouped_names = st.tuples(st.permutations(V5.names), st.integers(0, 4)).map(
+    lambda drawn: tuple(drawn[0][: drawn[1]])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_polys(V5), grouped_names)
+def test_group_terms_matches_the_full_scan(poly, names):
+    positions = [V5.index(name) for name in names]
+    target = VariableContext(name for name in V5.names if name not in names)
+    groups = poly.group_terms(names)
+
+    members = [exps for keys in groups.values() for exps in keys]
+    assert sorted(members) == sorted(poly.terms)
+    for key, keys in groups.items():
+        assert all(tuple(exps[pos] for pos in positions) == key for exps in keys)
+        assignment = dict(zip(names, key))
+        assert poly.restrict(keys).extract_coefficient(assignment, target) == (
+            poly.extract_coefficient(assignment, target)
+        )
+
+    if names:
+        absent = (4,) * len(names)  # outside the exponent range, so no group has it
+        assert absent not in groups
+        assert poly.extract_coefficient(dict(zip(names, absent)), target).is_zero()

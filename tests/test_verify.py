@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from qtcatalan.catalog import printed_theorem
+from qtcatalan.cones import RationalGF
 from qtcatalan.errors import DomainError
 from qtcatalan.paths import KVector, count_paths
 from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly, coefficient_grid, is_qt_symmetric
@@ -15,7 +17,9 @@ from qtcatalan.verify import (
     macmahon_q_catalan,
     q_binomial,
     refined_catalan,
+    rearrangements,
     repeated_tail_vectors,
+    series_matches_paths,
     symmetry_report,
     symmetry_scan,
     verify_theorem,
@@ -188,3 +192,32 @@ def test_q_specializations():
         assert check_q_specializations(n), n
     with pytest.raises(DomainError):
         check_q_specializations(0)
+
+
+def _plus_monomial(gf, coef, **exponents):
+    ctx = gf.context
+    return gf + RationalGF(ctx, LaurentPoly.monomial(ctx, ctx.monomial(**exponents), coef), ())
+
+
+def test_series_check_rejects_a_wrong_coefficient():
+    printed, bound = printed_theorem("three"), 4
+    assert series_matches_paths(printed, "three", bound)
+    # an extra term at the smallest size and at a size of sum exactly `bound`
+    assert not series_matches_paths(_plus_monomial(printed, 1, x1=1, x2=1, x3=1), "three", bound)
+    assert not series_matches_paths(_plus_monomial(printed, 1, x1=1, x2=1, x3=2, q=1), "three", bound)
+    # a size of sum bound + 1 is not compared
+    assert series_matches_paths(_plus_monomial(printed, 1, x1=1, x2=1, x3=3), "three", bound)
+    # the (1,1,1) coefficient q^3 + q^2*t + q*t + q*t^2 + t^3 without its q*t
+    missing = _plus_monomial(printed, -1, x1=1, x2=1, x3=1, q=1, t=1)
+    assert not series_matches_paths(missing, "three", bound)
+    # with every term of size (1,1,1) gone, that size has no group and coefficient zero
+    emptied = printed
+    for a, b in refined_catalan((1, 1, 1)).terms:
+        emptied = _plus_monomial(emptied, -1, x1=1, x2=1, x3=1, q=a, t=b)
+    assert not series_matches_paths(emptied, "three", bound)
+
+
+def test_rearrangements_are_the_distinct_permutations_in_order():
+    for parts in [(1,), (2, 1), (1, 1, 1), (3, 1, 1, 2), (2, 2, 1, 1, 1)]:
+        assert list(rearrangements(parts)) == sorted(set(itertools.permutations(parts)))
+    assert list(rearrangements((1,) * 40)) == [(1,) * 40]
