@@ -4,16 +4,16 @@ Each supported shape family (three free run lengths; four equal runs; one
 short run followed by three equal longer runs) comes with a fixed list of
 :class:`CaseSpec` entries.  A case records, as literal data:
 
-* the region of path coordinates it covers (affine inequalities plus an
+* the region of path coordinates it covers (integer inequalities plus an
   optional parity constraint),
 * a realization of that region's lattice points, either a
   :class:`~.cones.HalfOpenCone` or an explicit :class:`LatticePiece`
-  (signed base points over a free generator set),
-* how to map lattice points to generating-function monomials, either a
-  monomial substitution or pointwise through the family's closed-form
-  statistics,
+  (signed base points over a free generator set); a cone is turned into
+  the piece of its fundamental-parallelepiped points,
 * optional correction pieces (e.g. removal of a spurious boundary slice).
 
+Lattice points map to generating-function monomials pointwise, through the
+family's closed-form statistics.
 :func:`assemble_case` turns one case into a rational generating function and
 :func:`assemble_theorem` sums a family, specializing marking variables to 1,
 which the verification layer compares against the transcribed product
@@ -22,61 +22,53 @@ formulas from :func:`printed_theorem`.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cones import (
     HalfOpenCone,
     RationalGF,
     gf_extract_parity,
     gf_substitute,
-    integer_point_transform,
     parallelepiped_points,
 )
 from .errors import InternalInvariantError, UsageError
-from .families import FAMILIES, K4_OUT, THREE_OUT, FamilyInfo, Point, family
+from .families import FAMILIES, FamilyInfo, Point, family
 from .lattice import diagonal_form
 from .polynomial import Exponents, LaurentPoly, VariableContext
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """Affine condition ``const + sum coeff * coordinate  (>=, >, ==)  0``."""
+    """Integer inequality ``const + sum coeff * coordinate >= 0``."""
 
-    coeffs: Tuple[Tuple[str, Fraction], ...]
-    const: Fraction
-    op: str
-
-    def value(self, point: Mapping[str, int]) -> Fraction:
-        return self.const + sum(c * point[name] for name, c in self.coeffs)
-
-    def holds(self, point: Mapping[str, int]) -> bool:
-        v = self.value(point)
-        if self.op == "ge":
-            return v >= 0
-        if self.op == "gt":
-            return v > 0
-        return v == 0
-
-
-def _constraint(op: str, const=0, **coeffs) -> Constraint:
-    items = tuple(sorted((name, Fraction(c)) for name, c in coeffs.items() if c))
-    return Constraint(items, Fraction(const), op)
+    coeffs: Tuple[Tuple[str, int], ...]
+    const: int
 
 
 def _ge(const=0, **coeffs) -> Constraint:
-    return _constraint("ge", const, **coeffs)
+    """``const + sum coeff * coordinate >= 0``, times the lcm of its denominators."""
+    const = Fraction(const)
+    coeffs = {name: Fraction(c) for name, c in coeffs.items() if c}
+    scale = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+    return Constraint(
+        tuple(sorted((name, int(c * scale)) for name, c in coeffs.items())), int(const * scale)
+    )
 
 
 def _gt(const=0, **coeffs) -> Constraint:
-    return _constraint("gt", const, **coeffs)
+    """``... > 0``: the scaled value is an integer on integer points, so ``>= 1``."""
+    ge = _ge(const, **coeffs)
+    return Constraint(ge.coeffs, ge.const - 1)
 
 
-def _eq(const=0, **coeffs) -> Constraint:
-    return _constraint("eq", const, **coeffs)
+def _eq(const=0, **coeffs) -> Tuple[Constraint, Constraint]:
+    """``... == 0`` as the two opposite inequalities."""
+    return _ge(const, **coeffs), _ge(-const, **{name: -c for name, c in coeffs.items()})
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,6 @@ class CaseSpec:
     realization: Realization
     parity: Optional[Tuple[str, str]] = None  # (coordinate, "even"|"odd")
     corrections: Tuple[Tuple[int, LatticePiece], ...] = ()
-    subst: Optional[Tuple[Tuple[str, Exponents], ...]] = None  # None = pointwise
     sign: int = 1
 
 
@@ -127,22 +118,6 @@ _S = (1, 0, 0, 1, 1)
 _G = (1, 1, 0, 1, 0)
 _H = (0, 1, 0, 0, 1)
 
-_THREE_SUBST_C1 = (
-    ("z1", THREE_OUT.monomial(x1=1, t=2)),
-    ("z2", THREE_OUT.monomial(x2=1)),
-    ("z3", THREE_OUT.monomial(x3=1)),
-    ("w2", THREE_OUT.monomial(q=1, t=-1)),
-    ("w3", THREE_OUT.monomial(q=1, t=-1)),
-)
-
-_THREE_SUBST_C2 = (
-    ("z1", THREE_OUT.monomial(x1=1, t=2)),
-    ("z2", THREE_OUT.monomial(x2=1, t=1)),
-    ("z3", THREE_OUT.monomial(x3=1)),
-    ("w2", THREE_OUT.monomial(q=1, t=-2)),
-    ("w3", THREE_OUT.monomial(q=1, t=-1)),
-)
-
 
 def _three_cases() -> Tuple[CaseSpec, ...]:
     c3_gens = (_E1, _E3, _G, _S, _H)
@@ -152,7 +127,6 @@ def _three_cases() -> Tuple[CaseSpec, ...]:
             family="three",
             region=_THREE_BASE + (_ge(r2=1, k2=-1, r3=-1), _ge(r2=1, k2=-1)),
             realization=HalfOpenCone(5, (0,) * 5, (_E1, _E3, _U, _S, _G)),
-            subst=_THREE_SUBST_C1,
         ),
         CaseSpec(
             case_id="three.C2",
@@ -160,7 +134,6 @@ def _three_cases() -> Tuple[CaseSpec, ...]:
             # gap condition relative to r2, the smaller side here
             region=_THREE_BASE + (_ge(k2=1, r2=-1, r3=-1), _ge(k2=1, r2=-1)),
             realization=HalfOpenCone(5, (0,) * 5, (_E1, _E2, _E3, _G, _H)),
-            subst=_THREE_SUBST_C2,
         ),
         CaseSpec(
             case_id="three.C3A",
@@ -177,9 +150,8 @@ def _three_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="three.overlap",
             family="three",
-            region=_THREE_BASE + (_eq(r2=1, k2=-1), _eq(r3=1)),
+            region=_THREE_BASE + _eq(r2=1, k2=-1) + _eq(r3=1),
             realization=HalfOpenCone(5, (0,) * 5, (_E1, _E3, _G)),
-            subst=_THREE_SUBST_C1,
             sign=-1,
         ),
     )
@@ -208,20 +180,6 @@ _K4_BASE = (
 _K4_PART1 = _ge(b=1, k=-2, a=2)  # b >= 2k - 2a
 _K4_PART23 = _gt(k=2, a=-2, b=-1)  # b < 2k - 2a
 
-_K4_SUBST_P1C1 = (
-    ("y", K4_OUT.monomial(x=1, q=6, t=-4)),
-    ("z1", K4_OUT.monomial(y1=1, q=-3, t=6)),
-    ("z2", K4_OUT.monomial(y2=1, q=-2, t=3)),
-    ("z3", K4_OUT.monomial(y3=1, q=-1, t=1)),
-)
-
-_K4_SUBST_P2C1 = (
-    ("y", K4_OUT.monomial(x=1, q=6, t=-2)),
-    ("z1", K4_OUT.monomial(y1=1, q=-3, t=4)),
-    ("z2", K4_OUT.monomial(y2=1, q=-2, t=2)),
-    ("z3", K4_OUT.monomial(y3=1, q=-1, t=1)),
-)
-
 
 def _k4_cases() -> Tuple[CaseSpec, ...]:
     half = Fraction(1, 2)
@@ -231,7 +189,6 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
             family="k4",
             region=_K4_BASE + (_K4_PART1, _ge(c=1, k=-4, a=2, b=2)),
             realization=HalfOpenCone(4, (0,) * 4, (_V1, _V4, _V6, _V8)),
-            subst=_K4_SUBST_P1C1,
         ),
         CaseSpec(
             case_id="k4.P1C1B",
@@ -240,7 +197,6 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V4, _V5, _V6, _V8), (False, True, False, False)
             ),
-            subst=_K4_SUBST_P1C1,
         ),
         CaseSpec(
             case_id="k4.P1C2",
@@ -259,7 +215,6 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
                 4, (0,) * 4, (_V1, _V6, _V7, _V8), (False, False, True, False)
             ),
             parity=("b", "even"),
-            subst=_K4_SUBST_P2C1,
         ),
         CaseSpec(
             case_id="k4.P2C2",
@@ -362,10 +317,10 @@ def _piece(bases: Sequence[Point], gens: Sequence[Point]) -> LatticePiece:
 def _kaaa_cases() -> Tuple[CaseSpec, ...]:
     in_band = (_gt(b=1), _ge(k=2, a=-2, b=-1))  # 0 < b <= 2(k - a)
     above_band = _gt(b=1, k=-2, a=2)  # b > 2(k - a)
-    p1c1 = (_eq(b=1), _eq(c=1))
-    p1c2 = (_eq(b=1), _gt(c=1), _ge(k=3, a=-3, c=-1))
-    p1c3 = (_eq(b=1), _gt(c=1, k=-3, a=3))
-    p2 = in_band + (_eq(c=1),)
+    p1c1 = _eq(b=1) + _eq(c=1)
+    p1c2 = _eq(b=1) + (_gt(c=1), _ge(k=3, a=-3, c=-1))
+    p1c3 = _eq(b=1) + (_gt(c=1, k=-3, a=3),)
+    p2 = in_band + _eq(c=1)
     p3c1 = in_band + (_gt(c=1), _ge(k=3, a=-3, b=Fraction(-3, 2), c=-1))
     p3c2 = in_band + (
         _gt(c=1, k=-3, a=3, b=Fraction(3, 2)),
@@ -562,7 +517,21 @@ def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     if len(point) != len(fam.coords):
         raise UsageError(f"point has {len(point)} coordinates, expected {len(fam.coords)}")
     values = dict(zip(fam.coords, point))
-    return all(c.holds(values) for c in spec.region) and _parity_holds(spec, point)
+    return all(
+        c.const + sum(coef * values[name] for name, coef in c.coeffs) >= 0 for c in spec.region
+    ) and _parity_holds(spec, point)
+
+
+@lru_cache(maxsize=None)
+def _lattice_piece(realization: Realization) -> LatticePiece:
+    """The realization's points as signed bases over its generators.
+
+    A cone becomes its fundamental-parallelepiped points over its generators.
+    """
+    if isinstance(realization, LatticePiece):
+        return realization
+    bases = tuple((1, p) for p in parallelepiped_points(realization))
+    return LatticePiece(bases=bases, generators=realization.generators)
 
 
 def _piece_gf(piece: LatticePiece, zctx: VariableContext, sign: int = 1) -> RationalGF:
@@ -570,12 +539,6 @@ def _piece_gf(piece: LatticePiece, zctx: VariableContext, sign: int = 1) -> Rati
     for coef, base in piece.bases:
         terms[base] = terms.get(base, 0) + sign * coef
     return RationalGF(zctx, LaurentPoly(zctx, terms), piece.generators)
-
-
-def _realization_gf(spec: CaseSpec, zctx: VariableContext) -> RationalGF:
-    if isinstance(spec.realization, HalfOpenCone):
-        return integer_point_transform(spec.realization, zctx)
-    return _piece_gf(spec.realization, zctx)
 
 
 def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
@@ -616,15 +579,13 @@ def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
 def assemble_case(spec: CaseSpec) -> RationalGF:
     """Generating function of one case, in the family's marked output variables."""
     fam = FAMILIES[spec.family]
-    zgf = _realization_gf(spec, fam.zctx)
+    zgf = _piece_gf(_lattice_piece(spec.realization), fam.zctx)
     for sign, piece in spec.corrections:
         zgf = zgf + _piece_gf(piece, fam.zctx, sign)
     if spec.parity is not None:
         coord, parity = spec.parity
         # the coordinate variables follow the coordinates' order
         zgf = gf_extract_parity(zgf, fam.zctx.names[fam.coords.index(coord)], parity)
-    if spec.subst is not None:
-        return gf_substitute(zgf, fam.out_ctx, dict(spec.subst))
     return _pointwise_map(zgf, fam)
 
 
@@ -726,22 +687,12 @@ def _piece_covers(piece: LatticePiece, point: Point) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _cone_piece(cone: HalfOpenCone) -> LatticePiece:
-    """The cone's points as parallelepiped bases over its generators."""
-    bases = tuple((1, p) for p in parallelepiped_points(cone))
-    return LatticePiece(bases=bases, generators=cone.generators)
-
-
 def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
     """How many times the case's realization (with corrections) hits a point."""
     point = tuple(int(x) for x in point)
     if not _parity_holds(spec, point):
         return 0
-    realization = spec.realization
-    if isinstance(realization, HalfOpenCone):
-        realization = _cone_piece(realization)
-    total = _piece_covers(realization, point)
+    total = _piece_covers(_lattice_piece(spec.realization), point)
     for sign, piece in spec.corrections:
         total += sign * _piece_covers(piece, point)
     return total

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -211,12 +212,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    # the vectors are made twice, lazily: once to bound the work, once to report
     if args.family is not None:
-        vectors = repeated_tail_vectors(args.max, _parse_parts(args.lengths))
+        vectors = partial(repeated_tail_vectors, args.max, _parse_parts(args.lengths))
     else:
-        vectors = kvectors_of_length(args.all_length, args.max)
+        vectors = partial(kvectors_of_length, args.all_length, args.max)
+    _check_path_work(vectors())
     all_symmetric = True
-    for parts in vectors:
+    for parts in vectors():
         report = symmetry_report(parts)
         label = "(" + ",".join(str(p) for p in parts) + ")"
         if report.symmetric:

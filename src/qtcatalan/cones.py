@@ -170,22 +170,15 @@ def gf_substitute(
 ) -> RationalGF:
     """Apply a monomial substitution to numerator and denominator alike."""
     numerator = substitute_monomials(g.numerator, target, images)
-    table = {name: tuple(images[name]) for name in g.context.names}
-    zero = (0,) * len(target)
     factors = []
     for m in g.denominator:
-        vec = [0] * len(target)
-        for e, name in zip(m, g.context.names):
-            if e:
-                image = table[name]
-                for i, ei in enumerate(image):
-                    vec[i] += e * ei
-        vec = tuple(vec)
-        if vec == zero:
+        # a monomial maps to one monomial with coefficient 1
+        (image,) = substitute_monomials(LaurentPoly.monomial(g.context, m), target, images).terms
+        if not any(image):
             raise DegenerateSubstitutionError(
                 f"denominator factor {m} maps to the zero exponent vector"
             )
-        factors.append(vec)
+        factors.append(image)
     return RationalGF(target, numerator, factors)
 
 
@@ -284,9 +277,12 @@ def parse_cone(text: str) -> HalfOpenCone:
             continue
         directive, args = tokens[0], tokens[1:]
         if directive == "dim":
-            if len(args) != 1 or not args[0].isdigit():
+            try:
+                dim = int(args[0]) if len(args) == 1 else 0
+            except ValueError:
+                dim = 0
+            if dim < 1:
                 raise UsageError(f"line {lineno}: dim needs one positive integer")
-            dim = int(args[0])
         elif directive == "apex":
             if dim is None:
                 raise UsageError(f"line {lineno}: apex before dim")
@@ -312,8 +308,8 @@ def parse_cone(text: str) -> HalfOpenCone:
             raise UsageError(f"line {lineno}: unknown directive {directive!r}")
     if dim is None:
         raise UsageError("cone file is missing a dim line")
-    if apex is None:
-        apex = (Fraction(0),) * dim
     if not generators:
         raise UsageError("cone file has no generators")
+    if apex is None:
+        apex = (Fraction(0),) * dim
     return HalfOpenCone(dim, apex, generators, flags)

@@ -17,7 +17,13 @@ from .cones import RationalGF, gf_equals, gf_substitute, series_expand
 from .errors import DomainError, InternalInvariantError, UsageError
 from .families import family
 from .paths import KVector, enumerate_paths, path_stats
-from .polynomial import QT_CONTEXT, LaurentPoly, VariableContext, coefficient_grid
+from .polynomial import (
+    QT_CONTEXT,
+    LaurentPoly,
+    VariableContext,
+    coefficient_grid,
+    substitute_monomials,
+)
 
 Q_CONTEXT = VariableContext(("q",))
 
@@ -109,20 +115,19 @@ def symmetry_scan(family: Iterable[Sequence[int]]) -> List[SymmetryReport]:
     return [symmetry_report(parts) for parts in family]
 
 
-def kvectors_of_length(length: int, max_part: int) -> List[Tuple[int, ...]]:
-    return [tuple(v) for v in itertools.product(range(1, max_part + 1), repeat=length)]
+def kvectors_of_length(length: int, max_part: int) -> Iterator[Tuple[int, ...]]:
+    """Every vector of ``length`` parts in [1, max_part], lazily, in lexicographic order."""
+    return itertools.product(range(1, max_part + 1), repeat=length)
 
 
-def repeated_tail_vectors(max_value: int, lengths: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Vectors (k, a, a, ..., a) for 1 <= k, a <= max_value."""
-    out = []
+def repeated_tail_vectors(max_value: int, lengths: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Vectors (k, a, a, ..., a) for 1 <= k, a <= max_value, lazily."""
+    if any(length < 2 for length in lengths):
+        raise UsageError("repeated-tail vectors need length >= 2")
     for length in lengths:
-        if length < 2:
-            raise UsageError("repeated-tail vectors need length >= 2")
         for k in range(1, max_value + 1):
             for a in range(1, max_value + 1):
-                out.append((k,) + (a,) * (length - 1))
-    return out
+                yield (k,) + (a,) * (length - 1)
 
 
 def check_last_param(prefix: Sequence[int], m: int, l: int) -> bool:
@@ -296,8 +301,6 @@ def macmahon_q_catalan(n: int) -> LaurentPoly:
 
 
 def _specialize_qt(poly: LaurentPoly, q_image: Tuple[int], t_image: Tuple[int]) -> LaurentPoly:
-    from .polynomial import substitute_monomials
-
     return substitute_monomials(poly, Q_CONTEXT, {"q": q_image, "t": t_image})
 
 

@@ -7,6 +7,8 @@ Each test prints one ``[PASS]``/``[FAIL]`` line (run pytest with ``-s`` or
 import itertools
 import time
 
+from regions import region_points
+
 from qtcatalan.catalog import (
     assemble_theorem,
     case_catalog,
@@ -140,33 +142,12 @@ def test_criterion_07_bounce_agreement():
     _report(7, "tableau bounce equals closed forms on all small paths", ok, budget)
 
 
-def _region_points(family, bound):
-    if family == "three":
-        for k1, k2, k3 in itertools.product(range(bound + 1), repeat=3):
-            for r2 in range(k1 + 1):
-                for r3 in range(r2 + k2 + 1):
-                    yield (k1, k2, k3, r2, r3)
-    elif family == "k4":
-        for k in range(bound + 1):
-            for a in range(k + 1):
-                for b in range(2 * k - a + 1):
-                    for c in range(3 * k - a - b + 1):
-                        yield (k, a, b, c)
-    else:
-        for k in range(bound + 1):
-            for m in range(bound - k + 1):
-                for a in range(k + 1):
-                    for b in range(2 * k + m - a + 1):
-                        for c in range(3 * k + 2 * m - a - b + 1):
-                            yield (k, m, a, b, c)
-
-
 def test_criterion_08_partition_property():
     with _Budget(10.0) as budget:
         ok = True
         for family in ("three", "k4", "kaaa"):
             specs = case_catalog(family)
-            for point in _region_points(family, 4):
+            for point in region_points(family, 4):
                 if signed_multiplicity(family, point) != 1:
                     ok = False
                     break

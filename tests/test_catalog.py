@@ -6,11 +6,19 @@ variables, and the assembled family sums are compared against the
 transcribed product formulas.
 """
 
-import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from regions import region_points
 
 from qtcatalan.catalog import (
+    CaseSpec,
+    LatticePiece,
+    _eq,
+    _ge,
+    _gt,
     assemble_case,
     assemble_theorem,
     case_catalog,
@@ -322,37 +330,53 @@ def test_case_membership_examples():
         case_membership(three["three.C1"], (1, 0, 0))
 
 
-def _region_points(family, bound):
-    if family == "three":
-        for k1, k2, k3 in itertools.product(range(bound + 1), repeat=3):
-            for r2 in range(k1 + 1):
-                for r3 in range(r2 + k2 + 1):
-                    yield (k1, k2, k3, r2, r3)
-    elif family == "k4":
-        for k in range(bound + 1):
-            for a in range(k + 1):
-                for b in range(2 * k - a + 1):
-                    for c in range(3 * k - a - b + 1):
-                        yield (k, a, b, c)
-    else:
-        for k in range(bound + 1):
-            for m in range(bound - k + 1):
-                for a in range(k + 1):
-                    for b in range(2 * k + m - a + 1):
-                        for c in range(3 * k + 2 * m - a - b + 1):
-                            yield (k, m, a, b, c)
+K4_COORDS = FAMILIES["k4"].coords
+RATIONALS = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def _holds(constraints, point):
+    spec = CaseSpec("test", "k4", tuple(constraints), LatticePiece(bases=(), generators=()))
+    return case_membership(spec, point)
+
+
+@settings(max_examples=400)
+@given(
+    coeffs=st.tuples(*[RATIONALS] * len(K4_COORDS)),
+    const=RATIONALS,
+    point=st.tuples(*[st.integers(-4, 4)] * len(K4_COORDS)),
+    on_hyperplane=st.booleans(),
+)
+@example(coeffs=(0, 0, Fraction(3, 2), 1), const=Fraction(-1, 2), point=(0, 0, 1, -1),
+         on_hyperplane=False)
+@example(coeffs=(1, -1, 0, 0), const=0, point=(2, 3, 0, 0), on_hyperplane=False)
+def test_scaled_constraints_agree_with_rational_evaluation(coeffs, const, point, on_hyperplane):
+    """``_ge``, ``_gt`` and ``_eq`` hold exactly where the rational inequality does."""
+    if on_hyperplane:  # move the constant so that the value at the point is the drawn one
+        const -= sum(Fraction(c) * x for c, x in zip(coeffs, point))
+    named = dict(zip(K4_COORDS, coeffs))
+    value = Fraction(const) + sum(Fraction(c) * x for c, x in zip(coeffs, point))
+    for built in (_ge(const, **named), _gt(const, **named), *_eq(const, **named)):
+        assert type(built.const) is int and all(type(c) is int for _, c in built.coeffs)
+    assert _holds([_ge(const, **named)], point) == (value >= 0)
+    assert _holds([_gt(const, **named)], point) == (value > 0)
+    assert _holds(_eq(const, **named), point) == (value == 0)
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
 def test_partition_property(family):
-    for point in _region_points(family, 3):
+    for point in region_points(family, 3):
         assert signed_multiplicity(family, point) == 1, point
         assert any(case_membership(s, point) for s in case_catalog(family)), point
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
 def test_realized_points_stay_in_region(family):
-    for point in _region_points(family, 3):
+    for point in region_points(family, 3):
         for spec in case_catalog(family):
             if realized_multiplicity(spec, point) > 0:
                 assert case_membership(spec, point), (spec.case_id, point)
@@ -376,7 +400,7 @@ def test_case_series_match_statistics(family):
     for spec in case_catalog(family):
         series = series_expand(assemble_case(spec), weights, bound)
         expected = {}
-        for point in _region_points(family, bound):
+        for point in region_points(family, bound):
             count = realized_multiplicity(spec, point)
             if count == 0:
                 continue

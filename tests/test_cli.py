@@ -1,3 +1,12 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
 from qtcatalan import cli
 from qtcatalan.cli import grid_to_tsv, main, parse_grid_tsv
 from qtcatalan.polynomial import coefficient_grid
@@ -206,3 +215,49 @@ def test_path_work_limit_admits_the_largest_documented_inputs(capsys):
     assert code == 0 and out.strip()
     code, out, _ = run(capsys, "catalan", "--lambda", "3,2,2,1,1")
     assert code == 0 and out.strip()
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_scans_beyond_the_path_work_limit_are_usage_errors_before_any_output():
+    # each scan asks for about 10^10 vectors; a scan that lists them first runs out of
+    # its 1 GB address space or past the timeout instead of exiting at once
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for argv in (
+        ("--all-length", "10", "--max", "10"),
+        ("--family", "kaaa", "--max", "100000"),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "qtcatalan.cli", "scan", *argv],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+        )
+        assert result.returncode == 2 and result.stdout == "", argv
+        assert result.stderr.startswith("error: ") and str(cli.MAX_PATH_WORK) in result.stderr
+
+
+# cone-file text: directive lines of small integers, fractions and odd tokens, or any
+# text; decimal digits come only from the integer tokens, so every cone stays small
+TOKENS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["dim", "apex", "gen", "open", "closed", "1/2", "-1/2", "1/0", "\u00b2", "\u0663"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=4),
+)
+LINES = st.tuples(
+    st.sampled_from(["dim", "apex", "gen closed", "gen open", "gen", ""]), st.lists(TOKENS, max_size=5)
+).map(lambda line: " ".join((line[0], *line[1])))
+CONE_TEXTS = st.one_of(
+    st.lists(LINES, max_size=6).map("\n".join),
+    st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=40),
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=CONE_TEXTS, flag=st.sampled_from(["--pi", "--index", "--transform"]))
+@example(text="dim \u00b2\ngen closed 1 0\ngen closed 0 1\n", flag="--index")
+@example(text="dim 2\ngen closed 1 0\ngen open 0 1\n", flag="--pi")
+def test_any_cone_file_is_accepted_or_a_usage_error(tmp_path, text, flag):
+    path = tmp_path / "cone.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["cone", str(path), flag]) in (0, 2)
