@@ -1,8 +1,9 @@
 """Walk through path enumeration and the two statistics.
 
 A path with north runs of prescribed lengths is stored as its rank sequence:
-rank = y - x at the start of each run.  Area is the rank sum; bounce comes
-from the rank-tableau algorithm, which this script traces step by step.
+rank = y - x at the start of each run.  Area is the rank sum; bounce weighs
+the north runs each vertical leg of the bounce path consumes by the leg's
+index, and this script shows those legs for one path.
 """
 
 from qtcatalan import KVector, enumerate_paths, path_stats, refined_catalan
@@ -20,12 +21,8 @@ print()
 print("One bounce trace in full:")
 path = next(iter(enumerate_paths(KVector((1, 3, 2)))))
 stats = path_stats(path)
-trace = stats.trace
 print(f"  path ranks {path.ranks} of runs {path.kvec}")
-print(f"  bounce points: {trace.bounce_points}")
-print(f"  vertical legs consume {trace.leg_lengths} runs -> bounce = {stats.bounce}")
-print(f"  tableau columns: {trace.tableau}")
-print(f"  first tableau row sums to {trace.first_row_sum()} (equals bounce)")
+print(f"  vertical legs consume {stats.legs} runs -> bounce = {stats.bounce}")
 
 print()
 print("Summing q^area t^bounce over all paths gives the refined polynomial:")

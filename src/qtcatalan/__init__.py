@@ -2,7 +2,7 @@
 
 The package computes the two-statistic path polynomials two independent
 ways: by enumerating paths with prescribed north-run lengths and scoring
-them with the rank-tableau bounce algorithm, and by assembling rational
+them with a linear bounce pass, and by assembling rational
 generating functions from half-open simplicial cones.  Everything is exact
 (integer and rational arithmetic only), so each route can verify the other.
 """
@@ -39,7 +39,6 @@ from .errors import (
     UsageError,
 )
 from .paths import (
-    BounceTrace,
     DyckPath,
     KVector,
     count_paths,

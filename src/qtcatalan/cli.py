@@ -22,7 +22,6 @@ from .errors import DomainError, UsageError
 from .families import FAMILIES, REPEATED_TAIL
 from .paths import KVector, count_paths, enumerate_paths, path_stats
 from .polynomial import (
-    QT_CONTEXT,
     LaurentPoly,
     VariableContext,
     coefficient_grid,
@@ -132,23 +131,6 @@ def grid_to_tsv(grid: Sequence[Sequence[int]]) -> str:
     for j in range(max_t + 1):
         lines.append("\t".join(str(grid[i][j]) for i in range(max_q + 1)))
     return "\n".join(lines)
-
-
-def parse_grid_tsv(text: str) -> LaurentPoly:
-    """Rebuild the polynomial a TSV grid was printed from."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise UsageError("empty grid")
-    q_exponents = [int(tok) for tok in lines[0].split("\t")]
-    terms = {}
-    for t_exp, line in enumerate(lines[1:]):
-        cells = [int(tok) for tok in line.split("\t")]
-        if len(cells) != len(q_exponents):
-            raise UsageError("ragged grid row")
-        for q_exp, coef in zip(q_exponents, cells):
-            if coef:
-                terms[(q_exp, t_exp)] = coef
-    return LaurentPoly(QT_CONTEXT, terms)
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:

@@ -15,6 +15,7 @@ equality decided by cross-multiplication and never by cancellation.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,9 +125,6 @@ class RationalGF:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", factors)
-
-    def denominator_poly(self) -> LaurentPoly:
-        return _times_factors(LaurentPoly.constant(self.context, 1), self.denominator)
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
         """Sum over the least common multiset of denominators."""
@@ -264,6 +262,12 @@ def gf_extract_parity(g: RationalGF, name: str, parity: str) -> RationalGF:
 # apex -1/2 0 -1 -1/2
 # gen open 1 0 0 3
 # gen closed 1 0 2 0
+#
+# An apex entry is an integer or a fraction of two, as in `-1/2`, read with
+# int(); exponents and decimal points are refused, so `1e999999999` cannot
+# stand for a number with a billion digits.
+
+_APEX_ENTRY = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_cone(text: str) -> HalfOpenCone:
@@ -288,8 +292,10 @@ def parse_cone(text: str) -> HalfOpenCone:
                 raise UsageError(f"line {lineno}: apex before dim")
             if len(args) != dim:
                 raise UsageError(f"line {lineno}: apex needs {dim} entries")
+            if not all(_APEX_ENTRY.fullmatch(a) for a in args):
+                raise UsageError(f"line {lineno}: apex entries must be integers or fractions")
             try:
-                apex = tuple(Fraction(a) for a in args)
+                apex = tuple(Fraction(*map(int, a.split("/"))) for a in args)
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"line {lineno}: bad apex entry ({exc})") from None
         elif directive == "gen":

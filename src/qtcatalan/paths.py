@@ -5,17 +5,17 @@ the rank sequence ``(r_1, ..., r_m)``, where ``r_i`` is ``y - x`` at the start
 of the i-th north run.  The rank sequence determines the path: after run ``i``
 the path takes ``r_i + k_i - r_{i+1}`` unit east steps (with ``r_{m+1} = 0``).
 
-Two independent routes to the statistics are provided: the general
-rank-tableau bounce algorithm (:func:`path_stats`) and closed-form piecewise
-formulas for the three supported shape families (:func:`stats_three`,
-:func:`stats_k4`, :func:`stats_kaaa`).  The test suite checks them against
-each other exhaustively on small inputs.
+Two independent routes to the statistics are provided: the general bounce
+pass (:func:`path_stats`, linear in the path's size) and closed-form
+piecewise formulas for the three supported shape families
+(:func:`stats_three`, :func:`stats_k4`, :func:`stats_kaaa`).  The test suite
+checks them against each other exhaustively on small inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError, InternalInvariantError
 
@@ -88,27 +88,11 @@ class DyckPath:
         return sum(self.ranks)
 
 
-@dataclass(frozen=True)
-class BounceTrace:
-    """Record of one run of the rank-tableau bounce algorithm."""
-
-    bounce_points: Tuple[Tuple[int, int], ...]
-    leg_lengths: Tuple[int, ...]
-    horizontal_counts: Tuple[int, ...]
-    tableau: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def bounce(self) -> int:
-        return sum(i * v for i, v in enumerate(self.leg_lengths))
-
-    def first_row_sum(self) -> int:
-        return sum(column[0] for column in self.tableau)
-
-
 class PathStats(NamedTuple):
     area: int
     bounce: int
-    trace: BounceTrace
+    # runs consumed by each vertical bounce leg; bounce = sum(i * legs[i])
+    legs: Tuple[int, ...]
 
 
 def enumerate_paths(kvec: KVector) -> Iterator[DyckPath]:
@@ -151,81 +135,52 @@ def count_paths(kvec: KVector) -> int:
 
 
 def path_stats(path: DyckPath) -> PathStats:
-    """Area plus the bounce statistic computed by the rank-tableau algorithm.
+    """Area plus the bounce statistic, in one pass over the legs.
 
-    The bounce path starts at the origin and alternates between vertical legs
-    (stopping at the start of an east step of the path) and horizontal moves
-    whose length is read off the tableau.  Each vertical leg consumes whole
-    north runs; run ``j`` fills a tableau column with ``k_j + 1`` consecutive
-    values starting at the leg index.
+    The bounce path starts at the origin and alternates vertical legs and
+    horizontal moves.  Leg ``s`` climbs to the height of the path's east step
+    at the current x, consuming whole north runs; run ``j`` consumed at leg
+    ``s_j`` then counts towards the horizontal moves of legs
+    ``s_j ... s_j + k_j - 1``.  The bounce is ``sum(s * runs consumed at s)``.
     """
     kvec, ranks = path.kvec, path.ranks
     parts = kvec.parts
     n, m = kvec.n, kvec.m
 
-    # run j spans heights [heights[j], heights[j+1]]
-    heights = [0]
-    for k in parts:
-        heights.append(heights[-1] + k)
-    run_of_height = {h: j for j, h in enumerate(heights)}
+    # owner[x]: number of north runs below the path's east step from x to x + 1
+    owner: List[int] = []
+    for j, a in enumerate(path.east_runs):
+        owner += [j + 1] * a
 
-    # east run j starts at x = east_x[j] at height heights[j+1]
-    east = path.east_runs
-    east_x = []
-    x = 0
-    for a in east:
-        east_x.append(x)
-        x += a
-
-    def stop_height(px: int, py: int) -> Optional[int]:
-        best = None
-        for j in range(m):
-            if east[j] and east_x[j] <= px < east_x[j] + east[j]:
-                h = heights[j + 1]
-                if h >= py and (best is None or h < best):
-                    best = h
-        return best
-
-    columns: List[List[int]] = [[] for _ in range(m)]
-    filled = 0
-    points = [(0, 0)]
+    limit = n + m + 1
+    expiring = [0] * (limit + n)  # expiring[s]: runs whose last counted leg is s - 1
     legs: List[int] = []
-    horiz: List[int] = []
-    px, py = 0, 0
-    for step in range(2 * (n + m) + 4):
-        if (px, py) == (n, n):
+    filled = active = x = 0
+    for step in range(limit):
+        if x >= n:
             break
-        qy = stop_height(px, py)
-        if qy is None:
+        v = owner[x] - filled
+        if v < 0:
             raise InternalInvariantError(
-                f"bounce leg from ({px},{py}) found no east step on path {ranks} of {parts}"
+                f"bounce leg {step} at x={x} stops below the {filled} runs already consumed "
+                f"on path {ranks} of {parts}"
             )
-        v = run_of_height[qy] - run_of_height[py]
-        for _ in range(v):
-            columns[filled] = list(range(step, step + parts[filled] + 1))
-            filled += 1
-        h = sum(column.count(step + 1) for column in columns[:filled])
+        for j in range(filled, filled + v):
+            expiring[step + parts[j]] += 1
+        filled += v
+        active += v - expiring[step]
         legs.append(v)
-        horiz.append(h)
-        px, py = px + h, qy
-        points.append((px, py))
+        x += active
     else:
         raise InternalInvariantError(
-            f"bounce algorithm did not reach ({n},{n}) on path {ranks} of {parts}"
+            f"bounce made no progress within {limit} legs on path {ranks} of {parts}"
         )
-
-    trace = BounceTrace(
-        bounce_points=tuple(points),
-        leg_lengths=tuple(legs),
-        horizontal_counts=tuple(horiz),
-        tableau=tuple(tuple(col) for col in columns),
-    )
-    if sum(legs) != m:
-        raise InternalInvariantError(f"bounce legs consumed {sum(legs)} of {m} runs")
+    if filled != m or x != n:
+        raise InternalInvariantError(
+            f"bounce ended at x={x} after {filled} of {m} runs on path {ranks} of {parts}"
+        )
     bounce = sum(i * v for i, v in enumerate(legs))
-    if bounce != trace.first_row_sum():
-        raise InternalInvariantError("bounce disagrees with tableau first row")
-    return PathStats(area=sum(ranks), bounce=bounce, trace=trace)
+    return PathStats(area=sum(ranks), bounce=bounce, legs=tuple(legs))
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -94,12 +94,6 @@ class LaurentPoly:
     def monomial(cls, context: VariableContext, exps: Sequence[int], coef: int = 1) -> "LaurentPoly":
         return cls(context, {tuple(exps): coef})
 
-    @classmethod
-    def variable(cls, context: VariableContext, name: str) -> "LaurentPoly":
-        vec = [0] * len(context)
-        vec[context.index(name)] = 1
-        return cls(context, {tuple(vec): 1})
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -137,18 +131,6 @@ class LaurentPoly:
     def __rmul__(self, other: int) -> "LaurentPoly":
         return self * other
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise UsageError("negative polynomial powers are not defined")
-        result = LaurentPoly.constant(self.context, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, LaurentPoly)
@@ -166,9 +148,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, exps: Sequence[int]) -> int:
-        return self.terms.get(tuple(exps), 0)
 
     def group_terms(self, names: Sequence[str]) -> Dict[Exponents, List[Exponents]]:
         """The exponent tuples of the terms, keyed by their exponents of `names`.

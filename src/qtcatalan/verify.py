@@ -1,8 +1,9 @@
 """Brute-force oracles and cross-checks for the generating-function catalog.
 
 Everything here is independent of the cone machinery: polynomials are built
-by enumerating paths and applying the rank-tableau algorithm, so they can
-arbitrate both the closed-form statistics and the assembled series.
+by enumerating paths and scoring each with the linear bounce pass
+:func:`~qtcatalan.paths.path_stats`, so they can arbitrate both the
+closed-form statistics and the assembled series.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def check_last_param(prefix: Sequence[int], m: int, l: int) -> bool:
 
 
 def check_bounce_agreement(name: str, bound: int) -> bool:
-    """Exhaustively compare the tableau algorithm against the closed form.
+    """Exhaustively compare the bounce pass :func:`path_stats` against the closed form.
 
     Raises :class:`InternalInvariantError` describing the first disagreement;
     a disagreement means one of the two implementations is wrong.
@@ -228,60 +229,20 @@ def verify_theorem(family: str, bound: int) -> TheoremReport:
 # -- one-variable specializations ----------------------------------------------
 
 
-def _q_poly(coeffs: Sequence[int]) -> LaurentPoly:
-    return LaurentPoly(Q_CONTEXT, {(i,): c for i, c in enumerate(coeffs) if c})
-
-
-def _dense(poly: LaurentPoly) -> List[int]:
-    if poly.is_zero():
-        return [0]
-    exps = [e[0] for e in poly.terms]
-    if min(exps) < 0:
-        raise UsageError("expected a polynomial with nonnegative exponents")
-    out = [0] * (max(exps) + 1)
-    for (e,), c in poly.terms.items():
-        out[e] = c
-    return out
-
-
-def _divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact univariate division in q; nonzero remainder is an error."""
-    n, d = _dense(num), _dense(den)
-    while d and d[-1] == 0:
-        d.pop()
-    if not d:
-        raise UsageError("division by the zero polynomial")
-    q = [0] * (max(len(n) - len(d) + 1, 0))
-    rem = n[:]
-    for i in range(len(q) - 1, -1, -1):
-        head = rem[i + len(d) - 1]
-        if head % d[-1] != 0:
-            raise InternalInvariantError("division is not exact")
-        factor = head // d[-1]
-        q[i] = factor
-        if factor:
-            for j, dj in enumerate(d):
-                rem[i + j] -= factor * dj
-    if any(rem):
-        raise InternalInvariantError("division left a remainder")
-    return _q_poly(q)
-
-
-def q_integer(n: int) -> LaurentPoly:
-    return _q_poly([1] * n)
-
-
 def q_binomial(n: int, k: int) -> LaurentPoly:
-    """Gaussian binomial coefficient, by exact polynomial division."""
+    """Gaussian binomial coefficient, by the q-Pascal recurrence.
+
+    ``[i, j] = [i-1, j-1] + q^j [i-1, j]``, one row of ``[i, 0..k]`` at a time.
+    """
     if not 0 <= k <= n:
         return LaurentPoly.zero(Q_CONTEXT)
-    numerator = LaurentPoly.constant(Q_CONTEXT, 1)
-    for i in range(n - k + 1, n + 1):
-        numerator = numerator * q_integer(i)
-    result = numerator
-    for i in range(1, k + 1):
-        result = _divexact(result, q_integer(i))
-    return result
+    one = LaurentPoly.constant(Q_CONTEXT, 1)
+    row = [one] + [LaurentPoly.zero(Q_CONTEXT)] * k
+    for _ in range(n):
+        row = [one] + [
+            row[j - 1] + LaurentPoly.monomial(Q_CONTEXT, (j,)) * row[j] for j in range(1, k + 1)
+        ]
+    return row[k]
 
 
 def carlitz_riordan(n: int) -> LaurentPoly:
@@ -297,7 +258,8 @@ def carlitz_riordan(n: int) -> LaurentPoly:
 
 
 def macmahon_q_catalan(n: int) -> LaurentPoly:
-    return _divexact(q_binomial(2 * n, n), q_integer(n + 1))
+    """``[2n, n] / [n + 1]``, as ``[2n, n] - q [2n, n + 1]`` (Fürlinger and Hofbauer)."""
+    return q_binomial(2 * n, n) - LaurentPoly.monomial(Q_CONTEXT, (1,)) * q_binomial(2 * n, n + 1)
 
 
 def _specialize_qt(poly: LaurentPoly, q_image: Tuple[int], t_image: Tuple[int]) -> LaurentPoly:

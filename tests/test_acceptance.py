@@ -139,7 +139,7 @@ def test_criterion_07_bounce_agreement():
             and check_bounce_agreement("k4", 4)
             and check_bounce_agreement("kaaa", 4)
         )
-    _report(7, "tableau bounce equals closed forms on all small paths", ok, budget)
+    _report(7, "bounce pass equals closed forms on all small paths", ok, budget)
 
 
 def test_criterion_08_partition_property():

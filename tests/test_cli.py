@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qtcatalan import cli
-from qtcatalan.cli import grid_to_tsv, main, parse_grid_tsv
-from qtcatalan.polynomial import coefficient_grid
+from qtcatalan.cli import grid_to_tsv, main
+from qtcatalan.errors import UsageError
+from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly, coefficient_grid
 from qtcatalan.verify import refined_catalan
 
 CONE_FILE = """dim 5
@@ -20,6 +21,23 @@ gen closed 1 1 0 1 0
 gen open 1 0 0 1 1
 gen open 0 1 0 0 1
 """
+
+
+def parse_grid_tsv(text: str) -> LaurentPoly:
+    """Rebuild the polynomial a TSV grid was printed from."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise UsageError("empty grid")
+    q_exponents = [int(tok) for tok in lines[0].split("\t")]
+    terms = {}
+    for t_exp, line in enumerate(lines[1:]):
+        cells = [int(tok) for tok in line.split("\t")]
+        if len(cells) != len(q_exponents):
+            raise UsageError("ragged grid row")
+        for q_exp, coef in zip(q_exponents, cells):
+            if coef:
+                terms[(q_exp, t_exp)] = coef
+    return LaurentPoly(QT_CONTEXT, terms)
 
 
 def run(capsys, *argv):
@@ -237,11 +255,26 @@ def test_scans_beyond_the_path_work_limit_are_usage_errors_before_any_output():
         assert result.stderr.startswith("error: ") and str(cli.MAX_PATH_WORK) in result.stderr
 
 
-# cone-file text: directive lines of small integers, fractions and odd tokens, or any
-# text; decimal digits come only from the integer tokens, so every cone stays small
+def test_exponent_apex_is_a_usage_error_at_once(tmp_path):
+    # Fraction("1e999999999") would build the number exactly, for minutes
+    path = tmp_path / "cone.txt"
+    path.write_text("dim 1\napex 1e999999999\ngen closed 1\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "qtcatalan.cli", "cone", str(path), "--index"],
+        env=env, capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: line 2: apex")
+
+
+# cone-file text: directive lines of small integers, fractions, numerals written with
+# digits, exponents, points and slashes, and odd tokens, or any text; a numeral has at
+# most 8 characters, so every cone that parses stays small
 TOKENS = st.one_of(
     st.integers(-3, 3).map(str),
     st.sampled_from(["dim", "apex", "gen", "open", "closed", "1/2", "-1/2", "1/0", "\u00b2", "\u0663"]),
+    st.text("0123456789e./-", max_size=8),
     st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=4),
 )
 LINES = st.tuples(
@@ -249,7 +282,10 @@ LINES = st.tuples(
 ).map(lambda line: " ".join((line[0], *line[1])))
 CONE_TEXTS = st.one_of(
     st.lists(LINES, max_size=6).map("\n".join),
-    st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=40),
+    st.text(
+        st.characters(blacklist_categories=("Cs", "Nd"), whitelist_characters="0123456789"),
+        max_size=40,
+    ),
 )
 
 
@@ -257,6 +293,7 @@ CONE_TEXTS = st.one_of(
 @given(text=CONE_TEXTS, flag=st.sampled_from(["--pi", "--index", "--transform"]))
 @example(text="dim \u00b2\ngen closed 1 0\ngen closed 0 1\n", flag="--index")
 @example(text="dim 2\ngen closed 1 0\ngen open 0 1\n", flag="--pi")
+@example(text="dim 1\napex 1e9\ngen closed 1\n", flag="--index")
 def test_any_cone_file_is_accepted_or_a_usage_error(tmp_path, text, flag):
     path = tmp_path / "cone.txt"
     path.write_text(text, encoding="utf-8")

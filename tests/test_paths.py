@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtcatalan.errors import DomainError
+from qtcatalan.families import FAMILIES
 from qtcatalan.paths import (
     DyckPath,
     KVector,
@@ -13,6 +16,8 @@ from qtcatalan.paths import (
     stats_kaaa,
     stats_three,
 )
+
+from tableau import tableau_stats
 
 
 def stats_list(parts):
@@ -71,11 +76,71 @@ def test_trace_invariants():
     for parts in [(1, 1, 1), (2, 1), (1, 3, 2), (2, 2, 2, 2), (1, 4, 1, 3)]:
         kvec = KVector(parts)
         for path in enumerate_paths(kvec):
-            trace = path_stats(path).trace
-            assert sum(trace.leg_lengths) == kvec.m
+            stats = path_stats(path)
+            assert sum(stats.legs) == kvec.m
+            assert stats.bounce == sum(i * v for i, v in enumerate(stats.legs))
+            trace = tableau_stats(path).trace
+            assert stats.legs == trace.leg_lengths
             assert trace.bounce_points[-1] == (kvec.n, kvec.n)
             assert trace.bounce == trace.first_row_sum()
             assert tuple(len(col) for col in trace.tableau) == tuple(k + 1 for k in parts)
+
+
+def _agrees_with_tableau(path):
+    stats = path_stats(path)
+    oracle = tableau_stats(path)
+    return (stats.area, stats.bounce, stats.legs) == (
+        oracle.area,
+        oracle.bounce,
+        oracle.trace.leg_lengths,
+    )
+
+
+def test_linear_bounce_agrees_with_tableau_on_every_small_path():
+    # every vector of at most five parts in 1..3: 78,879 paths
+    for length in range(1, 6):
+        for parts in itertools.product(range(1, 4), repeat=length):
+            for path in enumerate_paths(KVector(parts)):
+                assert _agrees_with_tableau(path), (parts, path.ranks)
+
+
+@st.composite
+def dyck_paths(draw, parts=st.lists(st.integers(1, 6), min_size=1, max_size=9)):
+    """A path of drawn run lengths, its ranks drawn one run at a time."""
+    parts = draw(parts)
+    ranks = [0]
+    for k in parts[:-1]:
+        ranks.append(draw(st.integers(0, ranks[-1] + k)))
+    return DyckPath(KVector(parts), ranks)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(dyck_paths())
+def test_linear_bounce_agrees_with_tableau_on_drawn_paths(path):
+    assert _agrees_with_tableau(path)
+
+
+SIZES = {
+    "three": st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)),
+    "k4": st.tuples(st.integers(1, 40)),
+    "kaaa": st.tuples(st.integers(1, 40), st.integers(0, 40)),
+}
+
+
+@st.composite
+def family_paths(draw):
+    fam = FAMILIES[draw(st.sampled_from(sorted(SIZES)))]
+    parts = fam.kvector(draw(SIZES[fam.name]))
+    return fam, draw(dyck_paths(parts=st.just(parts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_paths())
+def test_closed_forms_agree_with_bounce_beyond_the_sweep(drawn):
+    fam, path = drawn
+    stats = path_stats(path)
+    assert fam.stats(*fam.coords_of(path)) == (stats.area, stats.bounce)
+    assert _agrees_with_tableau(path)
 
 
 def test_east_runs_sum():
