@@ -1,7 +1,7 @@
 """Exact tools for refined q,t-Catalan polynomials.
 
 The package computes the two-statistic path polynomials two independent
-ways: by enumerating paths with prescribed north-run lengths and scoring
+ways: by walking the paths with prescribed north-run lengths and scoring
 them with a linear bounce pass, and by assembling rational
 generating functions from half-open simplicial cones.  Everything is exact
 (integer and rational arithmetic only), so each route can verify the other.
@@ -41,6 +41,7 @@ from .errors import (
 from .paths import (
     DyckPath,
     KVector,
+    area_bounce_counts,
     count_paths,
     enumerate_paths,
     path_stats,

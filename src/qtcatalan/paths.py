@@ -6,7 +6,9 @@ of the i-th north run.  The rank sequence determines the path: after run ``i``
 the path takes ``r_i + k_i - r_{i+1}`` unit east steps (with ``r_{m+1} = 0``).
 
 Two independent routes to the statistics are provided: the general bounce
-pass (:func:`path_stats`, linear in the path's size) and closed-form
+pass (:func:`path_stats`, linear in the path's size, and
+:func:`area_bounce_counts`, the same legs shared among paths with a common
+rank prefix) and closed-form
 piecewise formulas for the three supported shape families
 (:func:`stats_three`, :func:`stats_k4`, :func:`stats_kaaa`).  The test suite
 checks them against each other exhaustively on small inputs.
@@ -14,10 +16,20 @@ checks them against each other exhaustively on small inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError, InternalInvariantError
+
+
+def _integers(values: Sequence[int], what: str) -> Tuple[int, ...]:
+    """``values`` as a tuple of ints; anything that is not an integer is a DomainError."""
+    values = tuple(values)
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise DomainError(f"{what} must be integers, got {values}") from None
 
 
 @dataclass(frozen=True)
@@ -27,7 +39,7 @@ class KVector:
     parts: Tuple[int, ...]
 
     def __init__(self, parts: Sequence[int]):
-        parts = tuple(int(p) for p in parts)
+        parts = _integers(parts, "run lengths")
         if not parts:
             raise DomainError("run-length vector must be nonempty")
         if any(p < 1 for p in parts):
@@ -59,7 +71,7 @@ class DyckPath:
     def __init__(self, kvec: KVector, ranks: Sequence[int]):
         if not isinstance(kvec, KVector):
             kvec = KVector(kvec)
-        ranks = tuple(int(r) for r in ranks)
+        ranks = _integers(ranks, "ranks")
         if len(ranks) != kvec.m:
             raise DomainError(f"need {kvec.m} ranks, got {len(ranks)}")
         if ranks[0] != 0:
@@ -134,6 +146,65 @@ def count_paths(kvec: KVector) -> int:
     return sum(ways)
 
 
+def _advance(
+    parts: Sequence[int],
+    owner: List[int],
+    expiring: List[int],
+    limit: int,
+    state: Tuple[int, int, int, int, int],
+    log: List[int],
+) -> Tuple[int, int, int, int, int]:
+    """Run bounce legs while the leg's x has a known owner; return the new state.
+
+    The state is ``(step, x, filled, active, bounce)``: the next leg's index,
+    its x, the runs consumed so far, the runs counted on the next horizontal
+    move, and the bounce so far.  Leg ``step`` climbs to ``owner[x]`` runs;
+    run ``j`` consumed there counts towards the horizontal moves of legs
+    ``step ... step + k_j - 1``, so ``step + k_j`` is counted in ``expiring``
+    and appended to ``log``.
+    """
+    step, x, filled, active, bounce = state
+    while x < len(owner):
+        if step >= limit:
+            raise InternalInvariantError(
+                f"bounce made no progress within {limit} legs on runs {tuple(parts)} "
+                f"with east-step owners {owner}"
+            )
+        v = owner[x] - filled
+        if v < 0:
+            raise InternalInvariantError(
+                f"bounce leg {step} at x={x} stops below the {filled} runs already consumed "
+                f"on runs {tuple(parts)} with east-step owners {owner}"
+            )
+        for j in range(filled, filled + v):
+            end = step + parts[j]
+            expiring[end] += 1
+            log.append(end)
+        filled += v
+        active += v - expiring[step]
+        bounce += step * v
+        x += active
+        step += 1
+    return step, x, filled, active, bounce
+
+
+def _finish(parts: Sequence[int], owner: List[int], state: Tuple[int, int, int, int, int]) -> int:
+    """The bounce of a complete path's final state, after checking that the bounce ended."""
+    _, x, filled, _, bounce = state
+    if filled != len(parts) or x != len(owner):
+        raise InternalInvariantError(
+            f"bounce ended at x={x} after {filled} of {len(parts)} runs on runs {tuple(parts)} "
+            f"with east-step owners {owner}"
+        )
+    return bounce
+
+
+def _bounce_arrays(kvec: KVector) -> Tuple[int, List[int]]:
+    """The leg limit n + m + 1 and an ``expiring`` array long enough for it."""
+    limit = kvec.n + kvec.m + 1
+    return limit, [0] * (limit + kvec.n)
+
+
 def path_stats(path: DyckPath) -> PathStats:
     """Area plus the bounce statistic, in one pass over the legs.
 
@@ -143,44 +214,60 @@ def path_stats(path: DyckPath) -> PathStats:
     ``s_j`` then counts towards the horizontal moves of legs
     ``s_j ... s_j + k_j - 1``.  The bounce is ``sum(s * runs consumed at s)``.
     """
-    kvec, ranks = path.kvec, path.ranks
-    parts = kvec.parts
-    n, m = kvec.n, kvec.m
-
+    parts = path.kvec.parts
     # owner[x]: number of north runs below the path's east step from x to x + 1
     owner: List[int] = []
     for j, a in enumerate(path.east_runs):
         owner += [j + 1] * a
+    limit, expiring = _bounce_arrays(path.kvec)
+    log: List[int] = []
+    state = _advance(parts, owner, expiring, limit, (0, 0, 0, 0, 0), log)
+    bounce = _finish(parts, owner, state)
+    # run j was consumed at leg log[j] - k_j
+    legs = [0] * state[0]
+    for j, end in enumerate(log):
+        legs[end - parts[j]] += 1
+    return PathStats(area=sum(path.ranks), bounce=bounce, legs=tuple(legs))
 
-    limit = n + m + 1
-    expiring = [0] * (limit + n)  # expiring[s]: runs whose last counted leg is s - 1
-    legs: List[int] = []
-    filled = active = x = 0
-    for step in range(limit):
-        if x >= n:
-            break
-        v = owner[x] - filled
-        if v < 0:
-            raise InternalInvariantError(
-                f"bounce leg {step} at x={x} stops below the {filled} runs already consumed "
-                f"on path {ranks} of {parts}"
-            )
-        for j in range(filled, filled + v):
-            expiring[step + parts[j]] += 1
-        filled += v
-        active += v - expiring[step]
-        legs.append(v)
-        x += active
-    else:
-        raise InternalInvariantError(
-            f"bounce made no progress within {limit} legs on path {ranks} of {parts}"
-        )
-    if filled != m or x != n:
-        raise InternalInvariantError(
-            f"bounce ended at x={x} after {filled} of {m} runs on path {ranks} of {parts}"
-        )
-    bounce = sum(i * v for i, v in enumerate(legs))
-    return PathStats(area=sum(ranks), bounce=bounce, legs=tuple(legs))
+
+def area_bounce_counts(kvec: KVector) -> Dict[Tuple[int, int], int]:
+    """The number of paths with each (area, bounce), by one walk over rank prefixes.
+
+    Run ``i`` starts at x = K_i - r_i, where K_i = k_1 + ... + k_{i-1}, and
+    these starts never decrease.  So once ranks ``r_1 ... r_i`` are chosen,
+    the east steps below that x are fixed, the bounce advances as far as it,
+    and only then does the walk branch on ``r_{i+1}``: each leg is run once
+    per rank prefix, not once per path.  The walk undoes its ``owner``,
+    ``expiring`` and ``log`` changes on the way back up.  The recursion is m
+    deep.
+    """
+    if not isinstance(kvec, KVector):
+        kvec = KVector(kvec)
+    parts = kvec.parts
+    last = kvec.m - 1
+    limit, expiring = _bounce_arrays(kvec)
+    owner: List[int] = []
+    log: List[int] = []
+    counts: Dict[Tuple[int, int], int] = {}
+
+    def descend(i: int, rank: int, area: int, state: Tuple[int, int, int, int, int]) -> None:
+        # ranks of runs 0..i are chosen, the last of them is ``rank``
+        top = rank + parts[i]
+        for nxt in range(top, -1, -1) if i < last else (0,):
+            entry, mark = len(owner), len(log)
+            owner.extend([i + 1] * (top - nxt))
+            after = _advance(parts, owner, expiring, limit, state, log)
+            if i < last:
+                descend(i + 1, nxt, area + nxt, after)
+            else:
+                key = (area, _finish(parts, owner, after))
+                counts[key] = counts.get(key, 0) + 1
+            for end in log[mark:]:
+                expiring[end] -= 1
+            del log[mark:], owner[entry:]
+
+    descend(0, 0, 0, (0, 0, 0, 0, 0))
+    return counts
 
 
 def _ceil_div(a: int, b: int) -> int:

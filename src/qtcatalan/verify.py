@@ -1,7 +1,9 @@
 """Brute-force oracles and cross-checks for the generating-function catalog.
 
 Everything here is independent of the cone machinery: polynomials are built
-by enumerating paths and scoring each with the linear bounce pass
+from the (area, bounce) counts of one walk over every path's rank prefixes
+(:func:`~qtcatalan.paths.area_bounce_counts`), and the closed forms are
+checked path by path against the bounce pass
 :func:`~qtcatalan.paths.path_stats`, so they can arbitrate both the
 closed-form statistics and the assembled series.
 """
@@ -17,7 +19,7 @@ from .catalog import assemble_theorem, printed_theorem
 from .cones import RationalGF, gf_equals, gf_substitute, series_expand
 from .errors import DomainError, InternalInvariantError, UsageError
 from .families import family
-from .paths import KVector, enumerate_paths, path_stats
+from .paths import KVector, area_bounce_counts, enumerate_paths, path_stats
 from .polynomial import (
     QT_CONTEXT,
     LaurentPoly,
@@ -30,13 +32,12 @@ Q_CONTEXT = VariableContext(("q",))
 
 
 def refined_catalan(parts: Sequence[int]) -> LaurentPoly:
-    """Sum of q^area t^bounce over all paths with the given run lengths."""
-    total: Dict[Tuple[int, int], int] = {}
-    for path in enumerate_paths(KVector(parts)):
-        stats = path_stats(path)
-        key = (stats.area, stats.bounce)
-        total[key] = total.get(key, 0) + 1
-    return LaurentPoly(QT_CONTEXT, total)
+    """Sum of q^area t^bounce over all paths with the given run lengths.
+
+    The counts come from one walk over the paths' rank prefixes, which shares
+    each bounce leg among the paths with the same prefix; no path is built.
+    """
+    return LaurentPoly(QT_CONTEXT, area_bounce_counts(KVector(parts)))
 
 
 def rearrangements(parts: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -63,13 +64,14 @@ def rearrangements(parts: Sequence[int]) -> Iterator[Tuple[int, ...]]:
 
 def lambda_catalan(partition: Sequence[int]) -> LaurentPoly:
     """Sum of :func:`refined_catalan` over all distinct rearrangements."""
-    partition = tuple(int(p) for p in partition)
-    if any(p < 1 for p in partition) or list(partition) != sorted(partition, reverse=True):
+    partition = KVector(partition).parts
+    if list(partition) != sorted(partition, reverse=True):
         raise DomainError(f"{partition} is not a partition (weakly decreasing, positive)")
-    total = LaurentPoly.zero(QT_CONTEXT)
+    total: Dict[Tuple[int, int], int] = {}
     for arrangement in rearrangements(partition):
-        total = total + refined_catalan(arrangement)
-    return total
+        for key, count in area_bounce_counts(KVector(arrangement)).items():
+            total[key] = total.get(key, 0) + count
+    return LaurentPoly(QT_CONTEXT, total)
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,30 @@ def test_series_matches_point_enumeration(gens, flags):
     assert series == expected
 
 
+@st.composite
+def positive_cone_data(draw):
+    """``cone_data`` folded into the nonnegative orthant by absolute values.
+
+    Every generator then has positive unit weight, and every point of weight
+    at most B has coordinates in [0, B], inside the box that
+    ``brute_cone_points`` scans.
+    """
+    dim, apex, generators, flags = draw(cone_data())
+    generators = [tuple(abs(x) for x in g) for g in generators]
+    return dim, [abs(a) for a in apex], generators, flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_cone_data(), st.integers(0, 5))
+def test_series_matches_point_enumeration_on_drawn_cones(data, bound):
+    dim, apex, generators, flags = data
+    assume(0 < minor_gcd(generators) <= 60)
+    cone = HalfOpenCone(dim, apex, generators, flags)
+    ctx = VariableContext(tuple(f"z{i + 1}" for i in range(dim)))
+    series = series_expand(integer_point_transform(cone, ctx), dict.fromkeys(ctx.names, 1), bound)
+    assert series == LaurentPoly(ctx, {p: 1 for p in brute_cone_points(cone, bound)})
+
+
 def test_gf_arith():
     a = gf(Z4, "1", ["y"])
     b = gf(Z4, "z1", ["z1"])

@@ -1,4 +1,6 @@
 import itertools
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from qtcatalan.families import FAMILIES
 from qtcatalan.paths import (
     DyckPath,
     KVector,
+    area_bounce_counts,
     count_paths,
     enumerate_paths,
     path_stats,
@@ -33,6 +36,18 @@ def test_validation():
         DyckPath(KVector((1, 1)), (1, 0))
     with pytest.raises(DomainError):
         DyckPath(KVector((1, 1)), (0, 3))
+
+
+@pytest.mark.parametrize("parts", [(1.7, 2.9), (2, 1.0), (Fraction(2), 1), ("1", "2"), (None,)])
+def test_run_lengths_must_be_integers(parts):
+    with pytest.raises(DomainError):
+        KVector(parts)
+
+
+@pytest.mark.parametrize("ranks", [(0, 1.9), (0.0, 1), (0, Fraction(1)), ("0", "1")])
+def test_ranks_must_be_integers(ranks):
+    with pytest.raises(DomainError):
+        DyckPath(KVector((2, 1)), ranks)
 
 
 def test_enumeration_counts():
@@ -118,6 +133,42 @@ def dyck_paths(draw, parts=st.lists(st.integers(1, 6), min_size=1, max_size=9)):
 @given(dyck_paths())
 def test_linear_bounce_agrees_with_tableau_on_drawn_paths(path):
     assert _agrees_with_tableau(path)
+
+
+def _walk_agrees_with_tableau(parts):
+    kvec = KVector(parts)
+    counts = area_bounce_counts(kvec)
+    oracle = Counter((s.area, s.bounce) for s in map(tableau_stats, enumerate_paths(kvec)))
+    return counts == oracle and sum(counts.values()) == count_paths(kvec)
+
+
+def test_walk_agrees_with_enumeration_and_tableau_on_every_small_vector():
+    # every vector of at most five parts in 1..3, as for the bounce pass above
+    for length in range(1, 6):
+        for parts in itertools.product(range(1, 4), repeat=length):
+            kvec = KVector(parts)
+            scored = Counter((s.area, s.bounce) for s in map(path_stats, enumerate_paths(kvec)))
+            assert area_bounce_counts(kvec) == scored, parts
+            assert _walk_agrees_with_tableau(parts), parts
+
+
+@st.composite
+def few_path_vectors(draw, max_paths=300):
+    """Up to eight parts in 1..4, cut back to the longest prefix with few paths.
+
+    The oracle scores every path, so the cut keeps each example cheap; a
+    prefix never has more paths than the whole vector.
+    """
+    parts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    while count_paths(KVector(parts)) > max_paths:
+        parts.pop()
+    return parts
+
+
+@settings(max_examples=1000, deadline=None)
+@given(few_path_vectors())
+def test_walk_agrees_with_tableau_on_drawn_vectors(parts):
+    assert _walk_agrees_with_tableau(parts)
 
 
 SIZES = {

@@ -51,6 +51,16 @@ def test_lambda_catalan_goldens():
         lambda_catalan((1, 2))
 
 
+def test_non_integer_run_lengths_are_refused():
+    # the parts used to be cut by int(): refined_catalan([1.5, 1]) gave q + t
+    for parts in [(1.5, 1), (1, 2.0), ("1", "2")]:
+        with pytest.raises(DomainError):
+            refined_catalan(parts)
+    for partition in [(2.5, 1), (2, 1.0)]:
+        with pytest.raises(DomainError):
+            lambda_catalan(partition)
+
+
 def _grid_from_cells(cells):
     max_q = max(i for _, i, _ in cells)
     max_t = max(j for _, _, j in cells)
