@@ -25,11 +25,10 @@ from .errors import DomainError, InternalInvariantError
 
 def _integers(values: Sequence[int], what: str) -> Tuple[int, ...]:
     """``values`` as a tuple of ints; anything that is not an integer is a DomainError."""
-    values = tuple(values)
     try:
         return tuple(operator.index(v) for v in values)
     except TypeError:
-        raise DomainError(f"{what} must be integers, got {values}") from None
+        raise DomainError(f"{what} must be a sequence of integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)

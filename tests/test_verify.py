@@ -47,8 +47,9 @@ def test_lambda_catalan_goldens():
     assert lambda_catalan((2, 1)) == P("q^2 + q*t + t^2 + q + t")
     assert lambda_catalan((5,)) == P("1")
     assert is_qt_symmetric(lambda_catalan((2, 1, 1, 1)))
-    with pytest.raises(DomainError):
-        lambda_catalan((1, 2))
+    for partition in [(1, 2), (2.5, 1), (2, 1.0)]:
+        with pytest.raises(DomainError):
+            lambda_catalan(partition)
 
 
 def test_non_integer_run_lengths_are_refused():
@@ -56,9 +57,6 @@ def test_non_integer_run_lengths_are_refused():
     for parts in [(1.5, 1), (1, 2.0), ("1", "2")]:
         with pytest.raises(DomainError):
             refined_catalan(parts)
-    for partition in [(2.5, 1), (2, 1.0)]:
-        with pytest.raises(DomainError):
-            lambda_catalan(partition)
 
 
 def _grid_from_cells(cells):
