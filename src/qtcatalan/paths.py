@@ -145,14 +145,18 @@ def count_paths(kvec: KVector) -> int:
     return sum(ways)
 
 
+# (step, x, filled, active, bounce) between bounce legs; see _advance
+_State = Tuple[int, int, int, int, int]
+
+
 def _advance(
     parts: Sequence[int],
     owner: List[int],
     expiring: List[int],
     limit: int,
-    state: Tuple[int, int, int, int, int],
+    state: _State,
     log: List[int],
-) -> Tuple[int, int, int, int, int]:
+) -> _State:
     """Run bounce legs while the leg's x has a known owner; return the new state.
 
     The state is ``(step, x, filled, active, bounce)``: the next leg's index,
@@ -163,7 +167,8 @@ def _advance(
     and appended to ``log``.
     """
     step, x, filled, active, bounce = state
-    while x < len(owner):
+    known = len(owner)
+    while x < known:
         if step >= limit:
             raise InternalInvariantError(
                 f"bounce made no progress within {limit} legs on runs {tuple(parts)} "
@@ -187,7 +192,7 @@ def _advance(
     return step, x, filled, active, bounce
 
 
-def _finish(parts: Sequence[int], owner: List[int], state: Tuple[int, int, int, int, int]) -> int:
+def _finish(parts: Sequence[int], owner: List[int], state: _State) -> int:
     """The bounce of a complete path's final state, after checking that the bounce ended."""
     _, x, filled, _, bounce = state
     if filled != len(parts) or x != len(owner):
@@ -249,7 +254,7 @@ def area_bounce_counts(kvec: KVector) -> Dict[Tuple[int, int], int]:
     log: List[int] = []
     counts: Dict[Tuple[int, int], int] = {}
 
-    def descend(i: int, rank: int, area: int, state: Tuple[int, int, int, int, int]) -> None:
+    def descend(i: int, rank: int, area: int, state: _State) -> None:
         # ranks of runs 0..i are chosen, the last of them is ``rank``
         top = rank + parts[i]
         for nxt in range(top, -1, -1) if i < last else (0,):
