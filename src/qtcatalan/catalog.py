@@ -27,7 +27,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cones import (
     HalfOpenCone,
@@ -39,6 +40,7 @@ from .cones import (
 from .errors import InternalInvariantError, UsageError
 from .families import FAMILIES, FamilyInfo, Point, family
 from .lattice import diagonal_form
+from .paths import _integers
 from .polynomial import Exponents, LaurentPoly, VariableContext
 
 
@@ -503,12 +505,20 @@ def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
     return _CASES[family(name).name]()
 
 
-def _parity_holds(spec: CaseSpec, point: Sequence[int]) -> bool:
-    """Whether the point meets the case's parity constraint, if it has one."""
+ParityTest = Optional[Tuple[int, int]]
+
+
+def _parity_test(spec: CaseSpec) -> ParityTest:
+    """``(coordinate index, residue mod 2)`` of the case's parity constraint."""
     if spec.parity is None:
-        return True
+        return None
     coord, parity = spec.parity
-    return point[FAMILIES[spec.family].coords.index(coord)] % 2 == (parity == "odd")
+    return FAMILIES[spec.family].coords.index(coord), int(parity == "odd")
+
+
+def _parity_holds(test: ParityTest, point: Sequence[int]) -> bool:
+    """Whether the point passes a case's parity test, if it has one."""
+    return test is None or point[test[0]] % 2 == test[1]
 
 
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
@@ -519,7 +529,7 @@ def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     values = dict(zip(fam.coords, point))
     return all(
         c.const + sum(coef * values[name] for name, coef in c.coeffs) >= 0 for c in spec.region
-    ) and _parity_holds(spec, point)
+    ) and _parity_holds(_parity_test(spec), point)
 
 
 @lru_cache(maxsize=None)
@@ -673,33 +683,92 @@ def printed_theorem(name: str) -> RationalGF:
 
 
 # -- signed point coverage (partition checks) ----------------------------------
+#
+# A piece covers ``point`` once per base ``b`` with ``point - b`` a nonnegative
+# integer combination of its generators.  With the generators' integer
+# inverse ``(P, T, L)`` that holds iff ``T point = T b`` and each entry of
+# ``P point - P b`` is nonnegative and divisible by ``L``.  A coverage table
+# keeps each distinct row of every ``P`` and ``T`` once, and each base as the
+# values of its rows, so a point costs one product per distinct row and then
+# only comparisons.
+
+RowValues = Tuple[Tuple[int, int], ...]  # (row index, the row's value at the base)
+Base = Tuple[int, RowValues, RowValues]  # signed coefficient, rows of P, rows of T
+Group = Tuple[ParityTest, int, Tuple[Base, ...]]  # parity test, L, bases
+Coverage = Tuple[Tuple[Point, ...], Tuple[Group, ...]]  # distinct rows, groups
 
 
-def _piece_covers(piece: LatticePiece, point: Point) -> int:
-    form = diagonal_form(piece.generators)
-    if form.rank != len(piece.generators):
-        raise InternalInvariantError("piece generators are linearly dependent")
+def _coordinates(family: str, point: Sequence[int]) -> Point:
+    """The point as ints, one per coordinate of the family."""
+    point = _integers(point, "point coordinates")
+    expected = len(FAMILIES[family].coords)
+    if len(point) != expected:
+        raise UsageError(f"point has {len(point)} coordinates, expected {expected}")
+    return point
+
+
+def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
+    """The coverage table of the cases' pieces, corrections included.
+
+    Bases are grouped by parity test and generator set; a base's coefficient
+    carries its sign, the correction's and the one given with its case.
+    """
+    rows: Dict[Point, int] = {}
+    groups: Dict[Tuple[ParityTest, Tuple[Point, ...]], Tuple[int, List[Base]]] = {}
+
+    def values_at(matrix: Sequence[Point], base: Point) -> RowValues:
+        return tuple((rows.setdefault(row, len(rows)), sum(map(mul, row, base))) for row in matrix)
+
+    for case_sign, spec in signed_specs:
+        parity = _parity_test(spec)
+        for sign, piece in [(1, _lattice_piece(spec.realization)), *spec.corrections]:
+            form = diagonal_form(piece.generators)
+            if form.rank != len(piece.generators):
+                raise InternalInvariantError("piece generators are linearly dependent")
+            scaled, cokernel, lcm = form.inverse
+            _, bases = groups.setdefault((parity, piece.generators), (lcm, []))
+            bases.extend(
+                (case_sign * sign * coef, values_at(scaled, base), values_at(cokernel, base))
+                for coef, base in piece.bases
+            )
+    return tuple(rows), tuple(
+        (parity, lcm, tuple(bases)) for (parity, _), (lcm, bases) in groups.items()
+    )
+
+
+def _multiplicity(coverage: Coverage, point: Point) -> int:
+    """Signed number of the table's bases from which the point is reached."""
+    rows, groups = coverage
+    values = [sum(map(mul, row, point)) for row in rows]
     total = 0
-    for coef, base in piece.bases:
-        lams = form.solve(tuple(p - b for p, b in zip(point, base)))
-        if lams is not None and min(lams) >= 0:
-            total += coef
+    for parity, lcm, bases in groups:
+        if not _parity_holds(parity, point):
+            continue
+        for coef, scaled, cokernel in bases:
+            for i, v in scaled:
+                u = values[i]
+                if u < v or (u - v) % lcm:
+                    break
+            else:
+                if all(values[i] == v for i, v in cokernel):
+                    total += coef
     return total
 
 
 def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
     """How many times the case's realization (with corrections) hits a point."""
-    point = tuple(int(x) for x in point)
-    if not _parity_holds(spec, point):
-        return 0
-    total = _piece_covers(_lattice_piece(spec.realization), point)
-    for sign, piece in spec.corrections:
-        total += sign * _piece_covers(piece, point)
-    return total
+    point = _coordinates(spec.family, point)
+    return _multiplicity(_coverage([(1, spec)]), point)
+
+
+@lru_cache(maxsize=None)
+def _coverage_table(family: str) -> Coverage:
+    """The family's coverage table, each case signed; an unknown family is a
+    UsageError from :func:`case_catalog` before anything is built."""
+    return _coverage((spec.sign, spec) for spec in case_catalog(family))
 
 
 def signed_multiplicity(family: str, point: Sequence[int]) -> int:
     """Signed number of catalog pieces covering a coordinate point."""
-    return sum(
-        spec.sign * realized_multiplicity(spec, point) for spec in case_catalog(family)
-    )
+    table = _coverage_table(family)
+    return _multiplicity(table, _coordinates(family, point))

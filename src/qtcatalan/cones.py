@@ -19,6 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -89,17 +90,21 @@ def parallelepiped_points(cone: HalfOpenCone) -> List[Exponents]:
     A point qualifies when ``p - apex = sum lam_j v_j`` with each coefficient
     in [0, 1) for a closed generator and (0, 1] for an open one.  Each class
     of ``lam`` modulo 1 that lands on an integer point is reduced into that
-    range, so there is one point per coset of the generators' lattice.
+    range, so there is one point per coset of the generators' lattice.  The
+    coefficients stay integers, scaled by ``S``, the lcm of the apex
+    denominators times the lcm of the lattice's diagonal factors.
     """
+    form = diagonal_form(cone.generators)
+    denominator = math.lcm(*(a.denominator for a in cone.apex))
+    shift = [int(a * denominator) for a in cone.apex]
+    lcm = form.inverse.lcm
+    scale = denominator * lcm
+    rows = list(zip(*cone.generators))
     points = []
-    for lams in diagonal_form(cone.generators).cosets(cone.apex):
-        reduced = []
-        for lam, is_open in zip(lams, cone.open_flags):
-            lam -= math.floor(lam)
-            reduced.append(1 if is_open and not lam else lam)
+    for lams in form.cosets(shift, denominator):
+        lams = [scale if is_open and not lam else lam for lam, is_open in zip(lams, cone.open_flags)]
         points.append(tuple(
-            int(a + sum(lam * g[i] for lam, g in zip(reduced, cone.generators)))
-            for i, a in enumerate(cone.apex)
+            (a * lcm + sum(map(mul, lams, row))) // scale for a, row in zip(shift, rows)
         ))
     points.sort()
     return points
@@ -212,29 +217,21 @@ def series_expand(g: RationalGF, weights: Mapping[str, int], bound: int) -> Laur
             raise NonExpandableError("numerator term with negative weight")
         if w <= bound:
             result[exps] = coef
-    # multiply in the geometric series of each factor, heaviest first
+    # multiply in the geometric series of each factor, heaviest first; power i
+    # of a factor of weight wm weighs i * wm
     for m in sorted(g.denominator, key=lambda mm: -_weight_of(mm, wvec)):
         wm = _weight_of(m, wvec)
-        powers = []
-        shift = tuple(0 for _ in m)
-        total = 0
-        while total <= bound:
-            powers.append(shift)
-            shift = tuple(s + e for s, e in zip(shift, m))
-            total += wm
         new: Dict[Exponents, int] = {}
-        for exps, coef in result.items():
-            base_w = _weight_of(exps, wvec)
-            for p in powers:
-                w = base_w + _weight_of(p, wvec)
-                if w > bound:
-                    break
-                key = tuple(a + b for a, b in zip(exps, p))
+        for key, coef in result.items():
+            w = _weight_of(key, wvec)
+            while w <= bound:
                 val = new.get(key, 0) + coef
                 if val:
                     new[key] = val
                 else:
                     del new[key]
+                key = tuple(map(add, key, m))
+                w += wm
         result = new
     return LaurentPoly(ctx, result)
 

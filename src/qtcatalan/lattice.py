@@ -9,8 +9,10 @@ Smith normal form: the quotient of the saturated lattice by ``V Z^k`` is
 * the rank is ``r``;
 * the index of ``V Z^k`` in its saturation is ``d_1 * ... * d_r``, which for
   ``k < d`` equals the gcd of the maximal minors;
-* ``V lam = b`` has an integer solution iff ``U b`` vanishes past position
-  ``r`` and each ``d_i`` divides entry ``i``, and then ``lam = W (y_i / d_i)``;
+* with ``L = lcm(d_1, ..., d_r)``, ``P = W[:, :r] diag(L / d_i) U[:r]`` and
+  ``T = U[r:]``, ``V lam = b`` has an integer solution iff ``T b = 0`` and
+  ``L`` divides every entry of ``P b``, and then ``lam = P b / L`` (the
+  free coordinates of ``W^-1 lam`` set to zero);
 * the classes of ``lam`` modulo ``Z^k`` with ``shift + V lam`` integral are
   ``W ((y_i - s_i) / d_i)`` for ``s = U shift`` and ``y`` in the box of
   residues ``0 <= y_i < d_i``.
@@ -23,10 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Vector, ...]
@@ -34,6 +35,15 @@ Matrix = Tuple[Vector, ...]
 
 def _apply(matrix: Sequence[Sequence[int]], vector: Sequence) -> List:
     return [sum(map(mul, row, vector)) for row in matrix]
+
+
+class Inverse(NamedTuple):
+    """``V lam = b`` has an integer solution iff ``cokernel b = 0`` and ``lcm``
+    divides ``scaled b``; the solution is then ``scaled b / lcm``."""
+
+    scaled: Matrix
+    cokernel: Matrix
+    lcm: int
 
 
 @dataclass(frozen=True)
@@ -53,35 +63,36 @@ class DiagonalForm:
         """Index of the lattice spanned by the columns inside its saturation."""
         return math.prod(self.factors)
 
-    def solve(self, target: Sequence[int]) -> Optional[Vector]:
-        """An integer ``lam`` with ``V lam = target``, or None if there is none.
+    @cached_property
+    def inverse(self) -> Inverse:
+        """``(P, T, L)``: the integer solve of ``V lam = b`` described above."""
+        lcm = math.lcm(*self.factors)
+        left = self.left[:self.rank]
+        scaled = tuple(
+            tuple(
+                sum(w * (lcm // d) * row[c] for w, d, row in zip(right_row, self.factors, left))
+                for c in range(len(self.left))
+            )
+            for right_row in self.right
+        )
+        return Inverse(scaled, self.left[self.rank:], lcm)
 
-        With dependent columns the solution sets the free coordinates of
-        ``right^-1 lam`` to zero.
-        """
-        mu = []
-        for row, factor in zip(self.left, self.factors):
-            quotient, remainder = divmod(sum(map(mul, row, target)), factor)
-            if remainder:
-                return None
-            mu.append(quotient)
-        if any(_apply(self.left[self.rank:], target)):
-            return None
-        mu += [0] * (len(self.right) - self.rank)
-        return tuple(_apply(self.right, mu))
+    def cosets(self, shift: Sequence[int], denominator: int) -> Iterator[Vector]:
+        """``lam * S mod S`` for each class of ``lam`` in Q^k / Z^k with
+        ``shift / denominator + V lam`` integral, where ``S = denominator * L``.
 
-    def cosets(self, shift: Sequence[Fraction]) -> Iterator[Tuple[Fraction, ...]]:
-        """One ``lam`` per class of Q^k / Z^k with ``shift + V lam`` integral.
-
-        Needs independent columns; yields nothing when ``shift`` lies off
+        Needs independent columns; yields nothing when the shift lies off
         every lattice translate of the column span.
         """
         s = _apply(self.left, shift)
-        if any(x.denominator != 1 for x in s[self.rank:]):
+        if any(x % denominator for x in s[self.rank:]):
             return
+        lcm = self.inverse.lcm
+        scale = denominator * lcm
+        steps = [lcm // d for d in self.factors]
         for y in itertools.product(*map(range, self.factors)):
-            mu = [Fraction(entry - offset) / d for entry, offset, d in zip(y, s, self.factors)]
-            yield tuple(_apply(self.right, mu))
+            mu = [(entry * denominator - offset) * step for entry, offset, step in zip(y, s, steps)]
+            yield tuple(x % scale for x in _apply(self.right, mu))
 
 
 def _identity(n: int) -> List[List[int]]:

@@ -1,0 +1,151 @@
+"""The Fraction cosets and the base-by-base solve, kept as test oracles.
+
+These are the algorithms ``parallelepiped_points`` and the catalog coverage
+used before they moved to integers: Π from ``Fraction`` coset coefficients,
+and coverage by one ``DiagonalForm.solve`` per base of every piece.  The
+methods ``solve`` and ``cosets`` became functions of the form, and a cone's
+piece comes from this file's Π; otherwise the code is unchanged.  The tests
+compare the package's integer versions with them.  ``minor_gcd`` is an
+independent index and rank check by cofactor expansion.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache
+from operator import mul
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+from qtcatalan.catalog import CaseSpec, LatticePiece, Realization, case_catalog
+from qtcatalan.cones import HalfOpenCone
+from qtcatalan.errors import InternalInvariantError
+from qtcatalan.families import FAMILIES
+from qtcatalan.lattice import DiagonalForm, diagonal_form
+
+Vector = Tuple[int, ...]
+Point = Tuple[int, ...]
+
+
+def _apply(matrix: Sequence[Sequence[int]], vector: Sequence) -> List:
+    return [sum(map(mul, row, vector)) for row in matrix]
+
+
+def minor_gcd(generators):
+    """gcd of the maximal minors, each by cofactor expansion; 0 iff dependent."""
+
+    def det(m):
+        if not m:
+            return 1
+        return sum(
+            (-1) ** j * m[0][j] * det([row[:j] + row[j + 1 :] for row in m[1:]])
+            for j in range(len(m))
+        )
+
+    d = len(generators[0])
+    return math.gcd(*(
+        det([[g[i] for g in generators] for i in rows])
+        for rows in itertools.combinations(range(d), len(generators))
+    ))
+
+
+def solve(form: DiagonalForm, target: Sequence[int]) -> Optional[Vector]:
+    """An integer ``lam`` with ``V lam = target``, or None if there is none.
+
+    With dependent columns the solution sets the free coordinates of
+    ``right^-1 lam`` to zero.
+    """
+    mu = []
+    for row, factor in zip(form.left, form.factors):
+        quotient, remainder = divmod(sum(map(mul, row, target)), factor)
+        if remainder:
+            return None
+        mu.append(quotient)
+    if any(_apply(form.left[form.rank:], target)):
+        return None
+    mu += [0] * (len(form.right) - form.rank)
+    return tuple(_apply(form.right, mu))
+
+
+def cosets(form: DiagonalForm, shift: Sequence[Fraction]) -> Iterator[Tuple[Fraction, ...]]:
+    """One ``lam`` per class of Q^k / Z^k with ``shift + V lam`` integral.
+
+    Needs independent columns; yields nothing when ``shift`` lies off
+    every lattice translate of the column span.
+    """
+    s = _apply(form.left, shift)
+    if any(x.denominator != 1 for x in s[form.rank:]):
+        return
+    for y in itertools.product(*map(range, form.factors)):
+        mu = [Fraction(entry - offset) / d for entry, offset, d in zip(y, s, form.factors)]
+        yield tuple(_apply(form.right, mu))
+
+
+def parallelepiped_points(cone: HalfOpenCone) -> List[Tuple[int, ...]]:
+    """Integer points of the fundamental parallelepiped, sorted.
+
+    A point qualifies when ``p - apex = sum lam_j v_j`` with each coefficient
+    in [0, 1) for a closed generator and (0, 1] for an open one.  Each class
+    of ``lam`` modulo 1 that lands on an integer point is reduced into that
+    range, so there is one point per coset of the generators' lattice.
+    """
+    points = []
+    for lams in cosets(diagonal_form(cone.generators), cone.apex):
+        reduced = []
+        for lam, is_open in zip(lams, cone.open_flags):
+            lam -= math.floor(lam)
+            reduced.append(1 if is_open and not lam else lam)
+        points.append(tuple(
+            int(a + sum(lam * g[i] for lam, g in zip(reduced, cone.generators)))
+            for i, a in enumerate(cone.apex)
+        ))
+    points.sort()
+    return points
+
+
+@lru_cache(maxsize=None)
+def _lattice_piece(realization: Realization) -> LatticePiece:
+    """The realization's points as signed bases over its generators."""
+    if isinstance(realization, LatticePiece):
+        return realization
+    bases = tuple((1, p) for p in parallelepiped_points(realization))
+    return LatticePiece(bases=bases, generators=realization.generators)
+
+
+def _piece_covers(piece: LatticePiece, point: Point) -> int:
+    form = diagonal_form(piece.generators)
+    if form.rank != len(piece.generators):
+        raise InternalInvariantError("piece generators are linearly dependent")
+    total = 0
+    for coef, base in piece.bases:
+        lams = solve(form, tuple(p - b for p, b in zip(point, base)))
+        if lams is not None and min(lams) >= 0:
+            total += coef
+    return total
+
+
+def _parity_holds(spec: CaseSpec, point: Sequence[int]) -> bool:
+    """Whether the point meets the case's parity constraint, if it has one."""
+    if spec.parity is None:
+        return True
+    coord, parity = spec.parity
+    return point[FAMILIES[spec.family].coords.index(coord)] % 2 == (parity == "odd")
+
+
+def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
+    """How many times the case's realization (with corrections) hits a point."""
+    point = tuple(int(x) for x in point)
+    if not _parity_holds(spec, point):
+        return 0
+    total = _piece_covers(_lattice_piece(spec.realization), point)
+    for sign, piece in spec.corrections:
+        total += sign * _piece_covers(piece, point)
+    return total
+
+
+def signed_multiplicity(family: str, point: Sequence[int]) -> int:
+    """Signed number of catalog pieces covering a coordinate point."""
+    return sum(
+        spec.sign * realized_multiplicity(spec, point) for spec in case_catalog(family)
+    )

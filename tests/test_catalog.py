@@ -6,11 +6,14 @@ variables, and the assembled family sums are compared against the
 transcribed product formulas.
 """
 
+import itertools
 from fractions import Fraction
 
+import lattice_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from lattice_oracle import minor_gcd
 from regions import region_points
 
 from qtcatalan.catalog import (
@@ -28,7 +31,7 @@ from qtcatalan.catalog import (
     signed_multiplicity,
 )
 from qtcatalan.cones import RationalGF, gf_equals, integer_point_transform, series_expand
-from qtcatalan.errors import UsageError
+from qtcatalan.errors import DomainError, InternalInvariantError, UsageError
 from qtcatalan.families import FAMILIES
 from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly
 from qtcatalan.verify import refined_catalan
@@ -380,6 +383,91 @@ def test_realized_points_stay_in_region(family):
         for spec in case_catalog(family):
             if realized_multiplicity(spec, point) > 0:
                 assert case_membership(spec, point), (spec.case_id, point)
+
+
+@pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
+def test_coverage_agrees_with_the_per_base_solve(family):
+    """Every point of [-1, 3]^n, outside the region too, against the oracle."""
+    specs = case_catalog(family)
+    for point in itertools.product(range(-1, 4), repeat=len(FAMILIES[family].coords)):
+        assert signed_multiplicity(family, point) == lattice_oracle.signed_multiplicity(
+            family, point
+        ), point
+        for spec in specs:
+            assert realized_multiplicity(spec, point) == lattice_oracle.realized_multiplicity(
+                spec, point
+            ), (spec.case_id, point)
+
+
+K4_CASE = case_catalog("k4")[0]
+
+
+@pytest.mark.parametrize(
+    "point, error",
+    [
+        ((1.9, 1, 1, 1), DomainError),
+        ((1, Fraction(1), 1, 1), DomainError),
+        ("1111", DomainError),
+        (1, DomainError),
+        ((1, 1, 1), UsageError),
+        ((1, 1, 1, 1, 1), UsageError),
+    ],
+)
+def test_coverage_refuses_malformed_points(point, error):
+    with pytest.raises(error):
+        signed_multiplicity("k4", point)
+    with pytest.raises(error):
+        realized_multiplicity(K4_CASE, point)
+
+
+BOX = 2  # the drawn pieces are counted on the points of [-BOX, BOX]^4
+
+
+@st.composite
+def lattice_pieces(draw):
+    """A piece in four dimensions with 1-4 generators, square or not.
+
+    Each generator's first entry is positive, so ``base + sum n_i v_i`` has
+    first coordinate at least ``base[0] + sum n_i`` and a brute count needs
+    only ``n_i <= BOX - base[0]``.
+    """
+    rank = draw(st.integers(1, 4))
+    generators = draw(st.lists(
+        st.tuples(st.integers(1, 3), *[st.integers(-3, 3)] * 3), min_size=rank, max_size=rank
+    ))
+    bases = draw(st.lists(
+        st.tuples(st.sampled_from((-1, 1, 2)), st.tuples(*[st.integers(-BOX, BOX)] * 4)),
+        min_size=1, max_size=3,
+    ))
+    return LatticePiece(bases=tuple(bases), generators=tuple(generators))
+
+
+def brute_piece_count(piece):
+    """Signed count of ``base + sum n_i v_i`` over the points of the box."""
+    counts = {}
+    for coef, base in piece.bases:
+        for ns in itertools.product(range(BOX - base[0] + 1), repeat=len(piece.generators)):
+            point = tuple(
+                b + sum(n * g[i] for n, g in zip(ns, piece.generators)) for i, b in enumerate(base)
+            )
+            if all(abs(x) <= BOX for x in point):
+                counts[point] = counts.get(point, 0) + coef
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_pieces())
+@example(LatticePiece(bases=((1, (0, 0, 0, 0)),), generators=((1, 0, 0, 0), (2, 0, 0, 0))))
+@example(LatticePiece(bases=((1, (-2, 0, 1, 0)),), generators=((1, 2, 0, 0), (1, 0, 2, 0))))
+def test_realized_multiplicity_counts_drawn_pieces(piece):
+    spec = CaseSpec("drawn", "k4", (), piece)
+    if minor_gcd(piece.generators) == 0:
+        with pytest.raises(InternalInvariantError):
+            realized_multiplicity(spec, (0, 0, 0, 0))
+        return
+    counts = brute_piece_count(piece)
+    for point in itertools.product(range(-BOX, BOX + 1), repeat=4):
+        assert realized_multiplicity(spec, point) == counts.get(point, 0), point
 
 
 def _marks_exponents(fam, point, area, bounce):

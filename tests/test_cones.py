@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from lattice_oracle import minor_gcd
+from lattice_oracle import parallelepiped_points as fraction_parallelepiped_points
 
 from qtcatalan.cones import (
     HalfOpenCone,
@@ -140,24 +142,6 @@ def test_transform_goldens():
     assert got == want
 
 
-def minor_gcd(generators):
-    """gcd of the maximal minors, each by cofactor expansion; 0 iff dependent."""
-
-    def det(m):
-        if not m:
-            return 1
-        return sum(
-            (-1) ** j * m[0][j] * det([row[:j] + row[j + 1 :] for row in m[1:]])
-            for j in range(len(m))
-        )
-
-    d = len(generators[0])
-    return math.gcd(*(
-        det([[g[i] for g in generators] for i in rows])
-        for rows in itertools.combinations(range(d), len(generators))
-    ))
-
-
 def cone_coefficients(cone):
     """Map an integer point p to the lam with p - apex = sum lam_j v_j, or None.
 
@@ -268,6 +252,16 @@ def test_parallelepiped_matches_box_scan_and_index(data):
     assert lattice_index(cone) == index
     # a lower-dimensional cone's affine span may miss the lattice entirely
     assert len(points) == index or (cone.k < dim and not points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_data())
+def test_parallelepiped_matches_fraction_cosets(data):
+    """Integer cosets give the Π of the Fraction ones, also past the box scan's indices."""
+    dim, apex, generators, flags = data
+    assume(0 < minor_gcd(generators) <= 3000)
+    cone = HalfOpenCone(dim, apex, generators, flags)
+    assert parallelepiped_points(cone) == fraction_parallelepiped_points(cone)
 
 
 def test_unimodular_cone_with_a_large_box():
