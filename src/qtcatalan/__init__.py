@@ -24,7 +24,6 @@ from .cones import (
     gf_extract_parity,
     gf_substitute,
     integer_point_transform,
-    is_unimodular,
     lattice_index,
     parallelepiped_points,
     parse_cone,
@@ -55,7 +54,6 @@ from .polynomial import (
     VariableContext,
     coefficient_grid,
     is_qt_symmetric,
-    poly_from_grid,
     qt_swap,
     substitute_monomials,
 )
@@ -71,7 +69,6 @@ from .verify import (
     q_binomial,
     refined_catalan,
     symmetry_report,
-    symmetry_scan,
     verify_theorem,
 )
 

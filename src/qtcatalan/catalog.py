@@ -523,10 +523,8 @@ def _parity_holds(test: ParityTest, point: Sequence[int]) -> bool:
 
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point satisfies the case's region and parity constraints."""
-    fam = FAMILIES[spec.family]
-    if len(point) != len(fam.coords):
-        raise UsageError(f"point has {len(point)} coordinates, expected {len(fam.coords)}")
-    values = dict(zip(fam.coords, point))
+    point = _coordinates(spec.family, point)
+    values = dict(zip(FAMILIES[spec.family].coords, point))
     return all(
         c.const + sum(coef * values[name] for name, coef in c.coeffs) >= 0 for c in spec.region
     ) and _parity_holds(_parity_test(spec), point)

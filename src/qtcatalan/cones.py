@@ -29,6 +29,7 @@ from .errors import (
     UsageError,
 )
 from .lattice import diagonal_form
+from .paths import _integers
 from .polynomial import Exponents, LaurentPoly, VariableContext, substitute_monomials
 
 
@@ -47,7 +48,7 @@ class HalfOpenCone:
         open_flags: Optional[Sequence[bool]] = None,
     ):
         apex = tuple(Fraction(x) for x in apex)
-        generators = tuple(tuple(int(x) for x in g) for g in generators)
+        generators = tuple(_integers(g, "cone generators") for g in generators)
         if open_flags is None:
             open_flags = (False,) * len(generators)
         open_flags = tuple(bool(f) for f in open_flags)
@@ -66,10 +67,6 @@ class HalfOpenCone:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "open_flags", open_flags)
 
-    @property
-    def k(self) -> int:
-        return len(self.generators)
-
 
 def lattice_index(cone: HalfOpenCone) -> int:
     """Index of the lattice spanned by the generators inside its saturation.
@@ -78,10 +75,6 @@ def lattice_index(cone: HalfOpenCone) -> int:
     gcd of the absolute values of all maximal minors.
     """
     return diagonal_form(cone.generators).index
-
-
-def is_unimodular(cone: HalfOpenCone) -> bool:
-    return lattice_index(cone) == 1
 
 
 def parallelepiped_points(cone: HalfOpenCone) -> List[Exponents]:
@@ -121,7 +114,7 @@ class RationalGF:
     def __init__(self, context: VariableContext, numerator: LaurentPoly, denominator: Iterable[Sequence[int]]):
         if numerator.context != context:
             raise UsageError("numerator context does not match the GF context")
-        factors = tuple(sorted(tuple(int(x) for x in m) for m in denominator))
+        factors = tuple(sorted(_integers(m, "denominator monomials") for m in denominator))
         zero = (0,) * len(context)
         if any(m == zero for m in factors):
             raise UsageError("denominator factor (1 - z^0) is zero")
@@ -133,7 +126,9 @@ class RationalGF:
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
         """Sum over the least common multiset of denominators."""
-        mine, theirs = _factor_counts(self, other)
+        if self.context != other.context:
+            raise UsageError("context mismatch between generating functions")
+        mine, theirs = Counter(self.denominator), Counter(other.denominator)
         left = _times_factors(self.numerator, (theirs - mine).elements())
         right = _times_factors(other.numerator, (mine - theirs).elements())
         return RationalGF(self.context, left + right, (mine | theirs).elements())
@@ -143,13 +138,6 @@ class RationalGF:
 
     def __sub__(self, other: "RationalGF") -> "RationalGF":
         return self + (-other)
-
-
-def _factor_counts(lhs: RationalGF, rhs: RationalGF) -> Tuple[Counter, Counter]:
-    """The two denominators as multisets, after checking that the contexts agree."""
-    if lhs.context != rhs.context:
-        raise UsageError("context mismatch between generating functions")
-    return Counter(lhs.denominator), Counter(rhs.denominator)
 
 
 def _times_factors(poly: LaurentPoly, factors: Iterable[Exponents]) -> LaurentPoly:
@@ -186,10 +174,8 @@ def gf_substitute(
 
 
 def gf_equals(lhs: RationalGF, rhs: RationalGF) -> bool:
-    """Exact equality by cross-multiplication, after cancelling shared factors."""
-    mine, theirs = _factor_counts(lhs, rhs)
-    left = _times_factors(lhs.numerator, (theirs - mine).elements())
-    return left == _times_factors(rhs.numerator, (mine - theirs).elements())
+    """Exact equality: the difference over the common denominator is zero."""
+    return not (lhs - rhs).numerator
 
 
 def _weight_of(monomial: Exponents, weights: Sequence[int]) -> int:

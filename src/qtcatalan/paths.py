@@ -26,7 +26,7 @@ from .errors import DomainError, InternalInvariantError
 def _integers(values: Sequence[int], what: str) -> Tuple[int, ...]:
     """``values`` as a tuple of ints; anything that is not an integer is a DomainError."""
     try:
-        return tuple(operator.index(v) for v in values)
+        return tuple(map(operator.index, values))
     except TypeError:
         raise DomainError(f"{what} must be a sequence of integers, got {values!r}") from None
 

@@ -146,9 +146,6 @@ class LaurentPoly:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def group_terms(self, names: Sequence[str]) -> Dict[Exponents, List[Exponents]]:
         """The exponent tuples of the terms, keyed by their exponents of `names`.
 
@@ -304,18 +301,17 @@ def substitute_monomials(
     return LaurentPoly(target, out)
 
 
+def qt_images(context: VariableContext) -> Dict[str, Exponents]:
+    """The q <-> t exchange as each variable's image; other variables are fixed."""
+    if "q" not in context or "t" not in context:
+        raise UsageError("context must contain both q and t")
+    swap = {"q": "t", "t": "q"}
+    return {name: context.monomial(**{swap.get(name, name): 1}) for name in context.names}
+
+
 def qt_swap(poly: LaurentPoly) -> LaurentPoly:
     """Exchange the exponents of q and t in every term."""
-    ctx = poly.context
-    if "q" not in ctx or "t" not in ctx:
-        raise UsageError("context must contain both q and t")
-    qi, ti = ctx.index("q"), ctx.index("t")
-    out = {}
-    for exps, coef in poly.terms.items():
-        swapped = list(exps)
-        swapped[qi], swapped[ti] = swapped[ti], swapped[qi]
-        out[tuple(swapped)] = coef
-    return LaurentPoly(ctx, out)
+    return substitute_monomials(poly, poly.context, qt_images(poly.context))
 
 
 def is_qt_symmetric(poly: LaurentPoly) -> bool:
@@ -345,19 +341,6 @@ def coefficient_grid(poly: LaurentPoly) -> list:
     for exps, coef in poly.terms.items():
         grid[exps[qi]][exps[ti]] = coef
     return grid
-
-
-def poly_from_grid(context: VariableContext, grid: Sequence[Sequence[int]]) -> LaurentPoly:
-    """Inverse of :func:`coefficient_grid` for a (q, t) context."""
-    qi, ti = context.index("q"), context.index("t")
-    terms: Dict[Exponents, int] = {}
-    for i, row in enumerate(grid):
-        for j, coef in enumerate(row):
-            if coef:
-                vec = [0] * len(context)
-                vec[qi], vec[ti] = i, j
-                terms[tuple(vec)] = coef
-    return LaurentPoly(context, terms)
 
 
 QT_CONTEXT = VariableContext(("q", "t"))

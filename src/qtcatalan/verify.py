@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .catalog import assemble_theorem, printed_theorem
 from .cones import RationalGF, gf_equals, gf_substitute, series_expand
@@ -24,7 +24,8 @@ from .polynomial import (
     QT_CONTEXT,
     LaurentPoly,
     VariableContext,
-    coefficient_grid,
+    qt_images,
+    qt_swap,
     substitute_monomials,
 )
 
@@ -90,32 +91,17 @@ class SymmetryReport:
 
 
 def _symmetry_witness(poly: LaurentPoly) -> Optional[Tuple[Tuple[int, int], int, int]]:
-    grid = coefficient_grid(poly)
-    size = max(len(grid), len(grid[0]))
-
-    def cell(i: int, j: int) -> int:
-        if i < len(grid) and j < len(grid[0]):
-            return grid[i][j]
-        return 0
-
-    for i in range(size):
-        for j in range(i + 1, size):
-            cij, cji = cell(i, j), cell(j, i)
-            if cij != cji:
-                return ((i, j), cij, cji)
-    return None
+    """The smallest (i, j), i < j, where a ``QT_CONTEXT`` polynomial differs from its swap."""
+    asymmetric = [(i, j) for i, j in (poly - qt_swap(poly)).terms if i < j]
+    if not asymmetric:
+        return None
+    i, j = min(asymmetric)
+    return ((i, j), poly.terms.get((i, j), 0), poly.terms.get((j, i), 0))
 
 
-def symmetry_report(parts: Sequence[int], poly: Optional[LaurentPoly] = None) -> SymmetryReport:
-    if poly is None:
-        poly = refined_catalan(parts)
-    witness = _symmetry_witness(poly)
+def symmetry_report(parts: Sequence[int]) -> SymmetryReport:
+    witness = _symmetry_witness(refined_catalan(parts))
     return SymmetryReport(subject=tuple(parts), symmetric=witness is None, witness=witness)
-
-
-def symmetry_scan(family: Iterable[Sequence[int]]) -> List[SymmetryReport]:
-    """One report per member, in the family's own order."""
-    return [symmetry_report(parts) for parts in family]
 
 
 def kvectors_of_length(length: int, max_part: int) -> Iterator[Tuple[int, ...]]:
@@ -167,16 +153,7 @@ def check_bounce_agreement(name: str, bound: int) -> bool:
 
 def gf_qt_swap(g: RationalGF) -> RationalGF:
     """Exchange q and t throughout a generating function."""
-    ctx = g.context
-    images = {}
-    for name in ctx.names:
-        if name == "q":
-            images[name] = ctx.monomial(t=1)
-        elif name == "t":
-            images[name] = ctx.monomial(q=1)
-        else:
-            images[name] = ctx.monomial(**{name: 1})
-    return gf_substitute(g, ctx, images)
+    return gf_substitute(g, g.context, qt_images(g.context))
 
 
 @dataclass(frozen=True)

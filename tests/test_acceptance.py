@@ -19,7 +19,6 @@ from qtcatalan.catalog import (
 from qtcatalan.cones import (
     HalfOpenCone,
     gf_equals,
-    is_unimodular,
     lattice_index,
     parallelepiped_points,
 )
@@ -125,10 +124,10 @@ def test_criterion_06_parallelepiped_goldens():
             (1, 0, 1, 1),
             (2, 0, 1, 2),
         ]
-        ok = ok and is_unimodular(cones["three.C1"])
-        ok = ok and is_unimodular(cones["three.C2"])
+        ok = ok and lattice_index(cones["three.C1"]) == 1
+        ok = ok and lattice_index(cones["three.C2"]) == 1
         ok = ok and lattice_index(c3) == 2
-        ok = ok and is_unimodular(cones["k4.P1C1A"]) and is_unimodular(cones["k4.P1C1B"])
+        ok = ok and lattice_index(cones["k4.P1C1A"]) == 1 and lattice_index(cones["k4.P1C1B"]) == 1
     _report(6, "parallelepiped golden sets and unimodularity verdicts", ok, budget)
 
 

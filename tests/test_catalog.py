@@ -418,6 +418,8 @@ def test_coverage_refuses_malformed_points(point, error):
         signed_multiplicity("k4", point)
     with pytest.raises(error):
         realized_multiplicity(K4_CASE, point)
+    with pytest.raises(error):
+        case_membership(K4_CASE, point)
 
 
 BOX = 2  # the drawn pieces are counted on the points of [-BOX, BOX]^4

@@ -1,17 +1,28 @@
 import itertools
 
+import grid_witness
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtcatalan.catalog import printed_theorem
 from qtcatalan.cones import RationalGF
-from qtcatalan.errors import DomainError
+from qtcatalan.errors import DomainError, UsageError
 from qtcatalan.paths import KVector, count_paths
-from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly, coefficient_grid, is_qt_symmetric
+from qtcatalan.polynomial import (
+    QT_CONTEXT,
+    LaurentPoly,
+    VariableContext,
+    coefficient_grid,
+    is_qt_symmetric,
+    qt_swap,
+)
 from qtcatalan.verify import (
     carlitz_riordan,
     check_bounce_agreement,
     check_last_param,
     check_q_specializations,
+    gf_qt_swap,
     kvectors_of_length,
     lambda_catalan,
     macmahon_q_catalan,
@@ -21,7 +32,7 @@ from qtcatalan.verify import (
     repeated_tail_vectors,
     series_matches_paths,
     symmetry_report,
-    symmetry_scan,
+    _symmetry_witness,
     verify_theorem,
 )
 
@@ -143,15 +154,52 @@ def test_lambda_symmetry_contrasts():
 
 
 def test_symmetry_scan_three_runs():
-    reports = symmetry_scan(kvectors_of_length(3, 3))
+    reports = [symmetry_report(v) for v in kvectors_of_length(3, 3)]
     assert len(reports) == 27
     assert all(r.symmetric for r in reports)
 
 
 def test_symmetry_scan_repeated_tails():
-    reports = symmetry_scan(repeated_tail_vectors(3, [4]))
+    reports = [symmetry_report(v) for v in repeated_tail_vectors(3, [4])]
     assert len(reports) == 9
     assert all(r.symmetric for r in reports)
+
+
+def test_witness_agrees_with_the_grid_scan_on_every_small_vector():
+    vectors = [v for length in range(1, 6) for v in kvectors_of_length(length, 3)]
+    assert len(vectors) == 363
+    for parts in vectors:
+        poly = refined_catalan(parts)
+        assert _symmetry_witness(poly) == grid_witness._symmetry_witness(poly), parts
+
+
+@st.composite
+def qt_polynomials(draw):
+    """A q,t-polynomial with coefficients in -3..3, often symmetric up to one term."""
+    cells = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    poly = LaurentPoly(QT_CONTEXT, draw(st.dictionaries(cells, st.integers(-3, 3), max_size=10)))
+    if draw(st.booleans()):
+        poly = poly + qt_swap(poly)
+        poly = poly + LaurentPoly(QT_CONTEXT, draw(st.dictionaries(cells, st.integers(-3, 3), max_size=1)))
+    return poly
+
+
+@settings(max_examples=500, deadline=None)
+@given(qt_polynomials())
+@example(LaurentPoly.zero(QT_CONTEXT))
+def test_witness_agrees_with_the_grid_scan_on_drawn_polynomials(poly):
+    assert _symmetry_witness(poly) == grid_witness._symmetry_witness(poly)
+
+
+def test_gf_qt_swap_exchanges_q_and_t_only():
+    ctx = VariableContext(("x", "q", "t"))
+    g = RationalGF(ctx, LaurentPoly.parse(ctx, "x*q^2*t"), [ctx.monomial(q=1), ctx.monomial(x=1, t=2)])
+    swapped = gf_qt_swap(g)
+    assert swapped.numerator == LaurentPoly.parse(ctx, "x*q*t^2")
+    assert sorted(swapped.denominator) == sorted([ctx.monomial(t=1), ctx.monomial(x=1, q=2)])
+    xy = VariableContext(("x", "y"))
+    with pytest.raises(UsageError):
+        gf_qt_swap(RationalGF(xy, LaurentPoly.parse(xy, "x"), [xy.monomial(y=1)]))
 
 
 def test_check_last_param():
