@@ -21,7 +21,6 @@ from .cones import (
     HalfOpenCone,
     RationalGF,
     gf_equals,
-    gf_extract_parity,
     gf_substitute,
     integer_point_transform,
     lattice_index,
@@ -34,7 +33,6 @@ from .errors import (
     DomainError,
     InternalInvariantError,
     NonExpandableError,
-    ParityError,
     UsageError,
 )
 from .paths import (

@@ -33,7 +33,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .cones import (
     HalfOpenCone,
     RationalGF,
-    gf_extract_parity,
     gf_substitute,
     parallelepiped_points,
 )
@@ -505,10 +504,7 @@ def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
     return _CASES[family(name).name]()
 
 
-ParityTest = Optional[Tuple[int, int]]
-
-
-def _parity_test(spec: CaseSpec) -> ParityTest:
+def _parity_test(spec: CaseSpec) -> Optional[Tuple[int, int]]:
     """``(coordinate index, residue mod 2)`` of the case's parity constraint."""
     if spec.parity is None:
         return None
@@ -516,18 +512,14 @@ def _parity_test(spec: CaseSpec) -> ParityTest:
     return FAMILIES[spec.family].coords.index(coord), int(parity == "odd")
 
 
-def _parity_holds(test: ParityTest, point: Sequence[int]) -> bool:
-    """Whether the point passes a case's parity test, if it has one."""
-    return test is None or point[test[0]] % 2 == test[1]
-
-
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point satisfies the case's region and parity constraints."""
     point = _coordinates(spec.family, point)
     values = dict(zip(FAMILIES[spec.family].coords, point))
+    test = _parity_test(spec)
     return all(
         c.const + sum(coef * values[name] for name, coef in c.coeffs) >= 0 for c in spec.region
-    ) and _parity_holds(_parity_test(spec), point)
+    ) and (test is None or point[test[0]] % 2 == test[1])
 
 
 @lru_cache(maxsize=None)
@@ -542,7 +534,27 @@ def _lattice_piece(realization: Realization) -> LatticePiece:
     return LatticePiece(bases=bases, generators=realization.generators)
 
 
-def _piece_gf(piece: LatticePiece, zctx: VariableContext, sign: int = 1) -> RationalGF:
+def _signed_pieces(spec: CaseSpec) -> List[Tuple[int, LatticePiece]]:
+    """The case's signed pieces, realization first, each kept to its parity class.
+
+    Every generator must be even in the parity coordinate: then a point has its
+    base's parity and dropping the other class's bases is exact.  An odd
+    generator is a catalog bug.
+    """
+    pieces = [(1, _lattice_piece(spec.realization)), *spec.corrections]
+    test = _parity_test(spec)
+    if test is None:
+        return pieces
+    coord, residue = test
+    if any(g[coord] % 2 for _, piece in pieces for g in piece.generators):
+        raise InternalInvariantError(f"{spec.case_id}: a generator is odd in {spec.parity[0]}")
+    return [
+        (sign, LatticePiece(tuple(b for b in p.bases if b[1][coord] % 2 == residue), p.generators))
+        for sign, p in pieces
+    ]
+
+
+def _piece_gf(piece: LatticePiece, zctx: VariableContext, sign: int) -> RationalGF:
     terms: Dict[Exponents, int] = {}
     for coef, base in piece.bases:
         terms[base] = terms.get(base, 0) + sign * coef
@@ -587,14 +599,8 @@ def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
 def assemble_case(spec: CaseSpec) -> RationalGF:
     """Generating function of one case, in the family's marked output variables."""
     fam = FAMILIES[spec.family]
-    zgf = _piece_gf(_lattice_piece(spec.realization), fam.zctx)
-    for sign, piece in spec.corrections:
-        zgf = zgf + _piece_gf(piece, fam.zctx, sign)
-    if spec.parity is not None:
-        coord, parity = spec.parity
-        # the coordinate variables follow the coordinates' order
-        zgf = gf_extract_parity(zgf, fam.zctx.names[fam.coords.index(coord)], parity)
-    return _pointwise_map(zgf, fam)
+    gfs = (_piece_gf(piece, fam.zctx, sign) for sign, piece in _signed_pieces(spec))
+    return _pointwise_map(reduce(operator.add, gfs), fam)
 
 
 def _signed_case(spec: CaseSpec) -> RationalGF:
@@ -692,7 +698,7 @@ def printed_theorem(name: str) -> RationalGF:
 
 RowValues = Tuple[Tuple[int, int], ...]  # (row index, the row's value at the base)
 Base = Tuple[int, RowValues, RowValues]  # signed coefficient, rows of P, rows of T
-Group = Tuple[ParityTest, int, Tuple[Base, ...]]  # parity test, L, bases
+Group = Tuple[int, Tuple[Base, ...]]  # L, bases
 Coverage = Tuple[Tuple[Point, ...], Tuple[Group, ...]]  # distinct rows, groups
 
 
@@ -708,30 +714,27 @@ def _coordinates(family: str, point: Sequence[int]) -> Point:
 def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
     """The coverage table of the cases' pieces, corrections included.
 
-    Bases are grouped by parity test and generator set; a base's coefficient
-    carries its sign, the correction's and the one given with its case.
+    Bases are grouped by generator set; a base's coefficient carries its
+    sign, the correction's and the one given with its case.
     """
     rows: Dict[Point, int] = {}
-    groups: Dict[Tuple[ParityTest, Tuple[Point, ...]], Tuple[int, List[Base]]] = {}
+    groups: Dict[Tuple[Point, ...], Tuple[int, List[Base]]] = {}
 
     def values_at(matrix: Sequence[Point], base: Point) -> RowValues:
         return tuple((rows.setdefault(row, len(rows)), sum(map(mul, row, base))) for row in matrix)
 
     for case_sign, spec in signed_specs:
-        parity = _parity_test(spec)
-        for sign, piece in [(1, _lattice_piece(spec.realization)), *spec.corrections]:
+        for sign, piece in _signed_pieces(spec):
             form = diagonal_form(piece.generators)
             if form.rank != len(piece.generators):
                 raise InternalInvariantError("piece generators are linearly dependent")
             scaled, cokernel, lcm = form.inverse
-            _, bases = groups.setdefault((parity, piece.generators), (lcm, []))
+            _, bases = groups.setdefault(piece.generators, (lcm, []))
             bases.extend(
                 (case_sign * sign * coef, values_at(scaled, base), values_at(cokernel, base))
                 for coef, base in piece.bases
             )
-    return tuple(rows), tuple(
-        (parity, lcm, tuple(bases)) for (parity, _), (lcm, bases) in groups.items()
-    )
+    return tuple(rows), tuple((lcm, tuple(bases)) for lcm, bases in groups.values())
 
 
 def _multiplicity(coverage: Coverage, point: Point) -> int:
@@ -739,9 +742,7 @@ def _multiplicity(coverage: Coverage, point: Point) -> int:
     rows, groups = coverage
     values = [sum(map(mul, row, point)) for row in rows]
     total = 0
-    for parity, lcm, bases in groups:
-        if not _parity_holds(parity, point):
-            continue
+    for lcm, bases in groups:
         for coef, scaled, cokernel in bases:
             for i, v in scaled:
                 u = values[i]

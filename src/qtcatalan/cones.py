@@ -22,12 +22,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import (
-    DegenerateSubstitutionError,
-    NonExpandableError,
-    ParityError,
-    UsageError,
-)
+from .errors import DegenerateSubstitutionError, DomainError, NonExpandableError, UsageError
 from .lattice import diagonal_form
 from .paths import _integers
 from .polynomial import Exponents, LaurentPoly, VariableContext, substitute_monomials
@@ -47,7 +42,10 @@ class HalfOpenCone:
         generators: Sequence[Sequence[int]],
         open_flags: Optional[Sequence[bool]] = None,
     ):
-        apex = tuple(Fraction(x) for x in apex)
+        apex = tuple(apex)
+        if not all(isinstance(x, (int, Fraction)) for x in apex):
+            raise DomainError(f"apex entries must be integers or fractions, got {apex!r}")
+        apex = tuple(map(Fraction, apex))
         generators = tuple(_integers(g, "cone generators") for g in generators)
         if open_flags is None:
             open_flags = (False,) * len(generators)
@@ -220,23 +218,6 @@ def series_expand(g: RationalGF, weights: Mapping[str, int], bound: int) -> Laur
                 w += wm
         result = new
     return LaurentPoly(ctx, result)
-
-
-def gf_extract_parity(g: RationalGF, name: str, parity: str) -> RationalGF:
-    """Restrict the numerator to terms of even or odd exponent in ``name``.
-
-    Only sound when the variable occurs with even exponents in every
-    denominator factor, so that denominator expansion cannot change parity.
-    """
-    if parity not in ("even", "odd"):
-        raise UsageError(f"parity must be 'even' or 'odd', not {parity!r}")
-    idx = g.context.index(name)
-    for m in g.denominator:
-        if m[idx] % 2 != 0:
-            raise ParityError(f"denominator factor {m} is odd in {name!r}")
-    want = 0 if parity == "even" else 1
-    terms = {e: c for e, c in g.numerator.terms.items() if e[idx] % 2 == want}
-    return RationalGF(g.context, LaurentPoly(g.context, terms), g.denominator)
 
 
 # -- plain-text cone files ----------------------------------------------------

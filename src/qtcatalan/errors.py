@@ -19,10 +19,6 @@ class DegenerateSubstitutionError(UsageError):
     """A substitution collapsed a denominator factor to (1 - 1)."""
 
 
-class ParityError(UsageError):
-    """Parity extraction requested on a variable with odd denominator powers."""
-
-
 class NonExpandableError(UsageError):
     """Series expansion requested with a zero-weight denominator factor."""
 

@@ -28,7 +28,6 @@ Point = Tuple[int, ...]
 class FamilyInfo:
     name: str
     coords: Tuple[str, ...]
-    zctx: VariableContext  # one variable per coordinate
     out_ctx: VariableContext  # marking variables, then q and t
     theorem_ctx: VariableContext  # size variables, then q and t
     stats: Callable[..., Tuple[int, int]]  # (area, bounce) of a coordinate point
@@ -41,6 +40,11 @@ class FamilyInfo:
         area, bounce = self.stats(*point)
         marks = len(self.out_ctx) - 2
         return tuple(point[:marks]) + (area, bounce)
+
+    @property
+    def zctx(self) -> VariableContext:
+        """One variable per coordinate, named after it."""
+        return VariableContext(self.coords)
 
     @property
     def size_names(self) -> Tuple[str, ...]:
@@ -81,7 +85,6 @@ FAMILIES: Dict[str, FamilyInfo] = {
     "three": FamilyInfo(
         name="three",
         coords=("k1", "k2", "k3", "r2", "r3"),
-        zctx=VariableContext(("z1", "z2", "z3", "w2", "w3")),
         out_ctx=THREE_OUT,
         theorem_ctx=THREE_OUT,
         stats=stats_three,
@@ -92,7 +95,6 @@ FAMILIES: Dict[str, FamilyInfo] = {
     "k4": FamilyInfo(
         name="k4",
         coords=("k", "a", "b", "c"),
-        zctx=VariableContext(("y", "z1", "z2", "z3")),
         out_ctx=K4_OUT,
         theorem_ctx=K4_THEOREM,
         stats=stats_k4,
@@ -103,7 +105,6 @@ FAMILIES: Dict[str, FamilyInfo] = {
     "kaaa": FamilyInfo(
         name="kaaa",
         coords=("k", "m", "a", "b", "c"),
-        zctx=VariableContext(("k", "m", "a", "b", "c")),
         out_ctx=KAAA_OUT,
         theorem_ctx=KAAA_THEOREM,
         stats=stats_kaaa,

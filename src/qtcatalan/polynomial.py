@@ -8,10 +8,11 @@ share a :class:`VariableContext`.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 
 Exponents = Tuple[int, ...]
 
@@ -55,7 +56,10 @@ class VariableContext:
         """Exponent vector with the named entries set and all others zero."""
         vec = [0] * len(self.names)
         for name, e in exponents.items():
-            vec[self.index(name)] = int(e)
+            try:
+                vec[self.index(name)] = operator.index(e)
+            except TypeError:
+                raise DomainError(f"exponent of {name} must be an integer, got {e!r}") from None
         return tuple(vec)
 
 
@@ -75,8 +79,12 @@ class LaurentPoly:
         for exps, coef in terms.items():
             if len(exps) != width:
                 raise UsageError(f"exponent vector {exps} has wrong length for {context}")
+            try:
+                coef = operator.index(coef)
+            except TypeError:
+                raise DomainError(f"coefficient must be an integer, got {coef!r}") from None
             if coef:
-                clean[tuple(exps)] = int(coef)
+                clean[tuple(exps)] = coef
         self.context = context
         self.terms = clean
 

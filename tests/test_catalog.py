@@ -7,6 +7,7 @@ transcribed product formulas.
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import lattice_oracle
@@ -30,13 +31,19 @@ from qtcatalan.catalog import (
     realized_multiplicity,
     signed_multiplicity,
 )
-from qtcatalan.cones import RationalGF, gf_equals, integer_point_transform, series_expand
+from qtcatalan.cones import (
+    HalfOpenCone,
+    RationalGF,
+    gf_equals,
+    integer_point_transform,
+    series_expand,
+)
 from qtcatalan.errors import DomainError, InternalInvariantError, UsageError
 from qtcatalan.families import FAMILIES
-from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly
+from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly, VariableContext
 from qtcatalan.verify import refined_catalan
 
-Z4 = FAMILIES["k4"].zctx
+Z4 = VariableContext(("y", "z1", "z2", "z3"))
 OUT3 = FAMILIES["three"].out_ctx
 OUT4 = FAMILIES["k4"].out_ctx
 OUT5 = FAMILIES["kaaa"].out_ctx
@@ -457,19 +464,54 @@ def brute_piece_count(piece):
     return counts
 
 
+PARITIES = st.none() | st.tuples(st.sampled_from(K4_COORDS), st.sampled_from(("even", "odd")))
+
+
 @settings(max_examples=150, deadline=None)
-@given(lattice_pieces())
-@example(LatticePiece(bases=((1, (0, 0, 0, 0)),), generators=((1, 0, 0, 0), (2, 0, 0, 0))))
-@example(LatticePiece(bases=((1, (-2, 0, 1, 0)),), generators=((1, 2, 0, 0), (1, 0, 2, 0))))
-def test_realized_multiplicity_counts_drawn_pieces(piece):
-    spec = CaseSpec("drawn", "k4", (), piece)
+@given(lattice_pieces(), PARITIES)
+@example(LatticePiece(bases=((1, (0, 0, 0, 0)),), generators=((1, 0, 0, 0), (2, 0, 0, 0))), None)
+@example(LatticePiece(bases=((1, (-2, 0, 1, 0)),), generators=((1, 2, 0, 0), (1, 0, 2, 0))), None)
+@example(
+    LatticePiece(bases=((1, (-2, 0, 0, 0)), (-1, (-2, 0, 1, 0))), generators=((1, 0, 1, 0),)),
+    ("b", "odd"),
+)
+def test_realized_multiplicity_counts_drawn_pieces(piece, parity):
+    """With a drawn parity, the parity coordinate of every generator is doubled
+    first, so that the rule's precondition holds; the count is then the brute
+    count restricted to the parity class."""
+    if parity is not None:
+        coord = K4_COORDS.index(parity[0])
+        piece = LatticePiece(piece.bases, tuple(
+            g[:coord] + (2 * g[coord],) + g[coord + 1:] for g in piece.generators
+        ))
+    spec = CaseSpec("drawn", "k4", (), piece, parity)
     if minor_gcd(piece.generators) == 0:
         with pytest.raises(InternalInvariantError):
             realized_multiplicity(spec, (0, 0, 0, 0))
         return
     counts = brute_piece_count(piece)
     for point in itertools.product(range(-BOX, BOX + 1), repeat=4):
-        assert realized_multiplicity(spec, point) == counts.get(point, 0), point
+        expected = counts.get(point, 0)
+        if parity is not None and point[coord] % 2 != (parity[1] == "odd"):
+            expected = 0
+        assert realized_multiplicity(spec, point) == expected, point
+
+
+def test_a_parity_case_with_an_odd_generator_is_an_invariant_error():
+    """Dropping the bases of the other parity class is exact only when every
+    generator, corrections' included, is even in the parity coordinate."""
+    p2c1 = by_id("k4")["k4.P2C1"]
+    odd_in_b = (1, 1, 1, 0)
+    cone = HalfOpenCone(4, (0,) * 4, (odd_in_b,) + p2c1.realization.generators[1:])
+    correction = LatticePiece(bases=((1, (0, 0, 0, 1)),), generators=(odd_in_b,))
+    for spec in (
+        replace(p2c1, realization=cone),
+        replace(p2c1, corrections=((-1, correction),)),
+    ):
+        with pytest.raises(InternalInvariantError):
+            assemble_case(spec)
+        with pytest.raises(InternalInvariantError):
+            realized_multiplicity(spec, (1, 0, 0, 1))
 
 
 def _marks_exponents(fam, point, area, bounce):

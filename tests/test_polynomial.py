@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtcatalan.errors import UsageError
+from qtcatalan.errors import DomainError, UsageError
 from qtcatalan.polynomial import (
     QT_CONTEXT,
     LaurentPoly,
@@ -171,6 +171,14 @@ def test_context_validation():
         VariableContext(("q", "q"))
     with pytest.raises(UsageError):
         QT.index("nope")
+
+
+@pytest.mark.parametrize("entry", [2.7, "3", None])
+def test_coefficients_and_exponents_refuse_non_integers(entry):
+    with pytest.raises(DomainError):
+        LaurentPoly(QT, {(0, 0): entry})
+    with pytest.raises(DomainError):
+        QT.monomial(q=entry)
 
 
 V5 = VariableContext(("a", "b", "c", "d", "e"))
