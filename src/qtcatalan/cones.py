@@ -15,6 +15,7 @@ equality decided by cross-multiplication and never by cancellation.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -185,10 +186,15 @@ def series_expand(g: RationalGF, weights: Mapping[str, int], bound: int) -> Laur
 
     Weights are nonnegative integers per variable (absent names weigh 0).
     Every denominator factor must have positive total weight; every numerator
-    term must have nonnegative weight, so truncation is exact.
+    term must have nonnegative weight, so truncation is exact.  A weight or
+    bound that is not an integer is a DomainError.
     """
     ctx = g.context
-    wvec = [int(weights.get(name, 0)) for name in ctx.names]
+    wvec = _integers([weights.get(name, 0) for name in ctx.names], "series weights")
+    try:
+        bound = operator.index(bound)
+    except TypeError:
+        raise DomainError(f"series bound must be an integer, got {bound!r}") from None
     if any(w < 0 for w in wvec):
         raise UsageError("weights must be nonnegative")
     for m in g.denominator:

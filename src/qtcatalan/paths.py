@@ -6,12 +6,16 @@ of the i-th north run.  The rank sequence determines the path: after run ``i``
 the path takes ``r_i + k_i - r_{i+1}`` unit east steps (with ``r_{m+1} = 0``).
 
 Two independent routes to the statistics are provided: the general bounce
-pass (:func:`path_stats`, linear in the path's size, and
-:func:`area_bounce_counts`, the same legs shared among paths with a common
-rank prefix) and closed-form
-piecewise formulas for the three supported shape families
-(:func:`stats_three`, :func:`stats_k4`, :func:`stats_kaaa`).  The test suite
-checks them against each other exhaustively on small inputs.
+pass and closed-form piecewise formulas for the three supported shape
+families (:func:`stats_three`, :func:`stats_k4`, :func:`stats_kaaa`).  The
+bounce pass runs its legs one north run at a time, by :func:`_legs`.
+:func:`path_stats` runs it over one path's ranks, in time linear in the
+path's size.  :func:`area_bounce_counts` runs it over merged bounce states:
+after each run, paths whose remaining bounce behaves the same share one
+state, and a potential ``bounce + step * (m - filled)`` stands in for the
+bounce so far, so the legs' absolute index is not part of the state.  The
+test suite checks the routes against each other exhaustively on small
+inputs.
 """
 
 from __future__ import annotations
@@ -145,68 +149,64 @@ def count_paths(kvec: KVector) -> int:
     return sum(ways)
 
 
-# (step, x, filled, active, bounce) between bounce legs; see _advance
-_State = Tuple[int, int, int, int, int]
+# Between runs the bounce state is (gap, filled, active, expiring): the next
+# leg's x minus the number of known east steps, the runs consumed, the runs
+# counted on the next horizontal move, and the sorted (leg offset, count) of
+# the consumed runs that stop counting at each later leg.  Offsets count from
+# the next leg, which is leg 0.
+_Expiring = Tuple[Tuple[int, int], ...]
 
 
-def _advance(
+def _legs(
     parts: Sequence[int],
-    owner: List[int],
-    expiring: List[int],
     limit: int,
-    state: _State,
-    log: List[int],
-) -> _State:
-    """Run bounce legs while the leg's x has a known owner; return the new state.
+    run: int,
+    gap: int,
+    filled: int,
+    active: int,
+    expiring: _Expiring,
+) -> Tuple[int, int, int, _Expiring, int]:
+    """Run the bounce legs that stop at the east steps after run ``run``.
 
-    The state is ``(step, x, filled, active, bounce)``: the next leg's index,
-    its x, the runs consumed so far, the runs counted on the next horizontal
-    move, and the bounce so far.  Leg ``step`` climbs to ``owner[x]`` runs;
-    run ``j`` consumed there counts towards the horizontal moves of legs
-    ``step ... step + k_j - 1``, so ``step + k_j`` is counted in ``expiring``
-    and appended to ``log``.
+    ``gap`` is the next leg's x minus the number of known east steps, and is
+    negative here: the leg stops at an east step after run ``run`` and climbs
+    to ``run + 1`` runs.  Run ``j`` consumed at leg ``s`` counts towards the
+    horizontal moves of legs ``s ... s + k_j - 1``, so it expires at
+    ``s + k_j``.  Leg 0 consumes every run it climbs past and the later legs
+    consume none, so the legs add no bounce counted from leg 0.  Returns the
+    state after the legs, shifted to the next leg, and the number of legs run.
     """
-    step, x, filled, active, bounce = state
-    known = len(owner)
-    while x < known:
+    climb = run + 1 - filled
+    if climb < 0:
+        raise InternalInvariantError(
+            f"bounce leg after run {run} stops below the {filled} runs already consumed "
+            f"on runs {tuple(parts)}"
+        )
+    ends = dict(expiring)
+    for k in parts[filled:run + 1]:
+        ends[k] = ends.get(k, 0) + 1
+    active += climb
+    step = 0
+    while gap < 0:
         if step >= limit:
             raise InternalInvariantError(
-                f"bounce made no progress within {limit} legs on runs {tuple(parts)} "
-                f"with east-step owners {owner}"
+                f"bounce made no progress within {limit} legs after run {run} "
+                f"on runs {tuple(parts)}"
             )
-        v = owner[x] - filled
-        if v < 0:
-            raise InternalInvariantError(
-                f"bounce leg {step} at x={x} stops below the {filled} runs already consumed "
-                f"on runs {tuple(parts)} with east-step owners {owner}"
-            )
-        for j in range(filled, filled + v):
-            end = step + parts[j]
-            expiring[end] += 1
-            log.append(end)
-        filled += v
-        active += v - expiring[step]
-        bounce += step * v
-        x += active
+        active -= ends.pop(step, 0)
+        gap += active
         step += 1
-    return step, x, filled, active, bounce
+    expiring = tuple(sorted([(end - step, c) for end, c in ends.items()]))
+    return gap, run + 1, active, expiring, step
 
 
-def _finish(parts: Sequence[int], owner: List[int], state: _State) -> int:
-    """The bounce of a complete path's final state, after checking that the bounce ended."""
-    _, x, filled, _, bounce = state
-    if filled != len(parts) or x != len(owner):
+def _check_end(parts: Sequence[int], gap: int, filled: int) -> None:
+    """Check that the bounce consumed every run and stopped at x = n."""
+    if filled != len(parts) or gap != 0:
         raise InternalInvariantError(
-            f"bounce ended at x={x} after {filled} of {len(parts)} runs on runs {tuple(parts)} "
-            f"with east-step owners {owner}"
+            f"bounce ended at x=n{gap:+d} after {filled} of {len(parts)} runs "
+            f"on runs {tuple(parts)}"
         )
-    return bounce
-
-
-def _bounce_arrays(kvec: KVector) -> Tuple[int, List[int]]:
-    """The leg limit n + m + 1 and an ``expiring`` array long enough for it."""
-    limit = kvec.n + kvec.m + 1
-    return limit, [0] * (limit + kvec.n)
 
 
 def path_stats(path: DyckPath) -> PathStats:
@@ -217,60 +217,82 @@ def path_stats(path: DyckPath) -> PathStats:
     at the current x, consuming whole north runs; run ``j`` consumed at leg
     ``s_j`` then counts towards the horizontal moves of legs
     ``s_j ... s_j + k_j - 1``.  The bounce is ``sum(s * runs consumed at s)``.
+    The legs are run one north run at a time, as :func:`area_bounce_counts`
+    runs them.
     """
     parts = path.kvec.parts
-    # owner[x]: number of north runs below the path's east step from x to x + 1
-    owner: List[int] = []
-    for j, a in enumerate(path.east_runs):
-        owner += [j + 1] * a
-    limit, expiring = _bounce_arrays(path.kvec)
-    log: List[int] = []
-    state = _advance(parts, owner, expiring, limit, (0, 0, 0, 0, 0), log)
-    bounce = _finish(parts, owner, state)
-    # run j was consumed at leg log[j] - k_j
-    legs = [0] * state[0]
-    for j, end in enumerate(log):
-        legs[end - parts[j]] += 1
+    limit = path.kvec.n + path.kvec.m + 1
+    gap = filled = active = 0
+    expiring: _Expiring = ()
+    legs: List[int] = []
+    for run, east in enumerate(path.east_runs):
+        gap -= east
+        if gap < 0:
+            consumed = filled
+            gap, filled, active, expiring, steps = _legs(
+                parts, limit, run, gap, filled, active, expiring
+            )
+            legs += [filled - consumed] + [0] * (steps - 1)
+    _check_end(parts, gap, filled)
+    bounce = sum(s * v for s, v in enumerate(legs))
     return PathStats(area=sum(path.ranks), bounce=bounce, legs=tuple(legs))
 
 
 def area_bounce_counts(kvec: KVector) -> Dict[Tuple[int, int], int]:
-    """The number of paths with each (area, bounce), by one walk over rank prefixes.
+    """The number of paths with each (area, bounce), over merged bounce states.
 
     Run ``i`` starts at x = K_i - r_i, where K_i = k_1 + ... + k_{i-1}, and
     these starts never decrease.  So once ranks ``r_1 ... r_i`` are chosen,
-    the east steps below that x are fixed, the bounce advances as far as it,
-    and only then does the walk branch on ``r_{i+1}``: each leg is run once
-    per rank prefix, not once per path.  The walk undoes its ``owner``,
-    ``expiring`` and ``log`` changes on the way back up.  The recursion is m
-    deep.
+    the east steps before run ``i`` are known, and the bounce has run every
+    leg that stops at one of them.  The legs still to run depend only on the
+    merged state ``(r_i, x - known east steps, filled, active, expiring)``,
+    with ``expiring`` shifted so that the next leg is leg 0, and not on that
+    leg's index ``step``.  So the paths are counted forward, one run at a
+    time.  Each layer maps a merged state to ``{(area, potential): count}``,
+    where the potential ``bounce + step * (m - filled)`` already charges
+    every run not yet consumed for the legs before the next one.  Moving to
+    rank ``r_{i+1}`` adds ``r_{i+1}`` to the area and, when it runs ``s``
+    legs, ``s * (m - filled)`` to the potential: the legs' own bounce,
+    counted from leg 0, is 0 (see :func:`_legs`).  After the last run every
+    run is consumed, so the potential is the bounce.  Only two layers are
+    alive at a time.
     """
     if not isinstance(kvec, KVector):
         kvec = KVector(kvec)
     parts = kvec.parts
-    last = kvec.m - 1
-    limit, expiring = _bounce_arrays(kvec)
-    owner: List[int] = []
-    log: List[int] = []
+    m = kvec.m
+    limit = kvec.n + m + 1
+    # (area, potential) is kept as the one int potential * span + area, so a
+    # move adds one int to it; the area, a sum of m ranks below n, is < span
+    span = kvec.n * m + 1
+    # (rank, gap, filled, active, expiring) -> {potential * span + area: count}
+    layer: Dict[tuple, Dict[int, int]] = {(0, 0, 0, 0, ()): {0: 1}}
+    total: Dict[int, int] = {}
+    for run, k in enumerate(parts):
+        final = run == m - 1
+        following: Dict[tuple, Dict[int, int]] = {}
+        for (rank, gap, filled, active, expiring), weights in layer.items():
+            top = rank + k
+            for nxt in (0,) if final else range(top, -1, -1):
+                rest, fl, act, exp, shift = gap - (top - nxt), filled, active, expiring, nxt
+                if rest < 0:
+                    rest, fl, act, exp, steps = _legs(
+                        parts, limit, run, rest, filled, active, expiring
+                    )
+                    shift += steps * (m - fl) * span
+                if final:
+                    _check_end(parts, rest, fl)
+                    into = total
+                else:
+                    into = following.setdefault((nxt, rest, fl, act, exp), {})
+                for key, c in weights.items():
+                    key += shift
+                    into[key] = into.get(key, 0) + c
+        layer = following
     counts: Dict[Tuple[int, int], int] = {}
-
-    def descend(i: int, rank: int, area: int, state: _State) -> None:
-        # ranks of runs 0..i are chosen, the last of them is ``rank``
-        top = rank + parts[i]
-        for nxt in range(top, -1, -1) if i < last else (0,):
-            entry, mark = len(owner), len(log)
-            owner.extend([i + 1] * (top - nxt))
-            after = _advance(parts, owner, expiring, limit, state, log)
-            if i < last:
-                descend(i + 1, nxt, area + nxt, after)
-            else:
-                key = (area, _finish(parts, owner, after))
-                counts[key] = counts.get(key, 0) + 1
-            for end in log[mark:]:
-                expiring[end] -= 1
-            del log[mark:], owner[entry:]
-
-    descend(0, 0, 0, (0, 0, 0, 0, 0))
+    for key, c in total.items():
+        bounce, area = divmod(key, span)
+        counts[(area, bounce)] = c
     return counts
 
 

@@ -1,7 +1,7 @@
 """Brute-force oracles and cross-checks for the generating-function catalog.
 
 Everything here is independent of the cone machinery: polynomials are built
-from the (area, bounce) counts of one walk over every path's rank prefixes
+from the (area, bounce) counts over merged bounce states
 (:func:`~qtcatalan.paths.area_bounce_counts`), and the closed forms are
 checked path by path against the bounce pass
 :func:`~qtcatalan.paths.path_stats`, so they can arbitrate both the
@@ -35,8 +35,10 @@ Q_CONTEXT = VariableContext(("q",))
 def refined_catalan(parts: Sequence[int]) -> LaurentPoly:
     """Sum of q^area t^bounce over all paths with the given run lengths.
 
-    The counts come from one walk over the paths' rank prefixes, which shares
-    each bounce leg among the paths with the same prefix; no path is built.
+    The counts come from a forward pass over merged bounce states, one run at
+    a time: paths whose remaining bounce behaves the same share one state,
+    whose ``{(area, potential): count}`` stands in for all of them, and no
+    path is built.
     """
     return LaurentPoly(QT_CONTEXT, area_bounce_counts(KVector(parts)))
 

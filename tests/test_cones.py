@@ -415,6 +415,24 @@ def test_series_additivity():
     assert left == right
 
 
+@pytest.mark.parametrize(
+    "weights, bound",
+    [
+        ({"y": 1.9}, 3),
+        ({"y": "1"}, 3),
+        ({"y": Fraction(1)}, 3),
+        ({"y": None}, 3),
+        ({"y": 1}, 2.5),
+        ({"y": 1}, "3"),
+    ],
+)
+def test_series_refuses_non_integer_weights_and_bounds(weights, bound):
+    # int() used to cut 1.9 and "1" to weight 1 and let a bound of 2.5 through
+    g = gf(Z4, "1", ["y"])
+    with pytest.raises(DomainError):
+        series_expand(g, weights, bound)
+
+
 def test_series_zero_weight_error():
     g = gf(Z4, "1", ["z1"])
     with pytest.raises(NonExpandableError):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtcatalan.errors import DomainError
+from qtcatalan.errors import DomainError, InternalInvariantError
 from qtcatalan.families import FAMILIES
 from qtcatalan.paths import (
     DyckPath,
     KVector,
+    _check_end,
+    _legs,
     area_bounce_counts,
     count_paths,
     enumerate_paths,
@@ -20,6 +23,7 @@ from qtcatalan.paths import (
     stats_three,
 )
 
+import prefix_walk
 from tableau import tableau_stats
 
 
@@ -106,12 +110,30 @@ def _agrees_with_tableau(path):
     )
 
 
+# every vector of at most five parts in 1..3: 78,879 paths
+SMALL_VECTORS = [
+    parts for length in range(1, 6) for parts in itertools.product(range(1, 4), repeat=length)
+]
+
+
+def _tableau_scores(parts):
+    """(area, bounce, legs) of each path of ``parts`` by the tableau, in enumeration order."""
+    return tuple(
+        (s.area, s.bounce, s.trace.leg_lengths)
+        for s in map(tableau_stats, enumerate_paths(KVector(parts)))
+    )
+
+
+# the two tests over SMALL_VECTORS share one tableau score per path
+_small_tableau_scores = functools.cache(_tableau_scores)
+
+
 def test_linear_bounce_agrees_with_tableau_on_every_small_path():
-    # every vector of at most five parts in 1..3: 78,879 paths
-    for length in range(1, 6):
-        for parts in itertools.product(range(1, 4), repeat=length):
-            for path in enumerate_paths(KVector(parts)):
-                assert _agrees_with_tableau(path), (parts, path.ranks)
+    for parts in SMALL_VECTORS:
+        paths = enumerate_paths(KVector(parts))
+        for path, expected in zip(paths, _small_tableau_scores(parts), strict=True):
+            stats = path_stats(path)
+            assert (stats.area, stats.bounce, stats.legs) == expected, (parts, path.ranks)
 
 
 @st.composite
@@ -130,21 +152,22 @@ def test_linear_bounce_agrees_with_tableau_on_drawn_paths(path):
     assert _agrees_with_tableau(path)
 
 
-def _walk_agrees_with_tableau(parts):
+def _counts_agree(parts, tableau_scores):
+    """The merged counts equal the prefix walk's and the tableau's, and sum to the path count."""
     kvec = KVector(parts)
     counts = area_bounce_counts(kvec)
-    oracle = Counter((s.area, s.bounce) for s in map(tableau_stats, enumerate_paths(kvec)))
-    return counts == oracle and sum(counts.values()) == count_paths(kvec)
+    oracle = Counter((area, bounce) for area, bounce, _ in tableau_scores)
+    walk = prefix_walk.area_bounce_counts(kvec)
+    return counts == oracle == walk and sum(counts.values()) == count_paths(kvec)
 
 
 def test_walk_agrees_with_enumeration_and_tableau_on_every_small_vector():
     # every vector of at most five parts in 1..3, as for the bounce pass above
-    for length in range(1, 6):
-        for parts in itertools.product(range(1, 4), repeat=length):
-            kvec = KVector(parts)
-            scored = Counter((s.area, s.bounce) for s in map(path_stats, enumerate_paths(kvec)))
-            assert area_bounce_counts(kvec) == scored, parts
-            assert _walk_agrees_with_tableau(parts), parts
+    for parts in SMALL_VECTORS:
+        kvec = KVector(parts)
+        scored = Counter((s.area, s.bounce) for s in map(path_stats, enumerate_paths(kvec)))
+        assert area_bounce_counts(kvec) == scored, parts
+        assert _counts_agree(parts, _small_tableau_scores(parts)), parts
 
 
 @st.composite
@@ -163,7 +186,27 @@ def few_path_vectors(draw, max_paths=300):
 @settings(max_examples=1000, deadline=None)
 @given(few_path_vectors())
 def test_walk_agrees_with_tableau_on_drawn_vectors(parts):
-    assert _walk_agrees_with_tableau(parts)
+    assert _counts_agree(parts, _tableau_scores(parts))
+
+
+def test_merged_counts_agree_with_the_walk_on_twelve_unit_runs():
+    kvec = KVector((1,) * 12)
+    assert area_bounce_counts(kvec) == prefix_walk.area_bounce_counts(kvec)
+
+
+def test_bounce_invariant_checks():
+    parts = (1, 1, 1)
+    # a leg past the east steps after run 0 cannot stop below 2 consumed runs
+    with pytest.raises(InternalInvariantError, match="below the 2 runs"):
+        _legs(parts, 7, 0, -1, 2, 2, ())
+    # with no run counted the legs never move right
+    with pytest.raises(InternalInvariantError, match="no progress within 7 legs"):
+        _legs(parts, 7, 0, -1, 1, -1, ())
+    with pytest.raises(InternalInvariantError, match="after 2 of 3 runs"):
+        _check_end(parts, 0, 2)
+    with pytest.raises(InternalInvariantError, match="x=n-1"):
+        _check_end(parts, -1, 3)
+    _check_end(parts, 0, 3)
 
 
 SIZES = {

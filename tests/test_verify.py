@@ -247,6 +247,12 @@ def test_q_specializations():
         check_q_specializations(0)
 
 
+def test_q_specializations_of_fourteen_unit_runs():
+    # 2,674,440 paths, past the reach of the prefix walk in tier-1
+    assert check_q_specializations(14)
+    assert sum(refined_catalan((1,) * 14).terms.values()) == count_paths(KVector((1,) * 14))
+
+
 def _plus_monomial(gf, coef, **exponents):
     ctx = gf.context
     return gf + RationalGF(ctx, LaurentPoly.monomial(ctx, ctx.monomial(**exponents), coef), ())
