@@ -35,6 +35,18 @@ from .errors import (
     NonExpandableError,
     UsageError,
 )
+from .oracles import (
+    SymmetryReport,
+    carlitz_riordan,
+    check_bounce_agreement,
+    check_last_param,
+    check_q_specializations,
+    lambda_catalan,
+    macmahon_q_catalan,
+    q_binomial,
+    refined_catalan,
+    symmetry_report,
+)
 from .paths import (
     DyckPath,
     KVector,
@@ -42,7 +54,6 @@ from .paths import (
     count_paths,
     enumerate_paths,
     path_stats,
-    stats_k4,
     stats_kaaa,
     stats_three,
 )
@@ -55,19 +66,6 @@ from .polynomial import (
     qt_swap,
     substitute_monomials,
 )
-from .verify import (
-    SymmetryReport,
-    TheoremReport,
-    carlitz_riordan,
-    check_bounce_agreement,
-    check_last_param,
-    check_q_specializations,
-    lambda_catalan,
-    macmahon_q_catalan,
-    q_binomial,
-    refined_catalan,
-    symmetry_report,
-    verify_theorem,
-)
+from .verify import TheoremReport, verify_theorem
 
 __version__ = "0.1.0"

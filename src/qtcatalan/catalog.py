@@ -26,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -36,10 +36,9 @@ from .cones import (
     gf_substitute,
     parallelepiped_points,
 )
-from .errors import InternalInvariantError, UsageError
+from .errors import InternalInvariantError, UsageError, _integers
 from .families import FAMILIES, FamilyInfo, Point, family
 from .lattice import diagonal_form
-from .paths import _integers
 from .polynomial import Exponents, LaurentPoly, VariableContext
 
 
@@ -97,6 +96,22 @@ class CaseSpec:
     parity: Optional[Tuple[str, str]] = None  # (coordinate, "even"|"odd")
     corrections: Tuple[Tuple[int, LatticePiece], ...] = ()
     sign: int = 1
+
+    @cached_property
+    def dense_region(self) -> Tuple[Tuple[int, Point], ...]:
+        """The region as ``(const, coefficient per family coordinate)`` rows."""
+        coords = FAMILIES[self.family].coords
+        return tuple(
+            (c.const, tuple(dict(c.coeffs).get(name, 0) for name in coords)) for c in self.region
+        )
+
+    @cached_property
+    def parity_test(self) -> Optional[Tuple[int, int]]:
+        """``(coordinate index, residue mod 2)`` of the parity constraint, if any."""
+        if self.parity is None:
+            return None
+        coord, parity = self.parity
+        return FAMILIES[self.family].coords.index(coord), int(parity == "odd")
 
 
 # -- family "three": coordinates (k1, k2, k3, r2, r3) -------------------------
@@ -504,22 +519,14 @@ def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
     return _CASES[family(name).name]()
 
 
-def _parity_test(spec: CaseSpec) -> Optional[Tuple[int, int]]:
-    """``(coordinate index, residue mod 2)`` of the case's parity constraint."""
-    if spec.parity is None:
-        return None
-    coord, parity = spec.parity
-    return FAMILIES[spec.family].coords.index(coord), int(parity == "odd")
-
-
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point satisfies the case's region and parity constraints."""
     point = _coordinates(spec.family, point)
-    values = dict(zip(FAMILIES[spec.family].coords, point))
-    test = _parity_test(spec)
-    return all(
-        c.const + sum(coef * values[name] for name, coef in c.coeffs) >= 0 for c in spec.region
-    ) and (test is None or point[test[0]] % 2 == test[1])
+    for const, row in spec.dense_region:
+        if const + sum(map(mul, row, point)) < 0:
+            return False
+    test = spec.parity_test
+    return test is None or point[test[0]] % 2 == test[1]
 
 
 @lru_cache(maxsize=None)
@@ -542,7 +549,7 @@ def _signed_pieces(spec: CaseSpec) -> List[Tuple[int, LatticePiece]]:
     generator is a catalog bug.
     """
     pieces = [(1, _lattice_piece(spec.realization)), *spec.corrections]
-    test = _parity_test(spec)
+    test = spec.parity_test
     if test is None:
         return pieces
     coord, residue = test

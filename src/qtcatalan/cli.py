@@ -20,13 +20,7 @@ from .cones import (
 )
 from .errors import DomainError, UsageError
 from .families import FAMILIES, REPEATED_TAIL
-from .paths import KVector, count_paths, enumerate_paths, path_stats
-from .polynomial import (
-    LaurentPoly,
-    VariableContext,
-    coefficient_grid,
-)
-from .verify import (
+from .oracles import (
     check_last_param,
     kvectors_of_length,
     lambda_catalan,
@@ -34,8 +28,14 @@ from .verify import (
     refined_catalan,
     repeated_tail_vectors,
     symmetry_report,
-    verify_theorem,
 )
+from .paths import KVector, count_paths, enumerate_paths, path_stats
+from .polynomial import (
+    LaurentPoly,
+    VariableContext,
+    coefficient_grid,
+)
+from .verify import verify_theorem
 
 EXIT_OK = 0
 EXIT_FAIL = 1

@@ -23,9 +23,8 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DegenerateSubstitutionError, DomainError, NonExpandableError, UsageError
+from .errors import DegenerateSubstitutionError, DomainError, NonExpandableError, UsageError, _integers
 from .lattice import diagonal_form
-from .paths import _integers
 from .polynomial import Exponents, LaurentPoly, VariableContext, substitute_monomials
 
 

@@ -3,8 +3,12 @@
 The split mirrors the three failure modes a caller can meaningfully react
 to: bad input (`UsageError`), input outside a formula's region of validity
 (`DomainError`), and broken internal invariants (`InternalInvariantError`,
-which always indicates a bug rather than bad data).
+which always indicates a bug rather than bad data).  Both routes read
+integer sequences through :func:`_integers`, which raises the `DomainError`.
 """
+
+import operator
+from typing import Sequence, Tuple
 
 
 class UsageError(ValueError):
@@ -25,3 +29,11 @@ class NonExpandableError(UsageError):
 
 class InternalInvariantError(RuntimeError):
     """An internal consistency check failed; this is a bug, not bad input."""
+
+
+def _integers(values: Sequence[int], what: str) -> Tuple[int, ...]:
+    """``values`` as a tuple of ints; anything that is not an integer is a DomainError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence of integers, got {values!r}") from None

@@ -8,7 +8,7 @@ members and their run lengths, the coordinates of a path and the closed-form
 statistics on them, and the variables of the family's generating functions.
 
 This module imports only the path route and the polynomial layer, so the
-path oracles in :mod:`.verify` can read family data without the cones.
+path oracles in :mod:`.oracles` can read family data without the cones.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Tuple
 
 from .errors import UsageError
-from .paths import DyckPath, stats_k4, stats_kaaa, stats_three
+from .paths import DyckPath, stats_kaaa, stats_three
 from .polynomial import Exponents, VariableContext
 
 Point = Tuple[int, ...]
@@ -97,7 +97,7 @@ FAMILIES: Dict[str, FamilyInfo] = {
         coords=("k", "a", "b", "c"),
         out_ctx=K4_OUT,
         theorem_ctx=K4_THEOREM,
-        stats=stats_k4,
+        stats=lambda k, a, b, c: stats_kaaa(k, 0, a, b, c),
         sizes=lambda bound: ((k,) for k in range(1, bound + 1)),
         kvector=lambda sizes: tuple(sizes) * 4,
         coords_of=_k4_coords,

@@ -1,0 +1,197 @@
+"""The path route's oracles: polynomials, scans and checks built from paths alone.
+
+Every polynomial here comes from the (area, bounce) counts over merged
+bounce states (:func:`~qtcatalan.paths.area_bounce_counts`), and the
+closed-form statistics of :mod:`.families` are checked path by path against
+the bounce pass :func:`~qtcatalan.paths.path_stats`.  This module imports
+nothing from the cone route, so it can arbitrate both the closed-form
+statistics and the assembled series; :mod:`.verify` joins the two.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from math import comb
+from typing import Dict, Iterator, Optional, Sequence, Tuple
+
+from .errors import DomainError, InternalInvariantError, UsageError
+from .families import family
+from .paths import KVector, area_bounce_counts, enumerate_paths, path_stats
+from .polynomial import QT_CONTEXT, LaurentPoly, VariableContext, qt_swap, substitute_monomials
+
+Q_CONTEXT = VariableContext(("q",))
+
+
+def refined_catalan(parts: Sequence[int]) -> LaurentPoly:
+    """Sum of q^area t^bounce over all paths with the given run lengths.
+
+    The counts come from a forward pass over merged bounce states, one run at
+    a time: paths whose remaining bounce behaves the same share one state,
+    whose ``{(area, potential): count}`` stands in for all of them, and no
+    path is built.
+    """
+    return LaurentPoly(QT_CONTEXT, area_bounce_counts(KVector(parts)))
+
+
+def rearrangements(parts: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """The distinct orderings of ``parts``, in ascending lexicographic order.
+
+    Each ordering is made from the previous one in linear time, so repeated
+    parts cost nothing: ``(1,) * 12`` yields one tuple, not 12! of them.
+    """
+    current = sorted(parts)
+    while True:
+        yield tuple(current)
+        # the longest non-increasing suffix starts right after the pivot
+        pivot = len(current) - 2
+        while pivot >= 0 and current[pivot] >= current[pivot + 1]:
+            pivot -= 1
+        if pivot < 0:
+            return
+        swap = len(current) - 1
+        while current[swap] <= current[pivot]:
+            swap -= 1
+        current[pivot], current[swap] = current[swap], current[pivot]
+        current[pivot + 1:] = reversed(current[pivot + 1:])
+
+
+def lambda_catalan(partition: Sequence[int]) -> LaurentPoly:
+    """Sum of :func:`refined_catalan` over all distinct rearrangements."""
+    partition = KVector(partition).parts
+    if list(partition) != sorted(partition, reverse=True):
+        raise DomainError(f"{partition} is not a partition (weakly decreasing, positive)")
+    total: Dict[Tuple[int, int], int] = {}
+    for arrangement in rearrangements(partition):
+        for key, count in area_bounce_counts(KVector(arrangement)).items():
+            total[key] = total.get(key, 0) + count
+    return LaurentPoly(QT_CONTEXT, total)
+
+
+@dataclass(frozen=True)
+class SymmetryReport:
+    subject: Tuple[int, ...]
+    symmetric: bool
+    # ((i, j), coefficient of q^i t^j, coefficient of q^j t^i) for the
+    # lexicographically smallest witness with i < j, when asymmetric
+    witness: Optional[Tuple[Tuple[int, int], int, int]]
+
+    def witness_line(self) -> str:
+        if self.witness is None:
+            return "symmetric"
+        (i, j), cij, cji = self.witness
+        return f"q^{j}*t^{i}={cji} vs q^{i}*t^{j}={cij}"
+
+
+def _symmetry_witness(poly: LaurentPoly) -> Optional[Tuple[Tuple[int, int], int, int]]:
+    """The smallest (i, j), i < j, where a ``QT_CONTEXT`` polynomial differs from its swap."""
+    asymmetric = [(i, j) for i, j in (poly - qt_swap(poly)).terms if i < j]
+    if not asymmetric:
+        return None
+    i, j = min(asymmetric)
+    return ((i, j), poly.terms.get((i, j), 0), poly.terms.get((j, i), 0))
+
+
+def symmetry_report(parts: Sequence[int]) -> SymmetryReport:
+    witness = _symmetry_witness(refined_catalan(parts))
+    return SymmetryReport(subject=tuple(parts), symmetric=witness is None, witness=witness)
+
+
+def kvectors_of_length(length: int, max_part: int) -> Iterator[Tuple[int, ...]]:
+    """Every vector of ``length`` parts in [1, max_part], lazily, in lexicographic order."""
+    return itertools.product(range(1, max_part + 1), repeat=length)
+
+
+def repeated_tail_vectors(max_value: int, lengths: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Vectors (k, a, a, ..., a) for 1 <= k, a <= max_value, lazily."""
+    if any(length < 2 for length in lengths):
+        raise UsageError("repeated-tail vectors need length >= 2")
+    for length in lengths:
+        for k in range(1, max_value + 1):
+            for a in range(1, max_value + 1):
+                yield (k,) + (a,) * (length - 1)
+
+
+def check_last_param(prefix: Sequence[int], m: int, l: int) -> bool:
+    """Whether replacing the last run length m by l leaves the polynomial fixed."""
+    prefix = tuple(prefix)
+    return refined_catalan(prefix + (m,)) == refined_catalan(prefix + (l,))
+
+
+# -- closed-form vs algorithm agreement ---------------------------------------
+
+
+def check_bounce_agreement(name: str, bound: int) -> bool:
+    """Exhaustively compare the bounce pass :func:`path_stats` against the closed form.
+
+    Raises :class:`InternalInvariantError` describing the first disagreement;
+    a disagreement means one of the two implementations is wrong.
+    """
+    fam = family(name)
+    for sizes in fam.sizes(bound):
+        parts = fam.kvector(sizes)
+        for path in enumerate_paths(KVector(parts)):
+            got = path_stats(path)
+            expected = fam.stats(*fam.coords_of(path))
+            if (got.area, got.bounce) != expected:
+                raise InternalInvariantError(
+                    f"stats disagree on runs {parts} ranks {path.ranks}: "
+                    f"algorithm gives {(got.area, got.bounce)}, closed form {expected}"
+                )
+    return True
+
+
+# -- one-variable specializations ----------------------------------------------
+
+
+def q_binomial(n: int, k: int) -> LaurentPoly:
+    """Gaussian binomial coefficient, by the q-Pascal recurrence.
+
+    ``[i, j] = [i-1, j-1] + q^j [i-1, j]``, one row of ``[i, 0..k]`` at a time.
+    """
+    if not 0 <= k <= n:
+        return LaurentPoly.zero(Q_CONTEXT)
+    one = LaurentPoly.constant(Q_CONTEXT, 1)
+    row = [one] + [LaurentPoly.zero(Q_CONTEXT)] * k
+    for _ in range(n):
+        row = [one] + [
+            row[j - 1] + LaurentPoly.monomial(Q_CONTEXT, (j,)) * row[j] for j in range(1, k + 1)
+        ]
+    return row[k]
+
+
+def carlitz_riordan(n: int) -> LaurentPoly:
+    """q-Catalan polynomial from the weighted recurrence."""
+    polys = [LaurentPoly.constant(Q_CONTEXT, 1)]
+    for size in range(1, n + 1):
+        total = LaurentPoly.zero(Q_CONTEXT)
+        for k in range(1, size + 1):
+            term = polys[k - 1] * polys[size - k]
+            total = total + LaurentPoly.monomial(Q_CONTEXT, (k - 1,)) * term
+        polys.append(total)
+    return polys[n]
+
+
+def macmahon_q_catalan(n: int) -> LaurentPoly:
+    """``[2n, n] / [n + 1]``, as ``[2n, n] - q [2n, n + 1]`` (Fürlinger and Hofbauer)."""
+    return q_binomial(2 * n, n) - LaurentPoly.monomial(Q_CONTEXT, (1,)) * q_binomial(2 * n, n + 1)
+
+
+def _specialize_qt(poly: LaurentPoly, q_image: Tuple[int], t_image: Tuple[int]) -> LaurentPoly:
+    return substitute_monomials(poly, Q_CONTEXT, {"q": q_image, "t": t_image})
+
+
+def check_q_specializations(n: int) -> bool:
+    """Classical one-variable identities for runs (1, 1, ..., 1) of length n."""
+    if n < 1:
+        raise DomainError("n must be positive")
+    cn = refined_catalan((1,) * n)
+    at_t1 = _specialize_qt(cn, (1,), (0,))
+    at_q1 = _specialize_qt(cn, (0,), (1,))
+    if at_t1 != carlitz_riordan(n):
+        return False
+    if at_t1 != at_q1:
+        return False
+    inverted = _specialize_qt(cn, (1,), (-1,))
+    shifted = LaurentPoly.monomial(Q_CONTEXT, (comb(n, 2),)) * inverted
+    return shifted == macmahon_q_catalan(n)

@@ -6,33 +6,24 @@ of the i-th north run.  The rank sequence determines the path: after run ``i``
 the path takes ``r_i + k_i - r_{i+1}`` unit east steps (with ``r_{m+1} = 0``).
 
 Two independent routes to the statistics are provided: the general bounce
-pass and closed-form piecewise formulas for the three supported shape
-families (:func:`stats_three`, :func:`stats_k4`, :func:`stats_kaaa`).  The
-bounce pass runs its legs one north run at a time, by :func:`_legs`.
-:func:`path_stats` runs it over one path's ranks, in time linear in the
-path's size.  :func:`area_bounce_counts` runs it over merged bounce states:
-after each run, paths whose remaining bounce behaves the same share one
-state, and a potential ``bounce + step * (m - filled)`` stands in for the
-bounce so far, so the legs' absolute index is not part of the state.  The
-test suite checks the routes against each other exhaustively on small
+pass and closed-form piecewise formulas for the supported shape families
+(:func:`stats_three`, and :func:`stats_kaaa`, which gives four equal runs at
+m = 0).  The bounce pass runs its legs one north run at a time, by
+:func:`_legs`.  :func:`path_stats` runs it over one path's ranks, in time
+linear in the path's size.  :func:`area_bounce_counts` runs it over merged
+bounce states: after each run, paths whose remaining bounce behaves the same
+share one state, and a potential ``bounce + step * (m - filled)`` stands in
+for the bounce so far, so the legs' absolute index is not part of the state.
+The test suite checks the routes against each other exhaustively on small
 inputs.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .errors import DomainError, InternalInvariantError
-
-
-def _integers(values: Sequence[int], what: str) -> Tuple[int, ...]:
-    """``values`` as a tuple of ints; anything that is not an integer is a DomainError."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        raise DomainError(f"{what} must be a sequence of integers, got {values!r}") from None
+from .errors import DomainError, InternalInvariantError, _integers
 
 
 @dataclass(frozen=True)
@@ -323,47 +314,11 @@ def stats_three(k1: int, k2: int, k3: int, r2: int, r3: int) -> Tuple[int, int]:
     return area, bounce
 
 
-def stats_k4(k: int, a: int, b: int, c: int) -> Tuple[int, int]:
-    """Area and bounce for four equal runs of length k.
-
-    The coordinates relate to ranks by ``r2 = k - a``, ``r3 = 2k - a - b``,
-    ``r4 = 3k - a - b - c``.
-    """
-    if not (0 <= a <= k):
-        raise DomainError(f"need 0 <= a <= k, got a={a}, k={k}")
-    if not (0 <= b <= 2 * k - a):
-        raise DomainError(f"need 0 <= b <= 2k - a, got b={b}")
-    if not (0 <= c <= 3 * k - a - b):
-        raise DomainError(f"need 0 <= c <= 3k - a - b, got c={c}")
-    area = 6 * k - 3 * a - 2 * b - c
-    if b >= 2 * k - 2 * a:
-        if c >= 4 * k - 2 * a - 2 * b:
-            bounce = 6 * a + 3 * b + c - 4 * k
-        else:
-            bounce = 5 * a + 2 * b + _ceil_div(c, 2) - 2 * k
-    elif b % 2 == 0:
-        if 2 * c >= 6 * k - 2 * a - 3 * b:
-            bounce = 4 * a + 2 * b + c - 2 * k
-        elif 2 * c >= 6 * k - 6 * a - 3 * b:
-            bounce = 2 * a + b // 2 + k + _ceil_div(6 * a + 3 * b + 2 * c - 6 * k, 4)
-        else:
-            bounce = 3 * a + b + _ceil_div(c, 3)
-    else:
-        half = 3 * (b + 1) // 2
-        if c >= 3 * k - a - half + 1:
-            bounce = 4 * a + 2 * b + c - 2 * k + 1
-        elif c >= 3 * k - 3 * a - half + 1:
-            bounce = 2 * a + (b + 1) // 2 + k + _ceil_div(3 * a + half + c - 3 * k - 1, 2)
-        else:
-            bounce = 3 * a + b + 1 + _ceil_div(c - 1, 3)
-    return area, bounce
-
-
 def stats_kaaa(k: int, m: int, a: int, b: int, c: int) -> Tuple[int, int]:
     """Area and bounce for runs (k, k+m, k+m, k+m).
 
     Coordinates relate to ranks by ``r2 = k - a``, ``r3 = 2k + m - a - b``,
-    ``r4 = 3k + 2m - a - b - c``.  Specializes to :func:`stats_k4` at m = 0.
+    ``r4 = 3k + 2m - a - b - c``.  At m = 0 these are four equal runs of length k.
     """
     if m < 0:
         raise DomainError(f"need m >= 0, got {m}")

@@ -6,7 +6,9 @@ and coverage by one ``DiagonalForm.solve`` per base of every piece.  The
 methods ``solve`` and ``cosets`` became functions of the form, and a cone's
 piece comes from this file's Π; otherwise the code is unchanged.  The tests
 compare the package's integer versions with them.  ``minor_gcd`` is an
-independent index and rank check by cofactor expansion.
+independent index and rank check by cofactor expansion.  ``case_membership``
+evaluates each region constraint by coordinate name, as the package did
+before it kept each case's region as dense rows.
 """
 
 from __future__ import annotations
@@ -131,6 +133,14 @@ def _parity_holds(spec: CaseSpec, point: Sequence[int]) -> bool:
         return True
     coord, parity = spec.parity
     return point[FAMILIES[spec.family].coords.index(coord)] % 2 == (parity == "odd")
+
+
+def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
+    """Whether the point satisfies the case's region and parity constraints."""
+    values = dict(zip(FAMILIES[spec.family].coords, point))
+    return all(
+        c.const + sum(coef * values[name] for name, coef in c.coeffs) >= 0 for c in spec.region
+    ) and _parity_holds(spec, point)
 
 
 def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:

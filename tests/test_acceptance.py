@@ -22,17 +22,16 @@ from qtcatalan.cones import (
     lattice_index,
     parallelepiped_points,
 )
-from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly, is_qt_symmetric
-from qtcatalan.verify import (
+from qtcatalan.oracles import (
     check_bounce_agreement,
     check_q_specializations,
-    gf_qt_swap,
     lambda_catalan,
     refined_catalan,
     repeated_tail_vectors,
-    series_matches_paths,
     symmetry_report,
 )
+from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly, is_qt_symmetric
+from qtcatalan.verify import gf_qt_swap, series_matches_paths
 
 P = lambda s: LaurentPoly.parse(QT_CONTEXT, s)
 

@@ -40,8 +40,8 @@ from qtcatalan.cones import (
 )
 from qtcatalan.errors import DomainError, InternalInvariantError, UsageError
 from qtcatalan.families import FAMILIES
+from qtcatalan.oracles import refined_catalan
 from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly, VariableContext
-from qtcatalan.verify import refined_catalan
 
 Z4 = VariableContext(("y", "z1", "z2", "z3"))
 OUT3 = FAMILIES["three"].out_ctx
@@ -394,7 +394,8 @@ def test_realized_points_stay_in_region(family):
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
 def test_coverage_agrees_with_the_per_base_solve(family):
-    """Every point of [-1, 3]^n, outside the region too, against the oracle."""
+    """Every point of [-1, 3]^n, outside the region too, against the oracle;
+    case membership against the named evaluation of each constraint."""
     specs = case_catalog(family)
     for point in itertools.product(range(-1, 4), repeat=len(FAMILIES[family].coords)):
         assert signed_multiplicity(family, point) == lattice_oracle.signed_multiplicity(
@@ -402,6 +403,9 @@ def test_coverage_agrees_with_the_per_base_solve(family):
         ), point
         for spec in specs:
             assert realized_multiplicity(spec, point) == lattice_oracle.realized_multiplicity(
+                spec, point
+            ), (spec.case_id, point)
+            assert case_membership(spec, point) == lattice_oracle.case_membership(
                 spec, point
             ), (spec.case_id, point)
 

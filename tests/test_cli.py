@@ -1,3 +1,4 @@
+import json
 import os
 import resource
 import subprocess
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from qtcatalan import cli
 from qtcatalan.cli import grid_to_tsv, main
 from qtcatalan.errors import UsageError
+from qtcatalan.oracles import refined_catalan
 from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly, coefficient_grid
-from qtcatalan.verify import refined_catalan
 
 CONE_FILE = """dim 5
 apex 0 0 0 0 0
@@ -266,6 +267,42 @@ def test_exponent_apex_is_a_usage_error_at_once(tmp_path):
     )
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr.startswith("error: line 2: apex")
+
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+import qtcatalan
+from qtcatalan import cli
+from tracing import Tracer
+
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "counts": tracer.counts, "absent": tracer.absent}))
+"""
+
+
+def test_the_benchmark_tracer_sees_the_verify_spans_through_the_cli():
+    # the tracer rebinds every module's name for a traced function; the oracle
+    # refined_catalan is traced as verify.refined_catalan, and the CLI reaches it
+    # through its own binding; run apart, since the tracer rebinds for good
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
+    argvs = [
+        ["catalan", "--k", "1,2,1"],
+        ["symmetric", "--k", "2,1,1,1"],
+        ["verify", "--theorem", "three", "--bound", "3"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["codes"] == [0, 0, 0] and report["absent"] == []
+    for name in ("refined_catalan", "series_matches_paths", "verify_theorem"):
+        assert report["counts"][f"verify.{name}.calls"] > 0, name
 
 
 # cone-file text: directive lines of small integers, fractions, numerals written with

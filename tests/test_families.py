@@ -1,12 +1,9 @@
-"""The family table: its derived data, its lookup, and its imports."""
+"""The family table: its derived data and its lookup."""
 
-import ast
 import itertools
-from pathlib import Path
 
 import pytest
 
-import qtcatalan
 from qtcatalan.catalog import (
     assemble_theorem,
     case_catalog,
@@ -15,7 +12,8 @@ from qtcatalan.catalog import (
 )
 from qtcatalan.errors import UsageError
 from qtcatalan.families import family
-from qtcatalan.verify import check_bounce_agreement, series_matches_paths
+from qtcatalan.oracles import check_bounce_agreement
+from qtcatalan.verify import series_matches_paths
 
 
 def test_member_vectors_up_to_a_bound():
@@ -85,29 +83,3 @@ def test_specialization_drops_only_the_marks():
 def test_unknown_family_is_a_usage_error(call):
     with pytest.raises(UsageError, match="unknown family 'bogus'"):
         call()
-
-
-def _imported_names(module):
-    source = Path(qtcatalan.__file__).with_name(f"{module}.py").read_text()
-    imported = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            if node.level:
-                imported.add(".")
-            imported.update((node.module or "").split("."))
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                imported.update(alias.name.split("."))
-    return imported
-
-
-@pytest.mark.parametrize("module", ["paths", "polynomial", "families"])
-def test_path_route_does_not_import_the_cone_route(module):
-    imported = _imported_names(module)
-    assert not imported & {"cones", "catalog", "lattice"}, imported
-
-
-def test_lattice_imports_no_package_module():
-    imported = _imported_names("lattice")
-    assert not imported & {".", "qtcatalan"}, imported

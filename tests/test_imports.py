@@ -1,13 +1,34 @@
-"""Which package modules each module imports, read from its source with ``ast``.
+"""Which package modules each module may import, read from its source with ``ast``.
 
-The path route must never depend on the cone route for its answers, so
-``paths`` may import nothing from the package but ``errors``.
+The path route (``paths``, ``families`` and the ``oracles`` built on them)
+must never depend on the cone route (``lattice``, ``cones``, ``catalog``)
+for its answers.  ``verify``, ``cli`` and the package root are the only
+modules that import both.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qtcatalan"
+
+PATH_ROUTE = {"errors", "paths", "polynomial", "families"}
+
+# module -> the package modules it may import
+ALLOWED = {
+    "errors": set(),
+    "lattice": set(),
+    "paths": {"errors"},
+    "polynomial": {"errors"},
+    "families": {"errors", "paths", "polynomial"},
+    "oracles": PATH_ROUTE,
+    "cones": {"errors", "lattice", "polynomial"},
+    "catalog": {"errors", "lattice", "polynomial", "families", "cones"},
+    "verify": PATH_ROUTE | {"oracles", "cones", "catalog"},
+    "cli": PATH_ROUTE | {"oracles", "cones", "verify"},
+    "__init__": PATH_ROUTE | {"oracles", "lattice", "cones", "catalog", "verify", "cli"},
+}
 
 
 def package_imports(module: str) -> set:
@@ -41,5 +62,24 @@ def package_imports(module: str) -> set:
     return found
 
 
-def test_paths_imports_only_errors():
-    assert package_imports("paths") == {"errors"}
+def import_closure(module: str) -> set:
+    """Every package module that loading ``qtcatalan.<module>`` loads, itself excluded."""
+    seen, todo = set(), [module]
+    while todo:
+        for name in package_imports(todo.pop()) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen - {module}
+
+
+def test_the_table_lists_every_module():
+    assert set(ALLOWED) == {path.stem for path in PACKAGE.glob("*.py")}
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_imports_follow_the_table(module):
+    assert package_imports(module) <= ALLOWED[module]
+
+
+def test_the_oracles_load_nothing_of_the_cone_route():
+    assert not import_closure("oracles") & {"lattice", "cones", "catalog", "verify"}

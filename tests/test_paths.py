@@ -18,12 +18,12 @@ from qtcatalan.paths import (
     count_paths,
     enumerate_paths,
     path_stats,
-    stats_k4,
     stats_kaaa,
     stats_three,
 )
 
 import prefix_walk
+from closed_k4 import stats_k4
 from tableau import tableau_stats
 
 
@@ -297,7 +297,7 @@ def test_closed_kaaa_examples():
 
 
 def test_closed_kaaa_specializes_to_k4():
-    for k in range(1, 4):
+    for k in range(1, 17):
         for a in range(k + 1):
             for b in range(2 * k - a + 1):
                 for c in range(3 * k - a - b + 1):

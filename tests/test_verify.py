@@ -8,6 +8,21 @@ from hypothesis import strategies as st
 from qtcatalan.catalog import printed_theorem
 from qtcatalan.cones import RationalGF
 from qtcatalan.errors import DomainError, UsageError
+from qtcatalan.oracles import (
+    carlitz_riordan,
+    check_bounce_agreement,
+    check_last_param,
+    check_q_specializations,
+    kvectors_of_length,
+    lambda_catalan,
+    macmahon_q_catalan,
+    q_binomial,
+    refined_catalan,
+    rearrangements,
+    repeated_tail_vectors,
+    symmetry_report,
+    _symmetry_witness,
+)
 from qtcatalan.paths import KVector, count_paths
 from qtcatalan.polynomial import (
     QT_CONTEXT,
@@ -17,24 +32,7 @@ from qtcatalan.polynomial import (
     is_qt_symmetric,
     qt_swap,
 )
-from qtcatalan.verify import (
-    carlitz_riordan,
-    check_bounce_agreement,
-    check_last_param,
-    check_q_specializations,
-    gf_qt_swap,
-    kvectors_of_length,
-    lambda_catalan,
-    macmahon_q_catalan,
-    q_binomial,
-    refined_catalan,
-    rearrangements,
-    repeated_tail_vectors,
-    series_matches_paths,
-    symmetry_report,
-    _symmetry_witness,
-    verify_theorem,
-)
+from qtcatalan.verify import gf_qt_swap, series_matches_paths, verify_theorem
 
 P = lambda s: LaurentPoly.parse(QT_CONTEXT, s)
 
@@ -228,13 +226,13 @@ def test_verify_theorem_small(family, bound):
 
 
 def test_q_binomial_golden():
-    from qtcatalan.verify import Q_CONTEXT
+    from qtcatalan.oracles import Q_CONTEXT
 
     assert q_binomial(4, 2) == LaurentPoly.parse(Q_CONTEXT, "1 + q + 2*q^2 + q^3 + q^4")
 
 
 def test_carlitz_riordan_golden():
-    from qtcatalan.verify import Q_CONTEXT
+    from qtcatalan.oracles import Q_CONTEXT
 
     assert carlitz_riordan(3) == LaurentPoly.parse(Q_CONTEXT, "1 + 2*q + q^2 + q^3")
     assert macmahon_q_catalan(2) == LaurentPoly.parse(Q_CONTEXT, "1 + q^2")
