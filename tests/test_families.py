@@ -15,6 +15,8 @@ from qtcatalan.families import family
 from qtcatalan.oracles import check_bounce_agreement
 from qtcatalan.verify import series_matches_paths
 
+from test_imports import package_imports
+
 
 def test_member_vectors_up_to_a_bound():
     def members(name, bound):
@@ -83,3 +85,9 @@ def test_specialization_drops_only_the_marks():
 def test_unknown_family_is_a_usage_error(call):
     with pytest.raises(UsageError, match="unknown family 'bogus'"):
         call()
+
+
+@pytest.mark.parametrize("module", ["paths", "polynomial", "families"])
+def test_path_route_does_not_import_the_cone_route(module):
+    imported = package_imports(module)
+    assert not imported & {"cones", "catalog", "lattice"}, imported

@@ -72,6 +72,10 @@ def import_closure(module: str) -> set:
     return seen - {module}
 
 
+def test_paths_imports_only_errors():
+    assert package_imports("paths") == {"errors"}
+
+
 def test_the_table_lists_every_module():
     assert set(ALLOWED) == {path.stem for path in PACKAGE.glob("*.py")}
 
