@@ -99,7 +99,12 @@ class CaseSpec:
 
     @cached_property
     def dense_region(self) -> Tuple[Tuple[int, Point], ...]:
-        """The region as ``(const, coefficient per family coordinate)`` rows."""
+        """The region as ``(const, coefficient per family coordinate)`` rows.
+
+        The rows keep the region's order.  Each case lists its own rows before
+        its family's shared base rows, which cannot tell one case from another,
+        so :func:`case_membership` mostly stops at a case's own rows.
+        """
         coords = FAMILIES[self.family].coords
         return tuple(
             (c.const, tuple(dict(c.coeffs).get(name, 0) for name in coords)) for c in self.region
@@ -141,32 +146,32 @@ def _three_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="three.C1",
             family="three",
-            region=_THREE_BASE + (_ge(r2=1, k2=-1, r3=-1), _ge(r2=1, k2=-1)),
+            region=(_ge(r2=1, k2=-1, r3=-1), _ge(r2=1, k2=-1)) + _THREE_BASE,
             realization=HalfOpenCone(5, (0,) * 5, (_E1, _E3, _U, _S, _G)),
         ),
         CaseSpec(
             case_id="three.C2",
             family="three",
             # gap condition relative to r2, the smaller side here
-            region=_THREE_BASE + (_ge(k2=1, r2=-1, r3=-1), _ge(k2=1, r2=-1)),
+            region=(_ge(k2=1, r2=-1, r3=-1), _ge(k2=1, r2=-1)) + _THREE_BASE,
             realization=HalfOpenCone(5, (0,) * 5, (_E1, _E2, _E3, _G, _H)),
         ),
         CaseSpec(
             case_id="three.C3A",
             family="three",
-            region=_THREE_BASE + (_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)),
+            region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + _THREE_BASE,
             realization=LatticePiece(bases=((1, (1, 1, 0, 1, 2)),), generators=c3_gens),
         ),
         CaseSpec(
             case_id="three.C3B",
             family="three",
-            region=_THREE_BASE + (_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)),
+            region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + _THREE_BASE,
             realization=LatticePiece(bases=((1, (1, 1, 0, 1, 1)),), generators=c3_gens),
         ),
         CaseSpec(
             case_id="three.overlap",
             family="three",
-            region=_THREE_BASE + _eq(r2=1, k2=-1) + _eq(r3=1),
+            region=_eq(r2=1, k2=-1) + _eq(r3=1) + _THREE_BASE,
             realization=HalfOpenCone(5, (0,) * 5, (_E1, _E3, _G)),
             sign=-1,
         ),
@@ -203,13 +208,13 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P1C1A",
             family="k4",
-            region=_K4_BASE + (_K4_PART1, _ge(c=1, k=-4, a=2, b=2)),
+            region=(_K4_PART1, _ge(c=1, k=-4, a=2, b=2)) + _K4_BASE,
             realization=HalfOpenCone(4, (0,) * 4, (_V1, _V4, _V6, _V8)),
         ),
         CaseSpec(
             case_id="k4.P1C1B",
             family="k4",
-            region=_K4_BASE + (_K4_PART1, _ge(c=1, k=-4, a=2, b=2)),
+            region=(_K4_PART1, _ge(c=1, k=-4, a=2, b=2)) + _K4_BASE,
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V4, _V5, _V6, _V8), (False, True, False, False)
             ),
@@ -217,7 +222,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P1C2",
             family="k4",
-            region=_K4_BASE + (_K4_PART1, _gt(k=4, a=-2, b=-2, c=-1)),
+            region=(_K4_PART1, _gt(k=4, a=-2, b=-2, c=-1)) + _K4_BASE,
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V1, _V3, _V4, _V8), (False, True, False, False)
             ),
@@ -225,8 +230,8 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P2C1",
             family="k4",
-            region=_K4_BASE
-            + (_K4_PART23, _ge(c=1, k=-3, a=1, b=Fraction(3, 2))),
+            region=(_K4_PART23, _ge(c=1, k=-3, a=1, b=Fraction(3, 2)))
+            + _K4_BASE,
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V1, _V6, _V7, _V8), (False, False, True, False)
             ),
@@ -235,12 +240,12 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P2C2",
             family="k4",
-            region=_K4_BASE
-            + (
+            region=(
                 _K4_PART23,
                 _ge(c=1, k=-3, a=3, b=Fraction(3, 2)),
                 _gt(k=3, a=-1, b=Fraction(-3, 2), c=-1),
-            ),
+            )
+            + _K4_BASE,
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V1, _V3, _V7, _V8), (False, True, True, False)
             ),
@@ -249,7 +254,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P2C3",
             family="k4",
-            region=_K4_BASE + (_K4_PART23, _gt(k=3, a=-3, b=Fraction(-3, 2), c=-1)),
+            region=(_K4_PART23, _gt(k=3, a=-3, b=Fraction(-3, 2), c=-1)) + _K4_BASE,
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V1, _V2, _V3, _V7), (False, True, False, False)
             ),
@@ -258,8 +263,8 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P3C1",
             family="k4",
-            region=_K4_BASE
-            + (_K4_PART23, _ge(const=half, c=1, k=-3, a=1, b=Fraction(3, 2))),
+            region=(_K4_PART23, _ge(const=half, c=1, k=-3, a=1, b=Fraction(3, 2)))
+            + _K4_BASE,
             realization=HalfOpenCone(
                 4, (-half, 0, -1, -half), (_V1, _V6, _V7, _V8), (False, False, True, False)
             ),
@@ -269,12 +274,12 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P3C2",
             family="k4",
-            region=_K4_BASE
-            + (
+            region=(
                 _K4_PART23,
                 _ge(const=half, c=1, k=-3, a=3, b=Fraction(3, 2)),
                 _gt(const=-half, k=3, a=-1, b=Fraction(-3, 2), c=-1),
-            ),
+            )
+            + _K4_BASE,
             realization=HalfOpenCone(
                 4, (0, 0, 0, -half), (_V1, _V3, _V7, _V8), (False, True, True, False)
             ),
@@ -283,8 +288,8 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P3C3",
             family="k4",
-            region=_K4_BASE
-            + (_K4_PART23, _gt(const=-half, k=3, a=-3, b=Fraction(-3, 2), c=-1)),
+            region=(_K4_PART23, _gt(const=-half, k=3, a=-3, b=Fraction(-3, 2), c=-1))
+            + _K4_BASE,
             realization=HalfOpenCone(
                 4, (Fraction(1, 6), 0, 0, 0), (_V1, _V2, _V3, _V7), (False, True, False, False)
             ),
@@ -502,7 +507,7 @@ def _kaaa_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id=case_id,
             family="kaaa",
-            region=_KAAA_BASE + extra,
+            region=extra + _KAAA_BASE,
             realization=_piece(bases, gens),
             parity=parity,
         )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -222,7 +222,9 @@ def _cmd_lastparam(args: argparse.Namespace) -> int:
     return EXIT_FAIL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="qtcatalan",
         description="Exact path statistics, cone transforms, and series checks.",

@@ -187,6 +187,12 @@ def series_expand(g: RationalGF, weights: Mapping[str, int], bound: int) -> Laur
     Every denominator factor must have positive total weight; every numerator
     term must have nonnegative weight, so truncation is exact.  A weight or
     bound that is not an integer is a DomainError.
+
+    The terms are kept in layers by weight.  Dividing ``S`` by ``(1 - z^m)``
+    is the recurrence ``T = S + z^m T`` (Stanley, *EC1*, Thm 4.1.1): in
+    ascending weight, layer ``w`` of ``T`` is final once reached, and is
+    added, shifted by ``m``, into layer ``w + wm``.  Only the weights that
+    hold terms are visited, so a huge bound costs only the terms it keeps.
     """
     ctx = g.context
     wvec = _integers([weights.get(name, 0) for name in ctx.names], "series weights")
@@ -196,33 +202,41 @@ def series_expand(g: RationalGF, weights: Mapping[str, int], bound: int) -> Laur
         raise DomainError(f"series bound must be an integer, got {bound!r}") from None
     if any(w < 0 for w in wvec):
         raise UsageError("weights must be nonnegative")
-    for m in g.denominator:
-        if _weight_of(m, wvec) <= 0:
+    # every wm > 0 before the first pass: a pass adds layer w into layer
+    # w + wm, which must come after w, or a layer would feed itself or one
+    # already passed
+    factors = [(m, _weight_of(m, wvec)) for m in g.denominator]
+    for m, wm in factors:
+        if wm <= 0:
             raise NonExpandableError(f"denominator factor {m} has nonpositive weight")
-    result: Dict[Exponents, int] = {}
+    layers: Dict[int, Dict[Exponents, int]] = {}
     for exps, coef in g.numerator.terms.items():
         w = _weight_of(exps, wvec)
         if w < 0:
             raise NonExpandableError("numerator term with negative weight")
         if w <= bound:
-            result[exps] = coef
-    # multiply in the geometric series of each factor, heaviest first; power i
-    # of a factor of weight wm weighs i * wm
-    for m in sorted(g.denominator, key=lambda mm: -_weight_of(mm, wvec)):
-        wm = _weight_of(m, wvec)
-        new: Dict[Exponents, int] = {}
-        for key, coef in result.items():
-            w = _weight_of(key, wvec)
-            while w <= bound:
-                val = new.get(key, 0) + coef
-                if val:
-                    new[key] = val
-                else:
-                    del new[key]
-                key = tuple(map(add, key, m))
-                w += wm
-        result = new
-    return LaurentPoly(ctx, result)
+            layers.setdefault(w, {})[exps] = coef
+    for m, wm in factors:
+        # layer w feeds only layer w + wm, so each class of weights mod wm is
+        # one chain, run upwards from its lightest layer
+        lightest: Dict[int, int] = {}
+        for w in sorted(layers):
+            lightest.setdefault(w % wm, w)
+        for start in lightest.values():
+            for w in range(start, bound - wm + 1, wm):
+                up = layers.setdefault(w + wm, {})
+                for key, coef in layers[w].items():
+                    key = tuple(map(add, key, m))
+                    val = up.get(key, 0) + coef
+                    if val:
+                        up[key] = val
+                    else:
+                        del up[key]
+    # each layer is freed as it is merged, so the terms are not held twice
+    terms: Dict[Exponents, int] = {}
+    while layers:
+        terms.update(layers.popitem()[1])
+    return LaurentPoly(ctx, terms)
 
 
 # -- plain-text cone files ----------------------------------------------------

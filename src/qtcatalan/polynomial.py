@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import DomainError, UsageError
 
@@ -61,6 +61,15 @@ class VariableContext:
             except TypeError:
                 raise DomainError(f"exponent of {name} must be an integer, got {e!r}") from None
         return tuple(vec)
+
+
+def _picker(positions: Sequence[int]) -> Callable[[Exponents], Exponents]:
+    """The function that reads an exponent tuple's entries at `positions`."""
+    if len(positions) == 1:
+        (pos,) = positions
+        return lambda exps: (exps[pos],)
+    # itemgetter needs an index, and returns a bare entry for one index
+    return operator.itemgetter(*positions) if positions else lambda exps: ()
 
 
 def _require_same_context(a: "LaurentPoly", b: "LaurentPoly") -> None:
@@ -160,10 +169,10 @@ class LaurentPoly:
         One pass over the terms; the groups hold the polynomial's own tuples,
         so :meth:`restrict` can rebuild any one group when it is needed.
         """
-        positions = [self.context.index(name) for name in names]
+        key = _picker([self.context.index(name) for name in names])
         groups: Dict[Exponents, List[Exponents]] = {}
         for exps in self.terms:
-            groups.setdefault(tuple(exps[pos] for pos in positions), []).append(exps)
+            groups.setdefault(key(exps), []).append(exps)
         return groups
 
     def restrict(self, keys: Iterable[Exponents]) -> "LaurentPoly":
@@ -179,24 +188,25 @@ class LaurentPoly:
         each surviving term onto `target` by variable name; every variable
         neither assigned nor present in `target` must have exponent zero.
         """
-        fixed = {self.context.index(name): e for name, e in assignment.items()}
+        ctx = self.context
+        fixed = {ctx.index(name): e for name, e in assignment.items()}
+        # worked out once per call: the positions that must hold a set
+        # exponent (the assigned ones, and every one `target` lacks, at 0),
+        # and the source position each target position reads; position
+        # len(ctx) is a zero appended to the exponents, read by a target
+        # variable that the source lacks or that is assigned
+        checked = [pos for pos, name in enumerate(ctx.names) if pos in fixed or name not in target]
+        values = tuple(fixed.get(pos, 0) for pos in checked)
+        check = _picker(checked)
+        move = _picker([
+            ctx.index(name) if name in ctx and name not in assignment else len(ctx)
+            for name in target.names
+        ])
         out: Dict[Exponents, int] = {}
         for exps, coef in self.terms.items():
-            if any(exps[pos] != e for pos, e in fixed.items()):
-                continue
-            vec = [0] * len(target)
-            ok = True
-            for pos, e in enumerate(exps):
-                if pos in fixed:
-                    continue
-                name = self.context.names[pos]
-                if name in target:
-                    vec[target.index(name)] = e
-                elif e != 0:
-                    ok = False
-                    break
-            if ok:
-                out[tuple(vec)] = coef
+            padded = exps + (0,)
+            if check(padded) == values:
+                out[move(padded)] = coef
         return LaurentPoly(target, out)
 
     # -- canonical ordering and rendering -----------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from lattice_oracle import minor_gcd
 from lattice_oracle import parallelepiped_points as fraction_parallelepiped_points
+from series_oracle import series_expand as walked_series
 
 from qtcatalan.cones import (
     HalfOpenCone,
@@ -185,13 +187,25 @@ def cone_coefficients(cone):
     return coefficients
 
 
-def brute_cone_points(cone, bound):
-    """All integer cone points with coordinate sum <= bound (box scan oracle)."""
+def brute_cone_points(cone, bound, ranges=None):
+    """All integer cone points with coordinate sum <= bound (box scan oracle).
+
+    The box is ``ranges``, one range per coordinate, or by default
+    [-B-1, B+1]^dim cut to |x|_1 <= 3(B+1), which holds every such point of
+    a cone in the nonnegative orthant.
+    """
     coefficients = cone_coefficients(cone)
     span = bound + 1
+    if ranges is None:
+        candidates = (
+            c for c in itertools.product(range(-span, span + 1), repeat=cone.dim)
+            if sum(abs(x) for x in c) <= 3 * span
+        )
+    else:
+        candidates = itertools.product(*ranges)
     out = []
-    for candidate in itertools.product(range(-span, span + 1), repeat=cone.dim):
-        if sum(candidate) > bound or sum(abs(x) for x in candidate) > 3 * span:
+    for candidate in candidates:
+        if sum(candidate) > bound:
             continue
         lams = coefficients(candidate)
         if lams is None:
@@ -328,6 +342,60 @@ def test_series_matches_point_enumeration_on_drawn_cones(data):
     assert series == LaurentPoly(ctx, {p: 1 for p in brute_cone_points(cone, bound)})
 
 
+@st.composite
+def mixed_cone_data(draw):
+    """``cone_data`` with every generator of positive unit weight, signs mixed.
+
+    A generator whose entries sum to at most 0 gets one entry raised until
+    the sum is 1 to 3, so negative entries stay.  The apex takes its
+    fractional part, so every parallelepiped point has nonnegative weight.
+    """
+    dim, apex, generators, flags = draw(cone_data())
+    raised = []
+    for g in generators:
+        g = list(g)
+        if sum(g) <= 0:
+            g[draw(st.integers(0, dim - 1))] += 1 - sum(g) + draw(st.integers(0, 2))
+        raised.append(tuple(g))
+    return dim, [a - math.floor(a) for a in apex], raised, flags
+
+
+def cone_box(cone, bound):
+    """Ranges per coordinate holding every cone point of unit weight <= bound.
+
+    With the apex's weight w0 and generator weights w(v) > 0, a point of
+    weight at most ``bound`` has each coefficient at most
+    ``(bound - w0) / w(v)``, so each coordinate lies between the apex plus
+    the negative and plus the positive entries at those coefficients.
+    """
+    room = bound - sum(cone.apex)
+    tops = [room / sum(g) for g in cone.generators]
+    ranges = []
+    for i, a in enumerate(cone.apex):
+        lo = a + sum(min(0, g[i]) * top for g, top in zip(cone.generators, tops))
+        hi = a + sum(max(0, g[i]) * top for g, top in zip(cone.generators, tops))
+        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
+    return ranges
+
+
+# per dimension, the largest weight bound whose mixed-sign box stays cheap
+MIXED_BOUND = {1: 12, 2: 8, 3: 5, 4: 3}
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_cone_data())
+def test_series_matches_point_enumeration_on_mixed_sign_cones(data):
+    dim, apex, generators, flags = data
+    assume(any(x < 0 for g in generators for x in g))
+    assume(0 < minor_gcd(generators) <= 60)
+    bound = MIXED_BOUND[dim]
+    cone = HalfOpenCone(dim, apex, generators, flags)
+    ctx = VariableContext(tuple(f"z{i + 1}" for i in range(dim)))
+    series = series_expand(integer_point_transform(cone, ctx), dict.fromkeys(ctx.names, 1), bound)
+    expected = brute_cone_points(cone, bound, cone_box(cone, bound))
+    assert series == LaurentPoly(ctx, {p: 1 for p in expected})
+
+
 def test_gf_arith():
     a = gf(Z4, "1", ["y"])
     b = gf(Z4, "z1", ["z1"])
@@ -437,6 +505,48 @@ def test_series_zero_weight_error():
     g = gf(Z4, "1", ["z1"])
     with pytest.raises(NonExpandableError):
         series_expand(g, {"y": 1}, 3)
+
+
+YZQT = VariableContext(("y", "z", "q", "t"))
+
+
+@st.composite
+def expandable_gfs(draw):
+    """``(g, weights, bound)`` with weights 0-3 and bounds -1..8.
+
+    q and t weigh 0 and take negative exponents, as in the theorems' series.
+    y weighs 1-3 and z 0-3, and both may be negative in a term or factor of
+    the right weight sign.  Factors repeat and may outweigh the bound, and
+    the numerator may carry one of the factors, so that terms cancel.
+    """
+    weights = {"y": draw(st.integers(1, 3)), "z": draw(st.integers(0, 3))}
+
+    def weight(m):
+        return m[0] * weights["y"] + m[1] * weights["z"]
+
+    monomials = st.tuples(st.integers(-1, 3), st.integers(-1, 3), st.integers(-2, 2), st.integers(-2, 2))
+    factors = draw(st.lists(monomials.filter(lambda m: weight(m) > 0), min_size=1, max_size=3))
+    denominator = draw(st.lists(st.sampled_from(factors), max_size=5))
+    terms = draw(st.dictionaries(monomials.filter(lambda m: weight(m) >= 0), st.integers(-3, 3), max_size=5))
+    numerator = LaurentPoly(YZQT, terms)
+    if draw(st.booleans()):
+        numerator = numerator * LaurentPoly(YZQT, {(0, 0, 0, 0): 1, draw(st.sampled_from(factors)): -1})
+    return RationalGF(YZQT, numerator, denominator), weights, draw(st.integers(-1, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expandable_gfs())
+def test_layered_series_matches_the_power_walk(data):
+    g, weights, bound = data
+    assert series_expand(g, weights, bound) == walked_series(g, weights, bound)
+
+
+def test_series_visits_only_the_weights_that_hold_terms():
+    # a layer list indexed by every weight up to the bound would hold 10**9 dicts
+    start = time.monotonic()
+    series = series_expand(gf(Z4, "1", ["y"]), {"y": 10**6}, 10**9)
+    assert time.monotonic() - start < 1.0
+    assert series == LaurentPoly(Z4, {(i, 0, 0, 0): 1 for i in range(1001)})
 
 
 def test_parse_cone():

@@ -163,6 +163,17 @@ def test_extract_coefficient():
     got = p.extract_coefficient({"x": 2}, QT_CONTEXT)
     assert got == P("q + t^2")
 
+    # y is neither assigned nor in the target: a term with y^1 is dropped
+    ctx = VariableContext(("x", "y", "q", "t"))
+    p = LaurentPoly.parse(ctx, "x^2*q + x^2*y*t^3 + x^2*t^-1 + x*q^5")
+    assert p.extract_coefficient({"x": 2}, QT_CONTEXT) == P("q + t^-1")
+
+    # the target lists its variables in another order than the source, and
+    # has one, w, that the source lacks
+    twq = VariableContext(("t", "w", "q"))
+    got = p.extract_coefficient({"x": 2, "y": 0}, twq)
+    assert got == LaurentPoly(twq, {(0, 0, 1): 1, (-1, 0, 0): 1})
+
 
 def test_context_validation():
     with pytest.raises(UsageError):
