@@ -18,6 +18,17 @@ family's closed-form statistics.
 :func:`assemble_theorem` sums a family, specializing marking variables to 1,
 which the verification layer compares against the transcribed product
 formulas from :func:`printed_theorem`.
+
+The partition checks :func:`signed_multiplicity`, :func:`realized_multiplicity`
+and :func:`case_membership` run compiled kernels: each family's coverage
+table, and each case's coverage table and dense region with its parity test,
+becomes one Python function of straight-line integer code, built once.  The
+source of such a function is safe to compile.  It is assembled only from
+literal templates in this module, the synthetic names ``x0, x1, ...`` and
+``v0, v1, ...``, and numbers that passed ``operator.index`` and were written
+with ``%d``; piece coefficients, bases and generators are read as ints when
+a :class:`LatticePiece` is built.  No outside text reaches it: a point is
+the function's argument, validated by ``_coordinates`` before the call.
 """
 
 from __future__ import annotations
@@ -26,14 +37,15 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cones import (
     HalfOpenCone,
     RationalGF,
     gf_substitute,
+    gf_sum,
     parallelepiped_points,
 )
 from .errors import InternalInvariantError, UsageError, _integers
@@ -77,11 +89,20 @@ class LatticePiece:
 
     Enumerates ``base + N v_1 + ... + N v_r`` for each base, with the base's
     sign as multiplicity.  This covers both fundamental-parallelepiped
-    decompositions and correction slices.
+    decompositions and correction slices.  Coefficients, bases and
+    generators are read as ints; anything else is a DomainError.
     """
 
     bases: Tuple[Tuple[int, Point], ...]
     generators: Tuple[Point, ...]
+
+    def __post_init__(self):
+        coefs = _integers([coef for coef, _ in self.bases], "piece coefficients")
+        bases = tuple(zip(coefs, (_integers(base, "piece bases") for _, base in self.bases)))
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(
+            self, "generators", tuple(_integers(g, "piece generators") for g in self.generators)
+        )
 
 
 Realization = Union[HalfOpenCone, LatticePiece]
@@ -117,6 +138,20 @@ class CaseSpec:
             return None
         coord, parity = self.parity
         return FAMILIES[self.family].coords.index(coord), int(parity == "odd")
+
+    @cached_property
+    def membership_kernel(self) -> Callable[..., bool]:
+        """:func:`case_membership` as straight-line code: one ``and`` chain
+        over the dense rows, ending in the parity test."""
+        tests = [_linear(row, const) + " >= 0" for const, row in self.dense_region]
+        if self.parity_test is not None:
+            tests.append(_source("x%d %% 2 == %d", *self.parity_test))
+        return _kernel(self.family, [], " and ".join(tests) or "True")
+
+    @cached_property
+    def coverage_kernel(self) -> Callable[..., int]:
+        """:func:`realized_multiplicity` as straight-line code."""
+        return _coverage_kernel(_coverage([(1, self)]), self.family)
 
 
 # -- family "three": coordinates (k1, k2, k3, r2, r3) -------------------------
@@ -329,10 +364,7 @@ _KAAA_BASE = (
 
 
 def _piece(bases: Sequence[Point], gens: Sequence[Point]) -> LatticePiece:
-    return LatticePiece(
-        bases=tuple((1, tuple(b)) for b in bases),
-        generators=tuple(tuple(g) for g in gens),
-    )
+    return LatticePiece(bases=tuple((1, b) for b in bases), generators=gens)
 
 
 def _kaaa_cases() -> Tuple[CaseSpec, ...]:
@@ -526,12 +558,7 @@ def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
 
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point satisfies the case's region and parity constraints."""
-    point = _coordinates(spec.family, point)
-    for const, row in spec.dense_region:
-        if const + sum(map(mul, row, point)) < 0:
-            return False
-    test = spec.parity_test
-    return test is None or point[test[0]] % 2 == test[1]
+    return spec.membership_kernel(*_coordinates(spec.family, point))
 
 
 @lru_cache(maxsize=None)
@@ -612,7 +639,7 @@ def assemble_case(spec: CaseSpec) -> RationalGF:
     """Generating function of one case, in the family's marked output variables."""
     fam = FAMILIES[spec.family]
     gfs = (_piece_gf(piece, fam.zctx, sign) for sign, piece in _signed_pieces(spec))
-    return _pointwise_map(reduce(operator.add, gfs), fam)
+    return _pointwise_map(gf_sum(gfs), fam)
 
 
 def _signed_case(spec: CaseSpec) -> RationalGF:
@@ -621,10 +648,16 @@ def _signed_case(spec: CaseSpec) -> RationalGF:
 
 
 def assemble_theorem(name: str) -> RationalGF:
-    """Signed sum of the family's cases, marking variables set to 1."""
+    """Signed sum of the family's cases, marking variables set to 1.
+
+    The substitution is a ring homomorphism, so each case is specialized
+    first and the cases are added over one common denominator.
+    """
     fam = family(name)
-    total = reduce(operator.add, map(_signed_case, case_catalog(name)))
-    return gf_substitute(total, fam.theorem_ctx, fam.specialize)
+    return gf_sum(
+        gf_substitute(_signed_case(spec), fam.theorem_ctx, fam.specialize)
+        for spec in case_catalog(name)
+    )
 
 
 # -- transcribed product formulas ---------------------------------------------
@@ -749,37 +782,64 @@ def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
     return tuple(rows), tuple((lcm, tuple(bases)) for lcm, bases in groups.values())
 
 
-def _multiplicity(coverage: Coverage, point: Point) -> int:
-    """Signed number of the table's bases from which the point is reached."""
-    rows, groups = coverage
-    values = [sum(map(mul, row, point)) for row in rows]
-    total = 0
-    for lcm, bases in groups:
-        for coef, scaled, cokernel in bases:
-            for i, v in scaled:
-                u = values[i]
-                if u < v or (u - v) % lcm:
-                    break
-            else:
-                if all(values[i] == v for i, v in cokernel):
-                    total += coef
-    return total
-
-
 def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
     """How many times the case's realization (with corrections) hits a point."""
-    point = _coordinates(spec.family, point)
-    return _multiplicity(_coverage([(1, spec)]), point)
+    return spec.coverage_kernel(*_coordinates(spec.family, point))
 
 
 @lru_cache(maxsize=None)
-def _coverage_table(family: str) -> Coverage:
-    """The family's coverage table, each case signed; an unknown family is a
-    UsageError from :func:`case_catalog` before anything is built."""
-    return _coverage((spec.sign, spec) for spec in case_catalog(family))
+def _family_kernel(family: str) -> Callable[..., int]:
+    """The family's coverage table, each case signed, as straight-line code; an
+    unknown family is a UsageError from :func:`case_catalog` before anything is built."""
+    return _coverage_kernel(_coverage((spec.sign, spec) for spec in case_catalog(family)), family)
 
 
 def signed_multiplicity(family: str, point: Sequence[int]) -> int:
     """Signed number of catalog pieces covering a coordinate point."""
-    table = _coverage_table(family)
-    return _multiplicity(table, _coordinates(family, point))
+    kernel = _family_kernel(family)
+    return kernel(*_coordinates(family, point))
+
+
+# -- straight-line kernels (see the module docstring for why the source is safe)
+
+
+def _source(template: str, *numbers: int) -> str:
+    """``template`` with each number written by ``%d`` after ``operator.index``."""
+    return template % tuple(map(operator.index, numbers))
+
+
+def _linear(row: Sequence[int], const: int = 0) -> str:
+    """``const + row . x`` as source, e.g. ``2*x0 -x2 +3``."""
+    terms = [_source("%+d*x%d", c, i) for i, c in enumerate(map(operator.index, row)) if c]
+    if operator.index(const) or not terms:
+        terms.append(_source("%+d", const))
+    # "+1*x2" is written "+x2", a multiply less; the leading "+" is dropped
+    return " ".join(terms).replace("+1*", "+").replace("-1*", "-").lstrip("+")
+
+
+def _kernel(family: str, lines: Sequence[str], result: str) -> Callable[..., int]:
+    """The function of the family's coordinates ``x0, x1, ...`` that runs
+    ``lines`` and returns ``result``."""
+    params = ", ".join(_source("x%d", i) for i in range(len(FAMILIES[family].coords)))
+    body = "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
+    namespace: dict = {"__builtins__": {}}
+    exec(f"def kernel({params}):\n{body}", namespace)
+    return namespace["kernel"]
+
+
+def _coverage_kernel(coverage: Coverage, family: str) -> Callable[..., int]:
+    """The table's signed multiplicity: one line per distinct row, then one
+    guarded ``if`` per base."""
+    rows, groups = coverage
+    lines = [_source("v%d = ", i) + _linear(row) for i, row in enumerate(rows)]
+    lines.append("t = 0")
+    for lcm, bases in groups:
+        for coef, scaled, cokernel in bases:
+            tests = []
+            for i, v in scaled:
+                tests.append(_source("v%d >= %d", i, v))
+                if lcm != 1:
+                    tests.append(_source("v%d %% %d == %d", i, lcm, v % lcm))
+            tests += [_source("v%d == %d", i, v) for i, v in cokernel]
+            lines.append(f"if {' and '.join(tests)}: " + _source("t += %d", coef))
+    return _kernel(family, lines, "t")

@@ -50,6 +50,11 @@ MAX_ENUMERATED_INDEX = 100_000
 # over the vectors, that a command on run-length vectors lists paths for.
 MAX_PATH_WORK = 10_000_000
 
+# Largest path work of the members that `verify --bound` compares with the
+# series: it admits `kaaa --bound 16` (18.8 million) and `k4 --bound 24`
+# (21.1 million), and refuses `kaaa --bound 17` and `k4 --bound 25`.
+MAX_VERIFY_WORK = 25_000_000
+
 
 def _parse_parts(text: str) -> Tuple[int, ...]:
     try:
@@ -61,7 +66,7 @@ def _parse_parts(text: str) -> Tuple[int, ...]:
     return parts
 
 
-def _check_path_work(vectors: Iterable[Sequence[int]]) -> None:
+def _check_path_work(vectors: Iterable[Sequence[int]], limit: int = MAX_PATH_WORK) -> None:
     """Refuse, before any path is listed, vectors whose path work exceeds the limit."""
     work = 0
     for parts in vectors:
@@ -70,14 +75,41 @@ def _check_path_work(vectors: Iterable[Sequence[int]]) -> None:
         # runs but the last is a lower bound that keeps count_paths off huge vectors
         low = kvec.n
         for k in kvec.parts[:-1]:
-            if work + low > MAX_PATH_WORK:
+            if work + low > limit:
                 break
             low *= k + 1
-        work += low if work + low > MAX_PATH_WORK else count_paths(kvec) * kvec.n
-        if work > MAX_PATH_WORK:
+        work += low if work + low > limit else count_paths(kvec) * kvec.n
+        if work > limit:
             raise UsageError(
-                f"run lengths {kvec} exceed the path work limit {MAX_PATH_WORK} (paths times n)"
+                f"run lengths {kvec} exceed the path work limit {limit} (paths times n)"
             )
+
+
+def _check_verify_work(name: str, bound: int) -> None:
+    """Refuse, before any work, a bound whose members exceed the verify work limit.
+
+    The sizes are counted by formula first: a bound such as 100000 has too
+    many to list.  Each size is at most the bound and run lengths grow with
+    the sizes, so every member's runs are at most those of ``top``, the
+    member with every size at the bound.  A vector's path work is at most n
+    times the product of ``k_1 + ... + k_i + 1`` over all runs but the last,
+    since each rank is at most the runs before it; only when the count times
+    that bound for ``top`` passes the limit are the paths counted exactly.
+    """
+    fam = FAMILIES[name]
+    count = fam.size_count(bound)
+    if count > MAX_VERIFY_WORK:
+        raise UsageError(
+            f"bound {bound} gives {count} sizes, beyond the path work limit {MAX_VERIFY_WORK}"
+        )
+    top = fam.kvector((bound,) * len(fam.size_names))
+    prefix, high = 0, sum(top)
+    for k in top[:-1]:
+        prefix += k
+        high *= prefix + 1
+    if count * high > MAX_VERIFY_WORK:
+        vectors = (fam.kvector(sizes) for sizes in fam.sizes(bound) if sum(sizes) <= bound)
+        _check_path_work(vectors, MAX_VERIFY_WORK)
 
 
 def _vector(text: str) -> Tuple[int, ...]:
@@ -183,6 +215,7 @@ def _cmd_cone(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_verify_work(args.theorem, args.bound)
     report = verify_theorem(args.theorem, args.bound)
     for label, flag in (
         ("formula_match", report.formula_match),

@@ -123,13 +123,7 @@ class RationalGF:
         object.__setattr__(self, "denominator", factors)
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
-        """Sum over the least common multiset of denominators."""
-        if self.context != other.context:
-            raise UsageError("context mismatch between generating functions")
-        mine, theirs = Counter(self.denominator), Counter(other.denominator)
-        left = _times_factors(self.numerator, (theirs - mine).elements())
-        right = _times_factors(other.numerator, (mine - theirs).elements())
-        return RationalGF(self.context, left + right, (mine | theirs).elements())
+        return gf_sum((self, other))
 
     def __neg__(self) -> "RationalGF":
         return RationalGF(self.context, -self.numerator, self.denominator)
@@ -138,12 +132,44 @@ class RationalGF:
         return self + (-other)
 
 
-def _times_factors(poly: LaurentPoly, factors: Iterable[Exponents]) -> LaurentPoly:
-    """``poly`` times one ``(1 - z^m)`` per monomial ``m`` in ``factors``."""
-    one = (0,) * len(poly.context)
-    for m in factors:
-        poly = poly * LaurentPoly(poly.context, {one: 1, tuple(m): -1})
-    return poly
+def gf_sum(gfs: Iterable[RationalGF]) -> RationalGF:
+    """Sum over the least common multiset of the denominators.
+
+    Each numerator is multiplied by the factors its denominator lacks, each
+    ``(1 - z^m)`` as a shift by ``m`` subtracted from the terms, and the
+    products are added up once.
+    """
+    gfs = list(gfs)
+    context = gfs[0].context
+    common: Counter = Counter()
+    for g in gfs:
+        if g.context != context:
+            raise UsageError("context mismatch between generating functions")
+        common |= Counter(g.denominator)
+    terms: Dict[Exponents, int] = {}
+    for g in gfs:
+        part = g.numerator.terms
+        for m in (common - Counter(g.denominator)).elements():
+            part = _add_into(dict(part), part, -1, m)
+        _add_into(terms, part)
+    return RationalGF(context, LaurentPoly(context, terms), common.elements())
+
+
+def _add_into(
+    out: Dict[Exponents, int],
+    terms: Mapping[Exponents, int],
+    sign: int = 1,
+    shift: Optional[Exponents] = None,
+) -> Dict[Exponents, int]:
+    """``out`` plus ``sign`` times the terms, shifted by ``shift`` if given, zeros dropped."""
+    for exps, coef in terms.items():
+        key = exps if shift is None else tuple(map(add, exps, shift))
+        value = out.get(key, 0) + sign * coef
+        if value:
+            out[key] = value
+        else:
+            del out[key]
+    return out
 
 
 def integer_point_transform(cone: HalfOpenCone, context: VariableContext) -> RationalGF:

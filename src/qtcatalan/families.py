@@ -14,6 +14,7 @@ path oracles in :mod:`.oracles` can read family data without the cones.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Tuple
 
@@ -32,6 +33,7 @@ class FamilyInfo:
     theorem_ctx: VariableContext  # size variables, then q and t
     stats: Callable[..., Tuple[int, int]]  # (area, bounce) of a coordinate point
     sizes: Callable[[int], Iterable[Point]]  # sizes of the members checked up to a bound
+    size_count: Callable[[int], int]  # how many of those sizes sum to at most the bound
     kvector: Callable[[Point], Point]  # run lengths of the member with these sizes
     coords_of: Callable[[DyckPath], Point]  # coordinates of a member's path
 
@@ -89,6 +91,7 @@ FAMILIES: Dict[str, FamilyInfo] = {
         theorem_ctx=THREE_OUT,
         stats=stats_three,
         sizes=lambda bound: itertools.product(range(1, bound + 1), repeat=3),
+        size_count=lambda bound: math.comb(bound, 3),
         kvector=tuple,
         coords_of=lambda path: path.kvec.parts + path.ranks[1:],
     ),
@@ -99,6 +102,7 @@ FAMILIES: Dict[str, FamilyInfo] = {
         theorem_ctx=K4_THEOREM,
         stats=lambda k, a, b, c: stats_kaaa(k, 0, a, b, c),
         sizes=lambda bound: ((k,) for k in range(1, bound + 1)),
+        size_count=lambda bound: bound,
         kvector=lambda sizes: tuple(sizes) * 4,
         coords_of=_k4_coords,
     ),
@@ -109,6 +113,7 @@ FAMILIES: Dict[str, FamilyInfo] = {
         theorem_ctx=KAAA_THEOREM,
         stats=stats_kaaa,
         sizes=lambda bound: ((k, m) for k in range(1, bound + 1) for m in range(bound - k + 1)),
+        size_count=lambda bound: bound * (bound + 1) // 2,
         kvector=lambda sizes: (sizes[0],) + (sizes[0] + sizes[1],) * 3,
         coords_of=_kaaa_coords,
     ),

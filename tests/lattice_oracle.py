@@ -8,7 +8,10 @@ piece comes from this file's Π; otherwise the code is unchanged.  The tests
 compare the package's integer versions with them.  ``minor_gcd`` is an
 independent index and rank check by cofactor expansion.  ``case_membership``
 evaluates each region constraint by coordinate name, as the package did
-before it kept each case's region as dense rows.
+before it kept each case's region as dense rows.  ``_multiplicity`` is the
+interpreter that read a coverage table row by row before the table was
+compiled into straight-line code; it is a second reference beside the
+per-base solve.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from qtcatalan.catalog import CaseSpec, LatticePiece, Realization, case_catalog
+from qtcatalan.catalog import CaseSpec, Coverage, LatticePiece, Realization, case_catalog
 from qtcatalan.cones import HalfOpenCone
 from qtcatalan.errors import InternalInvariantError
 from qtcatalan.families import FAMILIES
@@ -159,3 +162,20 @@ def signed_multiplicity(family: str, point: Sequence[int]) -> int:
     return sum(
         spec.sign * realized_multiplicity(spec, point) for spec in case_catalog(family)
     )
+
+
+def _multiplicity(coverage: Coverage, point: Point) -> int:
+    """Signed number of the table's bases from which the point is reached."""
+    rows, groups = coverage
+    values = [sum(map(mul, row, point)) for row in rows]
+    total = 0
+    for lcm, bases in groups:
+        for coef, scaled, cokernel in bases:
+            for i, v in scaled:
+                u = values[i]
+                if u < v or (u - v) % lcm:
+                    break
+            else:
+                if all(values[i] == v for i, v in cokernel):
+                    total += coef
+    return total

@@ -141,7 +141,7 @@ def test_criterion_07_bounce_agreement():
 
 
 def test_criterion_08_partition_property():
-    with _Budget(3.0) as budget:
+    with _Budget(1.0) as budget:
         ok = True
         for family in ("three", "k4", "kaaa"):
             specs = case_catalog(family)

@@ -20,9 +20,12 @@ from regions import region_points
 from qtcatalan.catalog import (
     CaseSpec,
     LatticePiece,
+    _coverage,
     _eq,
     _ge,
     _gt,
+    _kernel,
+    _linear,
     assemble_case,
     assemble_theorem,
     case_catalog,
@@ -392,15 +395,21 @@ def test_realized_points_stay_in_region(family):
                 assert case_membership(spec, point), (spec.case_id, point)
 
 
+def _family_table(family):
+    return _coverage((spec.sign, spec) for spec in case_catalog(family))
+
+
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
 def test_coverage_agrees_with_the_per_base_solve(family):
-    """Every point of [-1, 3]^n, outside the region too, against the oracle;
-    case membership against the named evaluation of each constraint."""
+    """Every point of [-1, 3]^n, outside the region too, against the oracle
+    and the table interpreter; case membership against the named evaluation
+    of each constraint."""
     specs = case_catalog(family)
+    table = _family_table(family)
     for point in itertools.product(range(-1, 4), repeat=len(FAMILIES[family].coords)):
-        assert signed_multiplicity(family, point) == lattice_oracle.signed_multiplicity(
-            family, point
-        ), point
+        got = signed_multiplicity(family, point)
+        assert got == lattice_oracle.signed_multiplicity(family, point), point
+        assert got == lattice_oracle._multiplicity(table, point), point
         for spec in specs:
             assert realized_multiplicity(spec, point) == lattice_oracle.realized_multiplicity(
                 spec, point
@@ -410,7 +419,73 @@ def test_coverage_agrees_with_the_per_base_solve(family):
             ), (spec.case_id, point)
 
 
+BIG = 10**30
+
+
+@st.composite
+def far_points(draw):
+    """A family and a point far out: either any entries within 10^30, or a
+    small offset plus huge nonnegative multiples of one case's generators,
+    which lands in the case's cosets now and then."""
+    family = draw(st.sampled_from(["three", "k4", "kaaa"]))
+    width = len(FAMILIES[family].coords)
+    if draw(st.booleans()):
+        return family, draw(st.tuples(*[st.integers(-BIG, BIG)] * width))
+    spec = draw(st.sampled_from(case_catalog(family)))
+    point = list(draw(st.tuples(*[st.integers(-2, 3)] * width)))
+    for g in spec.realization.generators:
+        n = draw(st.integers(0, BIG))
+        point = [x + n * e for x, e in zip(point, g)]
+    return family, tuple(point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(far_points())
+def test_kernels_agree_with_the_oracles_on_far_points(drawn):
+    family, point = drawn
+    got = signed_multiplicity(family, point)
+    assert got == lattice_oracle._multiplicity(_family_table(family), point)
+    assert got == lattice_oracle.signed_multiplicity(family, point)
+    for spec in case_catalog(family):
+        assert realized_multiplicity(spec, point) == lattice_oracle.realized_multiplicity(
+            spec, point
+        ), spec.case_id
+        assert case_membership(spec, point) == lattice_oracle.case_membership(
+            spec, point
+        ), spec.case_id
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    row=st.lists(st.integers(-12, 12) | st.integers(-BIG, BIG), min_size=5, max_size=5),
+    const=st.integers(-12, 12) | st.integers(-BIG, BIG),
+    point=st.tuples(*[st.integers(-BIG, BIG)] * 5),
+)
+@example(row=[1, -1, 11, -11, 21], const=1, point=(1, 2, 3, 4, 5))
+@example(row=[0, 0, 0, 0, 0], const=0, point=(1, 2, 3, 4, 5))
+def test_a_compiled_row_is_the_row(row, const, point):
+    """The source of a row, ``+1*``/``-1*`` shortened, evaluates to the row."""
+    kernel = _kernel("kaaa", [], _linear(row, const))
+    assert kernel(*point) == const + sum(c * x for c, x in zip(row, point))
+
+
 K4_CASE = case_catalog("k4")[0]
+
+
+@pytest.mark.parametrize(
+    "bases, generators",
+    [
+        (((1, (0.5, 0, 0, 0)),), ((1, 0, 0, 0),)),
+        (((1, ("1", 0, 0, 0)),), ((1, 0, 0, 0),)),
+        (((1, (0, 0, 0, 0)),), ((1.0, 0, 0, 0),)),
+        (((1, (0, 0, 0, 0)),), ((1, Fraction(1), 0, 0),)),
+        (((0.5, (0, 0, 0, 0)),), ((1, 0, 0, 0),)),
+        (((1, 0),), ((1, 0, 0, 0),)),
+    ],
+)
+def test_lattice_piece_refuses_non_integers(bases, generators):
+    with pytest.raises(DomainError):
+        LatticePiece(bases=bases, generators=generators)
 
 
 @pytest.mark.parametrize(
@@ -482,7 +557,8 @@ PARITIES = st.none() | st.tuples(st.sampled_from(K4_COORDS), st.sampled_from(("e
 def test_realized_multiplicity_counts_drawn_pieces(piece, parity):
     """With a drawn parity, the parity coordinate of every generator is doubled
     first, so that the rule's precondition holds; the count is then the brute
-    count restricted to the parity class."""
+    count restricted to the parity class.  The compiled kernel and the table
+    interpreter both give it."""
     if parity is not None:
         coord = K4_COORDS.index(parity[0])
         piece = LatticePiece(piece.bases, tuple(
@@ -494,11 +570,13 @@ def test_realized_multiplicity_counts_drawn_pieces(piece, parity):
             realized_multiplicity(spec, (0, 0, 0, 0))
         return
     counts = brute_piece_count(piece)
+    table = _coverage([(1, spec)])
     for point in itertools.product(range(-BOX, BOX + 1), repeat=4):
         expected = counts.get(point, 0)
         if parity is not None and point[coord] % 2 != (parity[1] == "odd"):
             expected = 0
         assert realized_multiplicity(spec, point) == expected, point
+        assert lattice_oracle._multiplicity(table, point) == expected, point
 
 
 def test_a_parity_case_with_an_odd_generator_is_an_invariant_error():

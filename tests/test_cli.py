@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
@@ -234,6 +235,31 @@ def test_path_work_limit_admits_the_largest_documented_inputs(capsys):
     assert code == 0 and out.strip()
     code, out, _ = run(capsys, "catalan", "--lambda", "3,2,2,1,1")
     assert code == 0 and out.strip()
+
+
+def test_verify_work_limit_admits_the_largest_documented_inputs(capsys):
+    # the members' path work: kaaa 16 is 18,812,268, k4 24 is 21,051,680 and
+    # three 12 (the benchmark's bound) is 58,773; kaaa 17 and k4 25 pass the limit
+    for name, bound in (("kaaa", 16), ("k4", 24), ("three", 12)):
+        cli._check_verify_work(name, bound)
+    for name, bound in (("kaaa", 17), ("k4", 25), ("three", 40), ("k4", 10**30)):
+        code, out, err = run(capsys, "verify", "--theorem", name, "--bound", str(bound))
+        assert code == 2 and out == "" and str(cli.MAX_VERIFY_WORK) in err, (name, bound)
+
+
+def test_verify_beyond_the_work_limit_exits_at_once():
+    # three --bound 100000 has about 1.7 * 10^14 sizes within the bound, and
+    # each of kaaa --bound 40 and k4 --bound 200 ran past 30 s without a limit
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for name, bound in (("three", "100000"), ("kaaa", "40"), ("k4", "200")):
+        start = time.monotonic()
+        result = subprocess.run(
+            [sys.executable, "-m", "qtcatalan.cli", "verify", "--theorem", name, "--bound", bound],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        elapsed = time.monotonic() - start
+        assert result.returncode == 2 and result.stdout == "", name
+        assert str(cli.MAX_VERIFY_WORK) in result.stderr and elapsed < 1.0, (name, elapsed)
 
 
 def _limit_memory():

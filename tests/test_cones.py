@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qtcatalan.cones import (
     HalfOpenCone,
     RationalGF,
     gf_equals,
+    gf_sum,
     gf_substitute,
     integer_point_transform,
     lattice_index,
@@ -335,11 +337,15 @@ SERIES_BOUND = {1: 12, 2: 12, 3: 8, 4: 5}
 def test_series_matches_point_enumeration_on_drawn_cones(data):
     dim, apex, generators, flags = data
     assume(0 < minor_gcd(generators) <= 60)
+    # independent generators are nonzero, so folded ones weigh at least 1, as
+    # the argument of ``cone_box`` needs
+    assert all(sum(g) > 0 for g in generators)
     bound = SERIES_BOUND[dim]
     cone = HalfOpenCone(dim, apex, generators, flags)
     ctx = VariableContext(tuple(f"z{i + 1}" for i in range(dim)))
     series = series_expand(integer_point_transform(cone, ctx), dict.fromkeys(ctx.names, 1), bound)
-    assert series == LaurentPoly(ctx, {p: 1 for p in brute_cone_points(cone, bound)})
+    expected = brute_cone_points(cone, bound, cone_box(cone, bound))
+    assert series == LaurentPoly(ctx, {p: 1 for p in expected})
 
 
 @st.composite
@@ -412,6 +418,36 @@ def test_gf_arith():
         a + gf(Z5, "1", ["z1"])
     with pytest.raises(UsageError):
         a - gf(Z5, "1", ["z1"])
+
+
+EXPONENTS = st.tuples(*[st.integers(0, 2)] * 4)
+
+
+@st.composite
+def small_gfs(draw):
+    """A GF over Z4 with a few small terms over one to three factors, repeats allowed."""
+    terms = draw(st.dictionaries(EXPONENTS, st.integers(-2, 2), max_size=4))
+    factors = draw(st.lists(EXPONENTS.filter(any), min_size=1, max_size=3))
+    return RationalGF(Z4, LaurentPoly(Z4, terms), factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_gfs(), min_size=1, max_size=4))
+def test_gf_sum_is_the_cross_multiplied_sum(gfs):
+    """Each numerator times the factors its denominator lacks, by polynomial
+    products, over the least common multiset of factors."""
+    common = Counter()
+    for g in gfs:
+        common |= Counter(g.denominator)
+    expected = LaurentPoly.zero(Z4)
+    for g in gfs:
+        part = g.numerator
+        for m in (common - Counter(g.denominator)).elements():
+            part = part * LaurentPoly(Z4, {(0, 0, 0, 0): 1, m: -1})
+        expected = expected + part
+    total = gf_sum(gfs)
+    assert total.numerator == expected
+    assert Counter(total.denominator) == common
 
 
 def test_gf_equals_rescaling():

@@ -44,6 +44,13 @@ def test_series_cases_are_the_members_of_total_size_at_most_the_bound():
     assert family("kaaa").size_names == ("x", "y")
 
 
+@pytest.mark.parametrize("name", ["three", "k4", "kaaa"])
+def test_size_count_is_the_number_of_sizes_within_the_bound(name):
+    fam = family(name)
+    for bound in range(0, 16):
+        assert fam.size_count(bound) == sum(1 for s in fam.sizes(bound) if sum(s) <= bound), bound
+
+
 def test_specialization_drops_only_the_marks():
     k4 = family("k4").specialize
     assert k4 == {
