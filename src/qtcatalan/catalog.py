@@ -34,7 +34,6 @@ the function's argument, validated by ``_coordinates`` before the call.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -804,14 +803,15 @@ def signed_multiplicity(family: str, point: Sequence[int]) -> int:
 
 
 def _source(template: str, *numbers: int) -> str:
-    """``template`` with each number written by ``%d`` after ``operator.index``."""
-    return template % tuple(map(operator.index, numbers))
+    """``template`` with each number written by ``%d`` after ``operator.index``;
+    a number that is not an integer is a DomainError."""
+    return template % _integers(numbers, "kernel numbers")
 
 
 def _linear(row: Sequence[int], const: int = 0) -> str:
     """``const + row . x`` as source, e.g. ``2*x0 -x2 +3``."""
-    terms = [_source("%+d*x%d", c, i) for i, c in enumerate(map(operator.index, row)) if c]
-    if operator.index(const) or not terms:
+    terms = [_source("%+d*x%d", c, i) for i, c in enumerate(row) if c]
+    if const or not terms:
         terms.append(_source("%+d", const))
     # "+1*x2" is written "+x2", a multiply less; the leading "+" is dropped
     return " ".join(terms).replace("+1*", "+").replace("-1*", "-").lstrip("+")

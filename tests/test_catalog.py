@@ -19,6 +19,7 @@ from regions import region_points
 
 from qtcatalan.catalog import (
     CaseSpec,
+    Constraint,
     LatticePiece,
     _coverage,
     _eq,
@@ -486,6 +487,12 @@ K4_CASE = case_catalog("k4")[0]
 def test_lattice_piece_refuses_non_integers(bases, generators):
     with pytest.raises(DomainError):
         LatticePiece(bases=bases, generators=generators)
+
+
+def test_a_region_row_that_is_not_integer_is_a_domain_error():
+    spec = CaseSpec("drawn", "k4", (Constraint((("a", 0.5),), 0),), LatticePiece((), ()))
+    with pytest.raises(DomainError):
+        case_membership(spec, (1, 1, 1, 1))
 
 
 @pytest.mark.parametrize(
