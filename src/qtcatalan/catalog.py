@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -50,7 +50,7 @@ from .cones import (
 from .errors import InternalInvariantError, UsageError, _integers
 from .families import FAMILIES, FamilyInfo, Point, family
 from .lattice import diagonal_form
-from .polynomial import Exponents, LaurentPoly, VariableContext
+from .polynomial import Exponents, LaurentPoly, VariableContext, add_terms
 
 
 @dataclass(frozen=True)
@@ -593,9 +593,7 @@ def _signed_pieces(spec: CaseSpec) -> List[Tuple[int, LatticePiece]]:
 
 
 def _piece_gf(piece: LatticePiece, zctx: VariableContext, sign: int) -> RationalGF:
-    terms: Dict[Exponents, int] = {}
-    for coef, base in piece.bases:
-        terms[base] = terms.get(base, 0) + sign * coef
+    terms = add_terms({}, ((base, sign * coef) for coef, base in piece.bases))
     return RationalGF(zctx, LaurentPoly(zctx, terms), piece.generators)
 
 
@@ -609,13 +607,7 @@ def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
     bases = sorted(zgf.numerator.terms.items())
     if not bases:
         raise InternalInvariantError("cannot map an empty generating function")
-    out_of: Dict[Point, Exponents] = {}
-
-    def out(point: Point) -> Exponents:
-        if point not in out_of:
-            out_of[point] = fam.out_exponents(point)
-        return out_of[point]
-
+    out = cache(fam.out_exponents)
     factors: List[Exponents] = []
     for gen in zgf.denominator:
         deltas = {
@@ -627,10 +619,7 @@ def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
                 f"generator {gen} induces inconsistent statistic increments: {sorted(deltas)}"
             )
         factors.append(deltas.pop())
-    terms: Dict[Exponents, int] = {}
-    for base, coef in bases:
-        key = out(base)
-        terms[key] = terms.get(key, 0) + coef
+    terms = add_terms({}, ((out(base), coef) for base, coef in bases))
     return RationalGF(fam.out_ctx, LaurentPoly(fam.out_ctx, terms), factors)
 
 

@@ -80,8 +80,9 @@ def _check_path_work(vectors: Iterable[Sequence[int]], limit: int = MAX_PATH_WOR
             low *= k + 1
         work += low if work + low > limit else count_paths(kvec) * kvec.n
         if work > limit:
+            label = kvec if kvec.m <= 20 else f"({kvec.m} runs, n = {kvec.n})"
             raise UsageError(
-                f"run lengths {kvec} exceed the path work limit {limit} (paths times n)"
+                f"run lengths {label} exceed the path work limit {limit} (paths times n)"
             )
 
 
@@ -184,11 +185,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _format_factor(cone_ctx: VariableContext, monomial: Sequence[int]) -> str:
-    body = str(LaurentPoly.monomial(cone_ctx, monomial))
-    return f"(1 - {body})"
-
-
 def _cmd_cone(args: argparse.Namespace) -> int:
     try:
         text = Path(args.file).read_text()
@@ -208,9 +204,8 @@ def _cmd_cone(args: argparse.Namespace) -> int:
             print(" ".join(str(x) for x in point))
     else:
         gf = integer_point_transform(cone, ctx)
-        numerator = str(gf.numerator)
-        denominator = "".join(_format_factor(ctx, m) for m in gf.denominator)
-        print(f"({numerator}) / {denominator}")
+        denominator = "".join(f"(1 - {LaurentPoly.monomial(ctx, m)})" for m in gf.denominator)
+        print(f"({gf.numerator}) / {denominator}")
     return EXIT_OK
 
 
@@ -227,11 +222,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    # the vectors are made twice, lazily: once to bound the work, once to report
     if args.family is not None:
-        vectors = partial(repeated_tail_vectors, args.max, _parse_parts(args.lengths))
+        lengths = _parse_parts(args.lengths)
+        counts = [(length, 2) for length in lengths]  # (runs, power of --max vectors)
+        vectors = partial(repeated_tail_vectors, args.max, lengths)
     else:
+        counts = [(args.all_length, args.all_length)]
         vectors = partial(kvectors_of_length, args.all_length, args.max)
+    # first each length, as its vectors may be too many or too long to make: a
+    # vector of m runs has n >= m and at least 2^(m - 1) paths, and exponents
+    # cut at 64 keep the bound below the work and still far past the limit
+    for length, power in counts:
+        if length >= 1 and args.max ** min(power, 64) * length * 2 ** min(length - 1, 64) > MAX_PATH_WORK:
+            raise UsageError(
+                f"the {args.max}^{power} vectors of {length} runs exceed the path work limit "
+                f"{MAX_PATH_WORK} (paths times n)"
+            )
+    # then the vectors are made twice, lazily: once to bound the work, once to report
     _check_path_work(vectors())
     all_symmetric = True
     for parts in vectors():

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegenerateSubstitutionError, DomainError, NonExpandableError, UsageError, _integers
 from .lattice import diagonal_form
-from .polynomial import Exponents, LaurentPoly, VariableContext, substitute_monomials
+from .polynomial import Exponents, LaurentPoly, VariableContext, add_terms, substitute_monomials
 
 
 @dataclass(frozen=True)
@@ -150,26 +150,10 @@ def gf_sum(gfs: Iterable[RationalGF]) -> RationalGF:
     for g in gfs:
         part = g.numerator.terms
         for m in (common - Counter(g.denominator)).elements():
-            part = _add_into(dict(part), part, -1, m)
-        _add_into(terms, part)
+            shifted = ((tuple(map(add, exps, m)), -coef) for exps, coef in part.items())
+            part = add_terms(dict(part), shifted)
+        add_terms(terms, part.items())
     return RationalGF(context, LaurentPoly(context, terms), common.elements())
-
-
-def _add_into(
-    out: Dict[Exponents, int],
-    terms: Mapping[Exponents, int],
-    sign: int = 1,
-    shift: Optional[Exponents] = None,
-) -> Dict[Exponents, int]:
-    """``out`` plus ``sign`` times the terms, shifted by ``shift`` if given, zeros dropped."""
-    for exps, coef in terms.items():
-        key = exps if shift is None else tuple(map(add, exps, shift))
-        value = out.get(key, 0) + sign * coef
-        if value:
-            out[key] = value
-        else:
-            del out[key]
-    return out
 
 
 def integer_point_transform(cone: HalfOpenCone, context: VariableContext) -> RationalGF:
@@ -250,14 +234,8 @@ def series_expand(g: RationalGF, weights: Mapping[str, int], bound: int) -> Laur
             lightest.setdefault(w % wm, w)
         for start in lightest.values():
             for w in range(start, bound - wm + 1, wm):
-                up = layers.setdefault(w + wm, {})
-                for key, coef in layers[w].items():
-                    key = tuple(map(add, key, m))
-                    val = up.get(key, 0) + coef
-                    if val:
-                        up[key] = val
-                    else:
-                        del up[key]
+                shifted = ((tuple(map(add, key, m)), coef) for key, coef in layers[w].items())
+                add_terms(layers.setdefault(w + wm, {}), shifted)
     # each layer is freed as it is merged, so the terms are not held twice
     terms: Dict[Exponents, int] = {}
     while layers:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalInvariantError, UsageError
 from .families import family
 from .paths import KVector, area_bounce_counts, enumerate_paths, path_stats
-from .polynomial import QT_CONTEXT, LaurentPoly, VariableContext, qt_swap, substitute_monomials
+from .polynomial import QT_CONTEXT, LaurentPoly, VariableContext, add_terms, qt_swap, substitute_monomials
 
 Q_CONTEXT = VariableContext(("q",))
 
@@ -61,11 +61,8 @@ def lambda_catalan(partition: Sequence[int]) -> LaurentPoly:
     partition = KVector(partition).parts
     if list(partition) != sorted(partition, reverse=True):
         raise DomainError(f"{partition} is not a partition (weakly decreasing, positive)")
-    total: Dict[Tuple[int, int], int] = {}
-    for arrangement in rearrangements(partition):
-        for key, count in area_bounce_counts(KVector(arrangement)).items():
-            total[key] = total.get(key, 0) + count
-    return LaurentPoly(QT_CONTEXT, total)
+    counts = (area_bounce_counts(KVector(a)).items() for a in rearrangements(partition))
+    return LaurentPoly(QT_CONTEXT, add_terms({}, itertools.chain.from_iterable(counts)))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import re
+from operator import add, mul
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import DomainError, UsageError
@@ -61,6 +62,19 @@ class VariableContext:
             except TypeError:
                 raise DomainError(f"exponent of {name} must be an integer, got {e!r}") from None
         return tuple(vec)
+
+
+def add_terms(
+    out: Dict[Exponents, int], pairs: Iterable[Tuple[Exponents, int]]
+) -> Dict[Exponents, int]:
+    """Add each (exponents, coefficient) pair into ``out``, drop zero sums, return ``out``."""
+    for exps, coef in pairs:
+        value = out.get(exps, 0) + coef
+        if value:
+            out[exps] = value
+        else:
+            out.pop(exps, None)
+    return out
 
 
 def _picker(positions: Sequence[int]) -> Callable[[Exponents], Exponents]:
@@ -115,14 +129,7 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         _require_same_context(self, other)
-        terms = dict(self.terms)
-        for exps, coef in other.terms.items():
-            new = terms.get(exps, 0) + coef
-            if new:
-                terms[exps] = new
-            else:
-                terms.pop(exps, None)
-        return LaurentPoly(self.context, terms)
+        return LaurentPoly(self.context, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.context, {e: -c for e, c in self.terms.items()})
@@ -134,16 +141,12 @@ class LaurentPoly:
         if isinstance(other, int):
             return LaurentPoly(self.context, {e: c * other for e, c in self.terms.items()})
         _require_same_context(self, other)
-        out: Dict[Exponents, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return LaurentPoly(self.context, out)
+        products = (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return LaurentPoly(self.context, add_terms({}, products))
 
     def __rmul__(self, other: int) -> "LaurentPoly":
         return self * other
@@ -251,7 +254,7 @@ class LaurentPoly:
 
         Accepts sums of ``[int*]name[^int]`` products joined by + and -.
         """
-        total = cls.zero(context)
+        pairs = []
         stripped = text.replace("−", "-").strip()
         if not stripped:
             raise UsageError("empty polynomial string")
@@ -280,8 +283,8 @@ class LaurentPoly:
                     raise UsageError(f"cannot parse factor {factor!r}")
                 name, exp = match.group(1), match.group(2)
                 vec[context.index(name)] += int(exp) if exp is not None else 1
-            total = total + cls.monomial(context, vec, coef)
-        return total
+            pairs.append((tuple(vec), coef))
+        return cls(context, add_terms({}, pairs))
 
 
 def substitute_monomials(
@@ -294,29 +297,21 @@ def substitute_monomials(
     `images` assigns every variable of ``poly.context`` an exponent vector in
     ``target``.  Exponents combine additively, so this is a ring homomorphism.
     """
-    width = len(target)
     table = []
     for name in poly.context.names:
         if name not in images:
             raise UsageError(f"no image given for variable {name!r}")
         image = tuple(images[name])
-        if len(image) != width:
+        if len(image) != len(target):
             raise UsageError(f"image for {name!r} has wrong length for {target}")
         table.append(image)
-    out: Dict[Exponents, int] = {}
-    for exps, coef in poly.terms.items():
-        vec = [0] * width
-        for e, image in zip(exps, table):
-            if e:
-                for i, ei in enumerate(image):
-                    vec[i] += e * ei
-        key = tuple(vec)
-        new = out.get(key, 0) + coef
-        if new:
-            out[key] = new
-        else:
-            del out[key]
-    return LaurentPoly(target, out)
+    # a term's image exponent is one dot product per target variable
+    columns = list(zip(*table))
+    images_of = (
+        (tuple(sum(map(mul, exps, column)) for column in columns), coef)
+        for exps, coef in poly.terms.items()
+    )
+    return LaurentPoly(target, add_terms({}, images_of))
 
 
 def qt_images(context: VariableContext) -> Dict[str, Exponents]:

@@ -282,6 +282,32 @@ def test_scans_beyond_the_path_work_limit_are_usage_errors_before_any_output():
         assert result.stderr.startswith("error: ") and str(cli.MAX_PATH_WORK) in result.stderr
 
 
+def test_scans_of_oversized_arguments_are_usage_errors_before_any_vector(capsys):
+    # itertools.product once made its pools first, a huge --max range or --all-length
+    # repeat, and (a,) * length overflowed: MemoryError or OverflowError, exit 3
+    for argv in (
+        ("--all-length", "99999999999", "--max", "1"),
+        ("--all-length", "3", "--max", "99999999999"),
+        ("--family", "kaaa", "--max", "1", "--lengths", "2,99999999999999999999"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, "scan", *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), (argv, err)
+        assert str(cli.MAX_PATH_WORK) in err and time.monotonic() - start < 1.0, argv
+
+
+def test_work_refusals_give_a_long_vector_by_its_length(capsys):
+    # the refusal once printed every part: 10 MB of stderr for the scan, after 1.3 s
+    for argv, runs in (
+        (("scan", "--family", "kaaa", "--max", "1", "--lengths", "2,5000000"), "5000000 runs"),
+        (("catalan", "--k", ",".join(["1"] * 100000)), "100000 runs"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and runs in err and len(err) < 200, (argv, err[:200])
+        assert time.monotonic() - start < 1.0, argv
+
+
 def test_exponent_apex_is_a_usage_error_at_once(tmp_path):
     # Fraction("1e999999999") would build the number exactly, for minutes
     path = tmp_path / "cone.txt"

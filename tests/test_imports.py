@@ -87,3 +87,33 @@ def test_imports_follow_the_table(module):
 
 def test_the_oracles_load_nothing_of_the_cone_route():
     assert not import_closure("oracles") & {"lattice", "cones", "catalog", "verify"}
+
+
+def unused_imports(module: str) -> set:
+    """The names ``qtcatalan.<module>`` imports and never reads, ``from __future__`` aside.
+
+    A name is read where it occurs in the code, or inside a quoted annotation.
+    """
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for quoted in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                    read.update(
+                        n.id for n in ast.walk(ast.parse(quoted.value, mode="eval"))
+                        if isinstance(n, ast.Name)
+                    )
+    return imported - read
+
+
+# the package root imports names to re-export them
+@pytest.mark.parametrize("module", sorted(set(ALLOWED) - {"__init__"}))
+def test_every_imported_name_is_used(module):
+    assert unused_imports(module) == set()
