@@ -5,67 +5,82 @@ ways: by walking the paths with prescribed north-run lengths and scoring
 them with a linear bounce pass, and by assembling rational
 generating functions from half-open simplicial cones.  Everything is exact
 (integer and rational arithmetic only), so each route can verify the other.
+
+``import qtcatalan`` loads no submodule: each exported name is read from its
+home module when accessed (PEP 562), and that module is imported the first
+time, so a path command never loads the cone route.
 """
 
-from .catalog import (
-    CaseSpec,
-    LatticePiece,
-    assemble_case,
-    assemble_theorem,
-    case_catalog,
-    case_membership,
-    printed_theorem,
-    signed_multiplicity,
-)
-from .cones import (
-    HalfOpenCone,
-    RationalGF,
-    gf_equals,
-    gf_substitute,
-    integer_point_transform,
-    lattice_index,
-    parallelepiped_points,
-    parse_cone,
-    series_expand,
-)
-from .errors import (
-    DegenerateSubstitutionError,
-    DomainError,
-    InternalInvariantError,
-    NonExpandableError,
-    UsageError,
-)
-from .oracles import (
-    SymmetryReport,
-    carlitz_riordan,
-    check_bounce_agreement,
-    check_last_param,
-    check_q_specializations,
-    lambda_catalan,
-    macmahon_q_catalan,
-    q_binomial,
-    refined_catalan,
-    symmetry_report,
-)
-from .paths import (
-    DyckPath,
-    KVector,
-    area_bounce_counts,
-    count_paths,
-    enumerate_paths,
-    path_stats,
-    stats_kaaa,
-    stats_three,
-)
-from .polynomial import (
-    QT_CONTEXT,
-    LaurentPoly,
-    VariableContext,
-    coefficient_grid,
-    is_qt_symmetric,
-    qt_swap,
-    substitute_monomials,
-)
-from .verify import TheoremReport, verify_theorem
+from importlib import import_module
+
+# exported name -> the module it lives in
+_EXPORTS = {
+    "CaseSpec": "catalog",
+    "LatticePiece": "catalog",
+    "assemble_case": "catalog",
+    "assemble_theorem": "catalog",
+    "case_catalog": "catalog",
+    "case_membership": "catalog",
+    "printed_theorem": "catalog",
+    "signed_multiplicity": "catalog",
+    "HalfOpenCone": "cones",
+    "RationalGF": "cones",
+    "gf_equals": "cones",
+    "gf_substitute": "cones",
+    "integer_point_transform": "cones",
+    "lattice_index": "cones",
+    "parallelepiped_points": "cones",
+    "parse_cone": "cones",
+    "series_expand": "cones",
+    "DegenerateSubstitutionError": "errors",
+    "DomainError": "errors",
+    "InternalInvariantError": "errors",
+    "NonExpandableError": "errors",
+    "UsageError": "errors",
+    "SymmetryReport": "oracles",
+    "carlitz_riordan": "oracles",
+    "check_bounce_agreement": "oracles",
+    "check_last_param": "oracles",
+    "check_q_specializations": "oracles",
+    "lambda_catalan": "oracles",
+    "macmahon_q_catalan": "oracles",
+    "q_binomial": "oracles",
+    "refined_catalan": "oracles",
+    "symmetry_report": "oracles",
+    "DyckPath": "paths",
+    "KVector": "paths",
+    "area_bounce_counts": "paths",
+    "count_paths": "paths",
+    "enumerate_paths": "paths",
+    "path_stats": "paths",
+    "stats_kaaa": "paths",
+    "stats_three": "paths",
+    "QT_CONTEXT": "polynomial",
+    "LaurentPoly": "polynomial",
+    "VariableContext": "polynomial",
+    "coefficient_grid": "polynomial",
+    "is_qt_symmetric": "polynomial",
+    "qt_swap": "polynomial",
+    "substitute_monomials": "polynomial",
+    "TheoremReport": "verify",
+    "verify_theorem": "verify",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """An exported name, read from its home module, which is imported if need be."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        # an unknown name, a submodule among them: `from qtcatalan import cones`
+        # then imports the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success / property holds, 1 property fails, 2 usage error,
 3 internal invariant violation.  All output is deterministic for fixed input.
+
+Only ``cone`` and ``verify`` load the cone route: ``_cmd_cone`` imports
+``cones`` when it runs, and ``verify`` imports it inside its functions.
 """
 
 from __future__ import annotations
@@ -12,12 +15,6 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .cones import (
-    integer_point_transform,
-    lattice_index,
-    parallelepiped_points,
-    parse_cone,
-)
 from .errors import DomainError, UsageError
 from .families import FAMILIES, REPEATED_TAIL
 from .oracles import (
@@ -186,6 +183,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_cone(args: argparse.Namespace) -> int:
+    from .cones import integer_point_transform, lattice_index, parallelepiped_points, parse_cone
+
     try:
         text = Path(args.file).read_text()
     except (OSError, UnicodeDecodeError) as exc:

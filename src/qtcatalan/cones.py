@@ -236,11 +236,12 @@ def series_expand(g: RationalGF, weights: Mapping[str, int], bound: int) -> Laur
             for w in range(start, bound - wm + 1, wm):
                 shifted = ((tuple(map(add, key, m)), coef) for key, coef in layers[w].items())
                 add_terms(layers.setdefault(w + wm, {}), shifted)
-    # each layer is freed as it is merged, so the terms are not held twice
+    # each layer is freed as it is merged, so the terms are not held twice; a
+    # term's weight names its layer, so the layers' keys are disjoint
     terms: Dict[Exponents, int] = {}
     while layers:
         terms.update(layers.popitem()[1])
-    return LaurentPoly(ctx, terms)
+    return LaurentPoly._trusted(ctx, terms)
 
 
 # -- plain-text cone files ----------------------------------------------------

@@ -31,7 +31,7 @@ def refined_catalan(parts: Sequence[int]) -> LaurentPoly:
     whose ``{(area, potential): count}`` stands in for all of them, and no
     path is built.
     """
-    return LaurentPoly(QT_CONTEXT, area_bounce_counts(KVector(parts)))
+    return LaurentPoly._trusted(QT_CONTEXT, area_bounce_counts(KVector(parts)))
 
 
 def rearrangements(parts: Sequence[int]) -> Iterator[Tuple[int, ...]]:

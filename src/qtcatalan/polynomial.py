@@ -114,6 +114,19 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, context: VariableContext, terms: Dict[Exponents, int]) -> "LaurentPoly":
+        """A polynomial of terms the package built itself, taken without a check.
+
+        The caller guarantees what ``__init__`` would check: tuple keys of the
+        context's width and nonzero integer coefficients.  ``terms`` is kept,
+        not copied.
+        """
+        poly = object.__new__(cls)
+        poly.context = context
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, context: VariableContext) -> "LaurentPoly":
         return cls(context, {})
 
@@ -180,7 +193,7 @@ class LaurentPoly:
 
     def restrict(self, keys: Iterable[Exponents]) -> "LaurentPoly":
         """The sum of this polynomial's terms at the given exponent tuples."""
-        return LaurentPoly(self.context, {exps: self.terms[exps] for exps in keys})
+        return LaurentPoly._trusted(self.context, {exps: self.terms[exps] for exps in keys})
 
     def extract_coefficient(
         self, assignment: Mapping[str, int], target: VariableContext
@@ -210,7 +223,9 @@ class LaurentPoly:
             padded = exps + (0,)
             if check(padded) == values:
                 out[move(padded)] = coef
-        return LaurentPoly(target, out)
+        # the moved tuples have target's width and are distinct: the terms that
+        # pass agree on every position `move` drops
+        return LaurentPoly._trusted(target, out)
 
     # -- canonical ordering and rendering -----------------------------------
 

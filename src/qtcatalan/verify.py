@@ -4,22 +4,30 @@
 with its transcribed product formula, reads the formula's series against
 the path polynomials of :func:`~qtcatalan.oracles.refined_catalan`, and
 checks the formula's q,t-symmetry.  This is the only module besides the CLI
-and the package root that imports both routes.
+that imports both routes.
+
+The cone route (``cones``, ``catalog``) is imported inside the functions
+that use it, so loading this module, as the CLI does for every command,
+loads only the path route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .catalog import assemble_theorem, printed_theorem
-from .cones import RationalGF, gf_equals, gf_substitute, series_expand
 from .families import family
 from .oracles import refined_catalan
 from .polynomial import QT_CONTEXT, qt_images
 
+if TYPE_CHECKING:
+    from .cones import RationalGF
+
 
 def gf_qt_swap(g: RationalGF) -> RationalGF:
     """Exchange q and t throughout a generating function."""
+    from .cones import gf_substitute
+
     return gf_substitute(g, g.context, qt_images(g.context))
 
 
@@ -44,6 +52,8 @@ def series_matches_paths(gf: RationalGF, name: str, bound: int) -> bool:
     exponents once; each size's coefficient is read from its own group, and
     a size with no group has coefficient zero.
     """
+    from .cones import series_expand
+
     fam = family(name)
     expansion = series_expand(gf, dict.fromkeys(fam.size_names, 1), bound)
     groups = expansion.group_terms(fam.size_names)
@@ -58,6 +68,9 @@ def series_matches_paths(gf: RationalGF, name: str, bound: int) -> bool:
 
 
 def verify_theorem(family: str, bound: int) -> TheoremReport:
+    from .catalog import assemble_theorem, printed_theorem
+    from .cones import gf_equals
+
     printed = printed_theorem(family)
     assembled = assemble_theorem(family)
     formula_match = gf_equals(assembled, printed)

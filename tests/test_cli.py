@@ -9,6 +9,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+# the first `cone` command of a process imports the cone route (about 20 ms
+# without bytecode); loaded here, that import stays out of the examples of
+# test_any_cone_file_is_accepted_or_a_usage_error, which run under a deadline
+import qtcatalan.cones  # noqa: F401
 from qtcatalan import cli
 from qtcatalan.cli import grid_to_tsv, main
 from qtcatalan.errors import UsageError
@@ -321,10 +325,13 @@ def test_exponent_apex_is_a_usage_error_at_once(tmp_path):
     assert result.stderr.startswith("error: line 2: apex")
 
 
+# the tracer wraps only loaded modules, and the CLI loads the cone route when a
+# command needs it, so this loads what it traces first, as bench/sample.py does
 TRACED_RUN = """
 import contextlib, io, json, sys
 import qtcatalan
 from qtcatalan import cli
+from qtcatalan import catalog, cones
 from tracing import Tracer
 
 tracer = Tracer()
@@ -335,16 +342,20 @@ print(json.dumps({"codes": codes, "counts": tracer.counts, "absent": tracer.abse
 """
 
 
-def test_the_benchmark_tracer_sees_the_verify_spans_through_the_cli():
+def test_the_benchmark_tracer_sees_the_verify_spans_through_the_cli(tmp_path):
     # the tracer rebinds every module's name for a traced function; the oracle
     # refined_catalan is traced as verify.refined_catalan, and the CLI reaches it
-    # through its own binding; run apart, since the tracer rebinds for good
+    # through its own binding; `cone` imports its names from cones when it runs,
+    # and reads the traced ones; run apart, since the tracer rebinds for good
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
+    cone_file = tmp_path / "cone.txt"
+    cone_file.write_text(CONE_FILE)
     argvs = [
         ["catalan", "--k", "1,2,1"],
         ["symmetric", "--k", "2,1,1,1"],
         ["verify", "--theorem", "three", "--bound", "3"],
+        ["cone", str(cone_file), "--index"],
     ]
     result = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, json.dumps(argvs)],
@@ -352,9 +363,10 @@ def test_the_benchmark_tracer_sees_the_verify_spans_through_the_cli():
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert report["codes"] == [0, 0, 0] and report["absent"] == []
+    assert report["codes"] == [0, 0, 0, 0] and report["absent"] == []
     for name in ("refined_catalan", "series_matches_paths", "verify_theorem"):
         assert report["counts"][f"verify.{name}.calls"] > 0, name
+    assert report["counts"]["cones.lattice_index.calls"] > 0
 
 
 # cone-file text: directive lines of small integers, fractions, numerals written with

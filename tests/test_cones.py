@@ -577,6 +577,14 @@ def test_layered_series_matches_the_power_walk(data):
     assert series_expand(g, weights, bound) == walked_series(g, weights, bound)
 
 
+@settings(max_examples=100, deadline=None)
+@given(expandable_gfs())
+def test_series_expand_builds_what_the_checks_pass(data):
+    # series_expand builds its result without the constructor's checks
+    series = series_expand(*data)
+    assert series == LaurentPoly(series.context, series.terms)
+
+
 def test_series_visits_only_the_weights_that_hold_terms():
     # a layer list indexed by every weight up to the bound would hold 10**9 dicts
     start = time.monotonic()

@@ -3,7 +3,8 @@
 The path route (``paths``, ``families`` and the ``oracles`` built on them)
 must never depend on the cone route (``lattice``, ``cones``, ``catalog``)
 for its answers.  ``verify``, ``cli`` and the package root are the only
-modules that import both.
+modules that import both; ``verify`` and ``cli`` import the cone route only
+inside the functions that use it, so loading them loads the path route alone.
 """
 
 import ast
@@ -14,6 +15,10 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qtcatalan"
 
 PATH_ROUTE = {"errors", "paths", "polynomial", "families"}
+CONE_ROUTE = {"lattice", "cones", "catalog"}
+
+# the package root's literal {exported name: module} table, imported on first access
+EXPORT_TABLE = "_EXPORTS"
 
 # module -> the package modules it may import
 ALLOWED = {
@@ -34,11 +39,41 @@ ALLOWED = {
 def package_imports(module: str) -> set:
     """The package modules that ``qtcatalan.<module>`` imports, at any depth of its code.
 
-    ``import qtcatalan`` and ``from qtcatalan import *`` count as ``__init__``,
-    which imports every module.
+    ``import qtcatalan`` and ``from qtcatalan import *`` count as ``__init__``.
+    The modules named in the root's export table count as its imports: it
+    imports each one when one of its names is first read.
     """
+    nodes = list(ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())))
+    exported = {
+        home
+        for node in nodes
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == EXPORT_TABLE for target in node.targets)
+        for home in ast.literal_eval(node.value).values()
+    }
+    return _imported(nodes) | exported
+
+
+def _run_at_load(tree: ast.AST):
+    """The nodes outside every function and lambda body and every ``if TYPE_CHECKING:``."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            todo.extend(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def load_imports(module: str) -> set:
+    """The package modules that loading ``qtcatalan.<module>`` imports by itself."""
+    return _imported(_run_at_load(ast.parse((PACKAGE / f"{module}.py").read_text())))
+
+
+def _imported(nodes) -> set:
     found = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "qtcatalan":
@@ -62,11 +97,14 @@ def package_imports(module: str) -> set:
     return found
 
 
-def import_closure(module: str) -> set:
-    """Every package module that loading ``qtcatalan.<module>`` loads, itself excluded."""
+def import_closure(module: str, imports=package_imports) -> set:
+    """Every package module that ``qtcatalan.<module>`` may load, itself excluded.
+
+    With ``imports=load_imports``, only those that loading it loads at once.
+    """
     seen, todo = set(), [module]
     while todo:
-        for name in package_imports(todo.pop()) - seen:
+        for name in imports(todo.pop()) - seen:
             seen.add(name)
             todo.append(name)
     return seen - {module}
@@ -87,6 +125,20 @@ def test_imports_follow_the_table(module):
 
 def test_the_oracles_load_nothing_of_the_cone_route():
     assert not import_closure("oracles") & {"lattice", "cones", "catalog", "verify"}
+
+
+def test_the_root_exports_from_the_modules_it_always_did():
+    assert package_imports("__init__") == {
+        "errors", "paths", "polynomial", "oracles", "cones", "catalog", "verify"
+    }
+
+
+@pytest.mark.parametrize("module", ["cli", "verify"])
+def test_loading_the_cli_or_verify_loads_nothing_of_the_cone_route(module):
+    assert load_imports(module) & CONE_ROUTE == set()
+    assert import_closure(module, load_imports) & CONE_ROUTE == set()
+    # the cone route is still imported, inside the functions that use it
+    assert package_imports(module) & CONE_ROUTE
 
 
 def unused_imports(module: str) -> set:
@@ -113,7 +165,12 @@ def unused_imports(module: str) -> set:
     return imported - read
 
 
-# the package root imports names to re-export them
+# the package root is held to this on its own, below
 @pytest.mark.parametrize("module", sorted(set(ALLOWED) - {"__init__"}))
 def test_every_imported_name_is_used(module):
     assert unused_imports(module) == set()
+
+
+def test_the_root_imports_only_what_it_uses():
+    # its exports are named in its table, not imported
+    assert unused_imports("__init__") == set()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtcatalan.errors import DomainError, UsageError
+from qtcatalan.oracles import refined_catalan
 from qtcatalan.polynomial import (
     QT_CONTEXT,
     LaurentPoly,
@@ -235,3 +236,30 @@ def test_group_terms_matches_the_full_scan(poly, names):
         absent = (4,) * len(names)  # outside the exponent range, so no group has it
         assert absent not in groups
         assert not poly.extract_coefficient(dict(zip(names, absent)), target)
+
+
+def checked(poly: LaurentPoly) -> LaurentPoly:
+    """The same terms through the public constructor, which checks each one."""
+    return LaurentPoly(poly.context, poly.terms)
+
+
+# restrict, extract_coefficient and refined_catalan build their results
+# without the constructor's checks; each must be what the checks would pass
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys(V5), grouped_names)
+def test_trusted_restrictions_and_coefficients_pass_the_checks(poly, names):
+    target = VariableContext(name for name in V5.names if name not in names)
+    for key, keys in poly.group_terms(names).items():
+        part = poly.restrict(keys)
+        assert part == checked(part)
+        coefficient = part.extract_coefficient(dict(zip(names, key)), target)
+        assert coefficient == checked(coefficient)
+    whole = poly.extract_coefficient({}, V5)
+    assert whole == checked(whole) == poly
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+def test_trusted_path_polynomials_pass_the_checks(parts):
+    poly = refined_catalan(parts)
+    assert poly == checked(poly)
