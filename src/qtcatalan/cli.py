@@ -11,22 +11,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UsageError
 from .families import FAMILIES, REPEATED_TAIL
 from .oracles import (
     check_last_param,
+    check_path_work,
     kvectors_of_length,
     lambda_catalan,
-    rearrangements,
     refined_catalan,
     repeated_tail_vectors,
     symmetry_report,
 )
-from .paths import KVector, count_paths, enumerate_paths, path_stats
+from .paths import KVector, enumerate_paths, path_stats
 from .polynomial import (
     LaurentPoly,
     VariableContext,
@@ -43,77 +43,18 @@ EXIT_INTERNAL = 3
 # the enumeration makes one point per unit of index.
 MAX_ENUMERATED_INDEX = 100_000
 
-# Largest path work, the number of paths times the total run length n summed
-# over the vectors, that a command on run-length vectors lists paths for.
-MAX_PATH_WORK = 10_000_000
-
-# Largest path work of the members that `verify --bound` compares with the
-# series: it admits `kaaa --bound 16` (18.8 million) and `k4 --bound 24`
-# (21.1 million), and refuses `kaaa --bound 17` and `k4 --bound 25`.
-MAX_VERIFY_WORK = 25_000_000
-
 
 def _parse_parts(text: str) -> Tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
-    if not parts:
-        raise UsageError("empty run-length list")
-    return parts
-
-
-def _check_path_work(vectors: Iterable[Sequence[int]], limit: int = MAX_PATH_WORK) -> None:
-    """Refuse, before any path is listed, vectors whose path work exceeds the limit."""
-    work = 0
-    for parts in vectors:
-        kvec = KVector(parts)
-        # every rank has at least k + 1 successors, so n * prod(k + 1) over all
-        # runs but the last is a lower bound that keeps count_paths off huge vectors
-        low = kvec.n
-        for k in kvec.parts[:-1]:
-            if work + low > limit:
-                break
-            low *= k + 1
-        work += low if work + low > limit else count_paths(kvec) * kvec.n
-        if work > limit:
-            label = kvec if kvec.m <= 20 else f"({kvec.m} runs, n = {kvec.n})"
-            raise UsageError(
-                f"run lengths {label} exceed the path work limit {limit} (paths times n)"
-            )
-
-
-def _check_verify_work(name: str, bound: int) -> None:
-    """Refuse, before any work, a bound whose members exceed the verify work limit.
-
-    The sizes are counted by formula first: a bound such as 100000 has too
-    many to list.  Each size is at most the bound and run lengths grow with
-    the sizes, so every member's runs are at most those of ``top``, the
-    member with every size at the bound.  A vector's path work is at most n
-    times the product of ``k_1 + ... + k_i + 1`` over all runs but the last,
-    since each rank is at most the runs before it; only when the count times
-    that bound for ``top`` passes the limit are the paths counted exactly.
-    """
-    fam = FAMILIES[name]
-    count = fam.size_count(bound)
-    if count > MAX_VERIFY_WORK:
-        raise UsageError(
-            f"bound {bound} gives {count} sizes, beyond the path work limit {MAX_VERIFY_WORK}"
-        )
-    top = fam.kvector((bound,) * len(fam.size_names))
-    prefix, high = 0, sum(top)
-    for k in top[:-1]:
-        prefix += k
-        high *= prefix + 1
-    if count * high > MAX_VERIFY_WORK:
-        vectors = (fam.kvector(sizes) for sizes in fam.sizes(bound) if sum(sizes) <= bound)
-        _check_path_work(vectors, MAX_VERIFY_WORK)
 
 
 def _vector(text: str) -> Tuple[int, ...]:
     """A run-length vector whose paths are within the work limit."""
     parts = _parse_parts(text)
-    _check_path_work([parts])
+    check_path_work([parts])
     return parts
 
 
@@ -140,9 +81,7 @@ def _cmd_catalan(args: argparse.Namespace) -> int:
     if args.k is not None:
         poly = refined_catalan(_vector(args.k))
     else:
-        partition = _parse_parts(args.lam)
-        _check_path_work(rearrangements(partition))
-        poly = lambda_catalan(partition)
+        poly = lambda_catalan(_parse_parts(args.lam))
     print(poly)
     return EXIT_OK
 
@@ -209,7 +148,6 @@ def _cmd_cone(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_verify_work(args.theorem, args.bound)
     report = verify_theorem(args.theorem, args.bound)
     for label, flag in (
         ("formula_match", report.formula_match),
@@ -222,25 +160,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.family is not None:
-        lengths = _parse_parts(args.lengths)
-        counts = [(length, 2) for length in lengths]  # (runs, power of --max vectors)
-        vectors = partial(repeated_tail_vectors, args.max, lengths)
+        vectors = repeated_tail_vectors(args.max, _parse_parts(args.lengths))
     else:
-        counts = [(args.all_length, args.all_length)]
-        vectors = partial(kvectors_of_length, args.all_length, args.max)
-    # first each length, as its vectors may be too many or too long to make: a
-    # vector of m runs has n >= m and at least 2^(m - 1) paths, and exponents
-    # cut at 64 keep the bound below the work and still far past the limit
-    for length, power in counts:
-        if length >= 1 and args.max ** min(power, 64) * length * 2 ** min(length - 1, 64) > MAX_PATH_WORK:
-            raise UsageError(
-                f"the {args.max}^{power} vectors of {length} runs exceed the path work limit "
-                f"{MAX_PATH_WORK} (paths times n)"
-            )
-    # then the vectors are made twice, lazily: once to bound the work, once to report
-    _check_path_work(vectors())
+        vectors = kvectors_of_length(args.all_length, args.max)
     all_symmetric = True
-    for parts in vectors():
+    for parts in vectors:
         report = symmetry_report(parts)
         label = "(" + ",".join(str(p) for p in parts) + ")"
         if report.symmetric:
@@ -252,9 +176,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_lastparam(args: argparse.Namespace) -> int:
-    prefix = _parse_parts(args.prefix)
-    _check_path_work([prefix + (args.m,), prefix + (args.l,)])
-    if check_last_param(prefix, args.m, args.l):
+    if check_last_param(_parse_parts(args.prefix), args.m, args.l):
         print("equal")
         return EXIT_OK
     print("different")

@@ -15,7 +15,6 @@ equality decided by cross-multiplication and never by cancellation.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DegenerateSubstitutionError, DomainError, NonExpandableError, UsageError, _integers
+from .errors import DegenerateSubstitutionError, DomainError, NonExpandableError, UsageError, _integer, _integers
 from .lattice import diagonal_form
 from .polynomial import Exponents, LaurentPoly, VariableContext, add_terms, substitute_monomials
 
@@ -206,10 +205,7 @@ def series_expand(g: RationalGF, weights: Mapping[str, int], bound: int) -> Laur
     """
     ctx = g.context
     wvec = _integers([weights.get(name, 0) for name in ctx.names], "series weights")
-    try:
-        bound = operator.index(bound)
-    except TypeError:
-        raise DomainError(f"series bound must be an integer, got {bound!r}") from None
+    bound = _integer(bound, "series bound")
     if any(w < 0 for w in wvec):
         raise UsageError("weights must be nonnegative")
     # every wm > 0 before the first pass: a pass adds layer w into layer

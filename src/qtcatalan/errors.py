@@ -4,7 +4,7 @@ The split mirrors the three failure modes a caller can meaningfully react
 to: bad input (`UsageError`), input outside a formula's region of validity
 (`DomainError`), and broken internal invariants (`InternalInvariantError`,
 which always indicates a bug rather than bad data).  Both routes read
-integer sequences through :func:`_integers`, which raises the `DomainError`.
+integers through :func:`_integer` and :func:`_integers`, which raise the `DomainError`.
 """
 
 import operator
@@ -29,6 +29,14 @@ class NonExpandableError(UsageError):
 
 class InternalInvariantError(RuntimeError):
     """An internal consistency check failed; this is a bug, not bad input."""
+
+
+def _integer(value: int, what: str) -> int:
+    """``value`` as an int; anything that is not an integer is a DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _integers(values: Sequence[int], what: str) -> Tuple[int, ...]:

@@ -12,15 +12,70 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator, Optional, Sequence, Tuple
+from math import comb, prod
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import DomainError, InternalInvariantError, UsageError
+from .errors import DomainError, InternalInvariantError, UsageError, _integer, _integers
 from .families import family
-from .paths import KVector, area_bounce_counts, enumerate_paths, path_stats
+from .paths import KVector, area_bounce_counts, count_paths, enumerate_paths, path_stats
 from .polynomial import QT_CONTEXT, LaurentPoly, VariableContext, add_terms, qt_swap, substitute_monomials
 
 Q_CONTEXT = VariableContext(("q",))
+
+# Largest path work, the number of paths times the total run length n summed
+# over the vectors, that a call on run-length vectors lists paths for.
+MAX_PATH_WORK = 10_000_000
+
+# Largest path work of the members that `verify_theorem` compares with the
+# series: it admits kaaa at bound 16 (18.8 million) and k4 at bound 24
+# (21.1 million), and refuses kaaa at 17 and k4 at 25.
+MAX_VERIFY_WORK = 25_000_000
+
+
+def check_path_work(vectors: Iterable[Sequence[int]], limit: int = MAX_PATH_WORK) -> None:
+    """Refuse, before any path is listed, vectors whose path work exceeds the limit."""
+    work = 0
+    for parts in vectors:
+        kvec = KVector(parts)
+        # every rank has at least k + 1 successors, so n * prod(k + 1) over all
+        # runs but the last is a lower bound that keeps count_paths off huge vectors
+        low = kvec.n
+        for k in kvec.parts[:-1]:
+            if work + low > limit:
+                break
+            low *= k + 1
+        work += low if work + low > limit else count_paths(kvec) * kvec.n
+        if work > limit:
+            label = kvec if kvec.m <= 20 else f"({kvec.m} runs, n = {kvec.n})"
+            raise UsageError(
+                f"run lengths {label} exceed the path work limit {limit} (paths times n)"
+            )
+
+
+def check_verify_work(name: str, bound: int) -> None:
+    """Refuse, before any work, a bound whose members exceed the verify work limit.
+
+    The sizes are counted by formula first: a bound such as 100000 has too
+    many to list.  Each size is at most the bound and run lengths grow with
+    the sizes, so every member's runs are at most those of ``top``, the
+    member with every size at the bound.  A vector's path work is at most n
+    times the product of ``k_1 + ... + k_i + 1`` over all runs but the last,
+    since each rank is at most the runs before it; only when the count times
+    that bound for ``top`` passes the limit are the paths counted exactly.
+    A bound below 1 has no members; one that is not an integer is a DomainError.
+    """
+    bound = _integer(bound, "series bound")
+    fam = family(name)
+    count = fam.size_count(max(bound, 0))
+    if count > MAX_VERIFY_WORK:
+        raise UsageError(
+            f"bound {bound} gives {count} sizes, beyond the path work limit {MAX_VERIFY_WORK}"
+        )
+    top = fam.kvector((bound,) * len(fam.size_names))
+    high = sum(top) * prod(prefix + 1 for prefix in itertools.accumulate(top[:-1]))
+    if count * high > MAX_VERIFY_WORK:
+        vectors = (fam.kvector(sizes) for sizes in fam.sizes(bound) if sum(sizes) <= bound)
+        check_path_work(vectors, MAX_VERIFY_WORK)
 
 
 def refined_catalan(parts: Sequence[int]) -> LaurentPoly:
@@ -61,6 +116,7 @@ def lambda_catalan(partition: Sequence[int]) -> LaurentPoly:
     partition = KVector(partition).parts
     if list(partition) != sorted(partition, reverse=True):
         raise DomainError(f"{partition} is not a partition (weakly decreasing, positive)")
+    check_path_work(rearrangements(partition))
     counts = (area_bounce_counts(KVector(a)).items() for a in rearrangements(partition))
     return LaurentPoly(QT_CONTEXT, add_terms({}, itertools.chain.from_iterable(counts)))
 
@@ -94,24 +150,44 @@ def symmetry_report(parts: Sequence[int]) -> SymmetryReport:
     return SymmetryReport(subject=tuple(parts), symmetric=witness is None, witness=witness)
 
 
+def _scan(max_part: int, counts: Iterable[Tuple[int, int]], vectors: Callable) -> Iterator:
+    """``vectors()``, once the ``max_part^power`` vectors of each ``(length, power)`` pair,
+    then the vectors made, are within the path work limit.  A vector of m runs has n >= m and
+    at least 2^(m - 1) paths; exponents cut at 64 keep the bound below the work, yet past the limit.
+    """
+    for length, power in counts:
+        if max_part > 0 and max_part ** min(power, 64) * length * 2 ** min(length - 1, 64) > MAX_PATH_WORK:
+            raise UsageError(
+                f"the {max_part}^{power} vectors of {length} runs exceed the path work limit "
+                f"{MAX_PATH_WORK} (paths times n)"
+            )
+    check_path_work(vectors())
+    return vectors()
+
+
 def kvectors_of_length(length: int, max_part: int) -> Iterator[Tuple[int, ...]]:
     """Every vector of ``length`` parts in [1, max_part], lazily, in lexicographic order."""
-    return itertools.product(range(1, max_part + 1), repeat=length)
+    length, max_part = _integers((length, max_part), "scan arguments")
+    if length < 0:
+        raise UsageError(f"a vector needs length >= 0, got {length}")
+    vectors = lambda: itertools.product(range(1, max_part + 1), repeat=length)
+    return _scan(max_part, [(length, length)], vectors) if length else vectors()
 
 
 def repeated_tail_vectors(max_value: int, lengths: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     """Vectors (k, a, a, ..., a) for 1 <= k, a <= max_value, lazily."""
+    max_value, *lengths = _integers((max_value, *lengths), "scan arguments")
     if any(length < 2 for length in lengths):
         raise UsageError("repeated-tail vectors need length >= 2")
-    for length in lengths:
-        for k in range(1, max_value + 1):
-            for a in range(1, max_value + 1):
-                yield (k,) + (a,) * (length - 1)
+    values = range(1, max_value + 1)
+    vectors = lambda: ((k,) + (a,) * (length - 1) for length in lengths for k in values for a in values)
+    return _scan(max_value, [(length, 2) for length in lengths], vectors)
 
 
 def check_last_param(prefix: Sequence[int], m: int, l: int) -> bool:
     """Whether replacing the last run length m by l leaves the polynomial fixed."""
     prefix = tuple(prefix)
+    check_path_work([prefix + (m,), prefix + (l,)])
     return refined_catalan(prefix + (m,)) == refined_catalan(prefix + (l,))
 
 

@@ -13,7 +13,7 @@ import re
 from operator import add, mul
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _integer
 
 Exponents = Tuple[int, ...]
 
@@ -57,10 +57,7 @@ class VariableContext:
         """Exponent vector with the named entries set and all others zero."""
         vec = [0] * len(self.names)
         for name, e in exponents.items():
-            try:
-                vec[self.index(name)] = operator.index(e)
-            except TypeError:
-                raise DomainError(f"exponent of {name} must be an integer, got {e!r}") from None
+            vec[self.index(name)] = _integer(e, f"exponent of {name}")
         return tuple(vec)
 
 

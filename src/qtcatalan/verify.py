@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .families import family
-from .oracles import refined_catalan
+from .oracles import check_verify_work, refined_catalan
 from .polynomial import QT_CONTEXT, qt_images
 
 if TYPE_CHECKING:
@@ -68,6 +68,7 @@ def series_matches_paths(gf: RationalGF, name: str, bound: int) -> bool:
 
 
 def verify_theorem(family: str, bound: int) -> TheoremReport:
+    check_verify_work(family, bound)
     from .catalog import assemble_theorem, printed_theorem
     from .cones import gf_equals
 

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import resource
+import select
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +17,9 @@ from hypothesis import strategies as st
 # without bytecode); loaded here, that import stays out of the examples of
 # test_any_cone_file_is_accepted_or_a_usage_error, which run under a deadline
 import qtcatalan.cones  # noqa: F401
-from qtcatalan import cli
+# and `verify` imports catalog on its first call, which the argv fuzz makes
+import qtcatalan.catalog  # noqa: F401
+from qtcatalan import cli, oracles
 from qtcatalan.cli import grid_to_tsv, main
 from qtcatalan.errors import UsageError
 from qtcatalan.oracles import refined_catalan
@@ -218,7 +224,7 @@ def test_unexpected_exceptions_are_internal_errors(capsys, monkeypatch):
 
 
 def test_run_lengths_beyond_the_path_work_limit_are_usage_errors(capsys):
-    limit = str(cli.MAX_PATH_WORK)
+    limit = str(oracles.MAX_PATH_WORK)
     for argv in (
         ("paths", "--k", "99999999999999999999999"),
         ("paths", "--k", "1000000000"),
@@ -245,10 +251,10 @@ def test_verify_work_limit_admits_the_largest_documented_inputs(capsys):
     # the members' path work: kaaa 16 is 18,812,268, k4 24 is 21,051,680 and
     # three 12 (the benchmark's bound) is 58,773; kaaa 17 and k4 25 pass the limit
     for name, bound in (("kaaa", 16), ("k4", 24), ("three", 12)):
-        cli._check_verify_work(name, bound)
+        oracles.check_verify_work(name, bound)
     for name, bound in (("kaaa", 17), ("k4", 25), ("three", 40), ("k4", 10**30)):
         code, out, err = run(capsys, "verify", "--theorem", name, "--bound", str(bound))
-        assert code == 2 and out == "" and str(cli.MAX_VERIFY_WORK) in err, (name, bound)
+        assert code == 2 and out == "" and str(oracles.MAX_VERIFY_WORK) in err, (name, bound)
 
 
 def test_verify_beyond_the_work_limit_exits_at_once():
@@ -263,7 +269,7 @@ def test_verify_beyond_the_work_limit_exits_at_once():
         )
         elapsed = time.monotonic() - start
         assert result.returncode == 2 and result.stdout == "", name
-        assert str(cli.MAX_VERIFY_WORK) in result.stderr and elapsed < 1.0, (name, elapsed)
+        assert str(oracles.MAX_VERIFY_WORK) in result.stderr and elapsed < 1.0, (name, elapsed)
 
 
 def _limit_memory():
@@ -283,7 +289,7 @@ def test_scans_beyond_the_path_work_limit_are_usage_errors_before_any_output():
             env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
         )
         assert result.returncode == 2 and result.stdout == "", argv
-        assert result.stderr.startswith("error: ") and str(cli.MAX_PATH_WORK) in result.stderr
+        assert result.stderr.startswith("error: ") and str(oracles.MAX_PATH_WORK) in result.stderr
 
 
 def test_scans_of_oversized_arguments_are_usage_errors_before_any_vector(capsys):
@@ -297,7 +303,7 @@ def test_scans_of_oversized_arguments_are_usage_errors_before_any_vector(capsys)
         start = time.monotonic()
         code, out, err = run(capsys, "scan", *argv)
         assert code == 2 and out == "" and err.startswith("error: "), (argv, err)
-        assert str(cli.MAX_PATH_WORK) in err and time.monotonic() - start < 1.0, argv
+        assert str(oracles.MAX_PATH_WORK) in err and time.monotonic() - start < 1.0, argv
 
 
 def test_work_refusals_give_a_long_vector_by_its_length(capsys):
@@ -310,6 +316,56 @@ def test_work_refusals_give_a_long_vector_by_its_length(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and runs in err and len(err) < 200, (argv, err[:200])
         assert time.monotonic() - start < 1.0, argv
+
+
+# each library call past a work limit, the limit it names, and the argv that asks
+# the CLI for the same work
+LIBRARY_REFUSALS = [
+    ("oracles.kvectors_of_length(3, 10**11)", oracles.MAX_PATH_WORK,
+     ("scan", "--all-length", "3", "--max", str(10**11))),
+    ("oracles.repeated_tail_vectors(1, [10**20])", oracles.MAX_PATH_WORK,
+     ("scan", "--family", "kaaa", "--max", "1", "--lengths", str(10**20))),
+    ('verify.verify_theorem("k4", 60)', oracles.MAX_VERIFY_WORK,
+     ("verify", "--theorem", "k4", "--bound", "60")),
+    ('verify.verify_theorem("kaaa", 40)', oracles.MAX_VERIFY_WORK,
+     ("verify", "--theorem", "kaaa", "--bound", "40")),
+    ("oracles.lambda_catalan((1,) * 40)", oracles.MAX_PATH_WORK,
+     ("catalan", "--lambda", ",".join(["1"] * 40))),
+    ("oracles.check_last_param((1, 1, 1), 2, 10**8)", oracles.MAX_PATH_WORK,
+     ("lastparam", "--prefix", "1,1,1", "--m", "2", "--l", str(10**8))),
+]
+
+LIBRARY_CALLS = """
+import json, sys, time
+from qtcatalan import oracles, verify
+
+outcomes = []
+for call in sys.argv[1:]:
+    start = time.monotonic()
+    try:
+        eval(call)
+        outcome = ["returned", ""]
+    except Exception as exc:
+        outcome = [type(exc).__name__, str(exc)]
+    outcomes.append(outcome + [time.monotonic() - start])
+print(json.dumps(outcomes))
+"""
+
+
+def test_library_calls_beyond_the_work_limits_refuse_at_once(capsys):
+    # the limits once lived only in the CLI: the scans ran out of memory or returned
+    # a generator whose first vector overflowed, and each verify ran past a minute;
+    # run apart, under the 1 GB address space and a timeout, so none of that can hang
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", LIBRARY_CALLS, *(call for call, _, _ in LIBRARY_REFUSALS)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert result.returncode == 0, result.stderr
+    for (call, limit, argv), (kind, message, seconds) in zip(LIBRARY_REFUSALS, json.loads(result.stdout)):
+        assert kind == "UsageError" and str(limit) in message and seconds < 1.0, (call, kind, message, seconds)
+        # the CLI prints the library's refusal as it is
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), call
 
 
 def test_exponent_apex_is_a_usage_error_at_once(tmp_path):
@@ -399,3 +455,118 @@ def test_any_cone_file_is_accepted_or_a_usage_error(tmp_path, text, flag):
     path = tmp_path / "cone.txt"
     path.write_text(text, encoding="utf-8")
     assert main(["cone", str(path), flag]) in (0, 2)
+
+
+# argv items: small numbers in admitted forms; hostile ints (zero, negative, huge);
+# and items that are no int at all: a superscript, floats, a word and the empty item
+SMALL = ["1", "2", "3", "+2", " 3", "0_1", "\u0663"]
+HUGE = ["99999999999", "9" * 30]
+INTS = SMALL + HUGE + ["0", "-1", "-0", "-" + "9" * 30]
+NOT_INTS = ["\u00b2", "1.5", "1e3", "nan", "x", ""]
+# a third of the draws are small, so that most commands get past their parser, and
+# a third huge, so that many ask for more than a work limit admits
+NUMBERS = st.one_of(st.sampled_from(SMALL), st.sampled_from(HUGE), st.sampled_from(INTS + NOT_INTS))
+# a run length may also be 10: the paths of at most three runs of 10 are few
+PARTS = st.one_of(NUMBERS, st.just("1_0"))
+# at most three runs, or 15 and more, which pass the path work limit whenever they parse
+VECTORS = st.one_of(
+    st.lists(st.sampled_from(SMALL + ["1_0"]), min_size=1, max_size=3),
+    st.lists(PARTS, max_size=3),
+    st.lists(PARTS, min_size=15, max_size=40),
+).map(",".join)
+# a long list of lengths: each vector has at most three runs, or is refused
+LENGTHS = st.lists(NUMBERS, max_size=30).map(",".join)
+THEOREMS = st.sampled_from(["three", "k4", "kaaa", "k5"])
+# each subcommand with a set of its flags, and what their values are drawn from; a
+# command of exclusive flags has a set for each, and one with both
+SHAPES = [
+    ("paths", {"--k": VECTORS}),
+    ("catalan", {"--k": VECTORS}),
+    ("catalan", {"--lambda": VECTORS}),
+    ("catalan", {"--k": VECTORS, "--lambda": VECTORS}),
+    ("symmetric", {"--k": VECTORS}),
+    ("grid", {"--k": VECTORS, "--format": st.sampled_from(["pretty", "tsv", "csv"])}),
+    ("verify", {"--theorem": THEOREMS, "--bound": NUMBERS}),
+    ("scan", {"--family": st.sampled_from(["kaaa", "three"]), "--max": NUMBERS, "--lengths": LENGTHS}),
+    ("scan", {"--all-length": NUMBERS, "--max": NUMBERS}),
+    ("scan", {"--family": st.just("kaaa"), "--all-length": NUMBERS, "--max": NUMBERS}),
+    ("lastparam", {"--prefix": VECTORS, "--m": PARTS, "--l": PARTS}),
+]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and each of its flags missing, given once or repeated, in any order."""
+    command, flags = draw(st.sampled_from(SHAPES))
+    pairs = [
+        (flag, draw(values))
+        for flag, values in flags.items()
+        for _ in range(draw(st.sampled_from((1, 1, 0, 2))))
+    ]
+    return [command, *(item for pair in draw(st.permutations(pairs)) for item in pair)]
+
+
+def _assert_exit_contract(code: int, err: str) -> None:
+    assert code in (0, 1, 2) and "internal error" not in err and "Traceback" not in err, (code, err)
+
+
+@given(argv=argvs())
+@example(argv=["scan", "--all-length", "3", "--max", "99999999999"])
+@example(argv=["lastparam", "--prefix", "1,1,1", "--m", "2", "--l", "99999999999"])
+@example(argv=["verify", "--theorem", "kaaa", "--bound", "9" * 30])
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
+    # every input is bounded by the library's work limits, so this runs in-process
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    _assert_exit_contract(code, err.getvalue())
+
+
+# answers one JSON argv a line with the exit code and stderr of cli.main
+CLI_WORKER = """
+import contextlib, io, json, sys
+from qtcatalan.cli import main
+
+for line in sys.stdin:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(json.loads(line))
+    print(json.dumps([code, err.getvalue()]), flush=True)
+"""
+
+
+class CliWorker:
+    """One subprocess that runs argvs in turn, each under a timeout."""
+
+    def __init__(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        self.process = subprocess.Popen(
+            [sys.executable, "-c", CLI_WORKER], env=env, text=True,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, preexec_fn=_limit_memory,
+        )
+
+    def run(self, argv, timeout=10.0):
+        self.process.stdin.write(json.dumps(argv) + "\n")
+        self.process.stdin.flush()
+        ready, _, _ = select.select([self.process.stdout], [], [], timeout)
+        assert ready, f"no answer within {timeout} s to {argv}"
+        return json.loads(self.process.stdout.readline())
+
+
+@pytest.fixture(scope="module")
+def cone_worker(tmp_path_factory):
+    worker, directory = CliWorker(), tmp_path_factory.mktemp("cones")
+    # the first `cone` command imports the cone route; done here, outside the deadline
+    worker.run(["cone", str(directory / "absent.txt"), "--index"], timeout=60)
+    yield worker, directory / "cone.txt"
+    worker.process.kill()
+    worker.process.wait()
+
+
+@given(text=CONE_TEXTS, flag=st.sampled_from(["--pi", "--index", "--transform"]))
+def test_any_cone_argv_exits_0_1_or_2_without_a_traceback(cone_worker, text, flag):
+    # cone files still run apart, under a timeout, until the rank and index cost
+    # no more than the lattice's entries
+    worker, path = cone_worker
+    path.write_text(text, encoding="utf-8")
+    _assert_exit_contract(*worker.run(["cone", str(path), flag]))

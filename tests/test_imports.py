@@ -174,3 +174,18 @@ def test_every_imported_name_is_used(module):
 def test_the_root_imports_only_what_it_uses():
     # its exports are named in its table, not imported
     assert unused_imports("__init__") == set()
+
+
+def test_the_cli_holds_no_work_limit():
+    # the path work limits and predictions live in oracles; the CLI only calls them
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assigned = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert "count_paths" not in called
+    assert not {name for name in assigned if name.endswith("_WORK")}

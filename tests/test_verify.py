@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import grid_witness
 import pytest
@@ -163,6 +164,34 @@ def test_symmetry_scan_repeated_tails():
     assert all(r.symmetric for r in reports)
 
 
+@pytest.mark.parametrize(
+    "scan, args",
+    [
+        (kvectors_of_length, (2, 1.5)),
+        (kvectors_of_length, (1.5, 2)),
+        (repeated_tail_vectors, (1.5, [3])),
+        (repeated_tail_vectors, (2, [3.5])),
+    ],
+)
+def test_scans_read_their_arguments_as_integers(scan, args):
+    # range() and (a,) * length once raised TypeError
+    with pytest.raises(DomainError):
+        scan(*args)
+
+
+def test_scans_refuse_short_lengths_when_called():
+    with pytest.raises(UsageError):
+        kvectors_of_length(-1, 2)
+    # the call raises, not the first next() of what it returns
+    with pytest.raises(UsageError, match="length >= 2"):
+        repeated_tail_vectors(2, [1])
+    assert list(kvectors_of_length(0, 2)) == [()]
+    assert list(kvectors_of_length(2, 0)) == list(kvectors_of_length(2, -5)) == []
+    assert list(kvectors_of_length(2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert list(repeated_tail_vectors(2, [3])) == [(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 2)]
+    assert list(repeated_tail_vectors(0, [3])) == list(repeated_tail_vectors(2, [])) == []
+
+
 def test_witness_agrees_with_the_grid_scan_on_every_small_vector():
     vectors = [v for length in range(1, 6) for v in kvectors_of_length(length, 3)]
     assert len(vectors) == 363
@@ -223,6 +252,19 @@ def test_verify_theorem_small(family, bound):
     assert report.series_match
     assert report.symmetric
     assert report.all_ok
+
+
+@pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
+@pytest.mark.parametrize("bound", [0, -1, 1.5, "3"])
+def test_verify_theorem_reads_odd_bounds_before_predicting_work(family, bound):
+    # a bound below 1 has no members to compare, and one that is not an integer is
+    # refused as the series expansion refuses it; math.comb(-1, 3) would raise
+    # ValueError, and 1.5 or "3" a TypeError
+    if isinstance(bound, int):
+        assert verify_theorem(family, bound).all_ok
+    else:
+        with pytest.raises(DomainError, match=re.escape(f"series bound must be an integer, got {bound!r}")):
+            verify_theorem(family, bound)
 
 
 def test_q_binomial_golden():
