@@ -16,7 +16,6 @@ from importlib import import_module
 # exported name -> the module it lives in
 _EXPORTS = {
     "CaseSpec": "catalog",
-    "LatticePiece": "catalog",
     "assemble_case": "catalog",
     "assemble_theorem": "catalog",
     "case_catalog": "catalog",

@@ -7,9 +7,9 @@ short run followed by three equal longer runs) comes with a fixed list of
 * the region of path coordinates it covers (integer inequalities plus an
   optional parity constraint),
 * a realization of that region's lattice points, either a
-  :class:`~.cones.HalfOpenCone` or an explicit :class:`LatticePiece`
-  (signed base points over a free generator set); a cone is turned into
-  the piece of its fundamental-parallelepiped points,
+  :class:`~.cones.HalfOpenCone` or a piece ``sum c z^b / prod (1 - z^v)``, a
+  :class:`~.cones.RationalGF` in the family's coordinate variables (signed
+  base points over a free generator set),
 * optional correction pieces (e.g. removal of a spurious boundary slice).
 
 Lattice points map to generating-function monomials pointwise, through the
@@ -25,10 +25,10 @@ table, and each case's coverage table and dense region with its parity test,
 becomes one Python function of straight-line integer code, built once.  The
 source of such a function is safe to compile.  It is assembled only from
 literal templates in this module, the synthetic names ``x0, x1, ...`` and
-``v0, v1, ...``, and numbers that passed ``operator.index`` and were written
-with ``%d``; piece coefficients, bases and generators are read as ints when
-a :class:`LatticePiece` is built.  No outside text reaches it: a point is
-the function's argument, validated by ``_coordinates`` before the call.
+``v0, v1, ...``, and numbers, a base's row values among them, that ``_source``
+passed through ``operator.index`` and wrote with ``%d``; ``_piece`` reads
+bases as ints.  No outside text reaches it: a point is the function's
+argument, validated by ``_coordinates`` before the call.
 """
 
 from __future__ import annotations
@@ -38,19 +38,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from operator import mul
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .cones import (
     HalfOpenCone,
     RationalGF,
     gf_substitute,
     gf_sum,
-    parallelepiped_points,
+    integer_point_transform,
 )
 from .errors import InternalInvariantError, UsageError, _integers
 from .families import FAMILIES, FamilyInfo, Point, family
 from .lattice import diagonal_form
-from .polynomial import Exponents, LaurentPoly, VariableContext, add_terms
+from .polynomial import Exponents, LaurentPoly, add_terms
 
 
 @dataclass(frozen=True)
@@ -82,29 +82,7 @@ def _eq(const=0, **coeffs) -> Tuple[Constraint, Constraint]:
     return _ge(const, **coeffs), _ge(-const, **{name: -c for name, c in coeffs.items()})
 
 
-@dataclass(frozen=True)
-class LatticePiece:
-    """Signed base points over a free commutative monoid of generators.
-
-    Enumerates ``base + N v_1 + ... + N v_r`` for each base, with the base's
-    sign as multiplicity.  This covers both fundamental-parallelepiped
-    decompositions and correction slices.  Coefficients, bases and
-    generators are read as ints; anything else is a DomainError.
-    """
-
-    bases: Tuple[Tuple[int, Point], ...]
-    generators: Tuple[Point, ...]
-
-    def __post_init__(self):
-        coefs = _integers([coef for coef, _ in self.bases], "piece coefficients")
-        bases = tuple(zip(coefs, (_integers(base, "piece bases") for _, base in self.bases)))
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(
-            self, "generators", tuple(_integers(g, "piece generators") for g in self.generators)
-        )
-
-
-Realization = Union[HalfOpenCone, LatticePiece]
+Realization = Union[HalfOpenCone, RationalGF]
 
 
 @dataclass(frozen=True)
@@ -114,7 +92,7 @@ class CaseSpec:
     region: Tuple[Constraint, ...]
     realization: Realization
     parity: Optional[Tuple[str, str]] = None  # (coordinate, "even"|"odd")
-    corrections: Tuple[Tuple[int, LatticePiece], ...] = ()
+    corrections: Tuple[RationalGF, ...] = ()
     sign: int = 1
 
     @cached_property
@@ -151,6 +129,14 @@ class CaseSpec:
     def coverage_kernel(self) -> Callable[..., int]:
         """:func:`realized_multiplicity` as straight-line code."""
         return _coverage_kernel(_coverage([(1, self)]), self.family)
+
+
+def _piece(family: str, bases: Mapping[Point, int], generators: Sequence[Point]) -> RationalGF:
+    """``sum coef z^base / prod (1 - z^v)`` in the family's coordinate variables;
+    a base, coefficient or generator that is not an integer is a DomainError."""
+    zctx = FAMILIES[family].zctx
+    terms = {_integers(base, "piece bases"): coef for base, coef in bases.items()}
+    return RationalGF(zctx, LaurentPoly(zctx, terms), generators)
 
 
 # -- family "three": coordinates (k1, k2, k3, r2, r3) -------------------------
@@ -194,13 +180,13 @@ def _three_cases() -> Tuple[CaseSpec, ...]:
             case_id="three.C3A",
             family="three",
             region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + _THREE_BASE,
-            realization=LatticePiece(bases=((1, (1, 1, 0, 1, 2)),), generators=c3_gens),
+            realization=_piece("three", {(1, 1, 0, 1, 2): 1}, c3_gens),
         ),
         CaseSpec(
             case_id="three.C3B",
             family="three",
             region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + _THREE_BASE,
-            realization=LatticePiece(bases=((1, (1, 1, 0, 1, 1)),), generators=c3_gens),
+            realization=_piece("three", {(1, 1, 0, 1, 1): 1}, c3_gens),
         ),
         CaseSpec(
             case_id="three.overlap",
@@ -303,7 +289,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
                 4, (-half, 0, -1, -half), (_V1, _V6, _V7, _V8), (False, False, True, False)
             ),
             parity=("b", "odd"),
-            corrections=((-1, LatticePiece(bases=((1, (0, 0, -1, 1)),), generators=(_V7, _V8))),),
+            corrections=(_piece("k4", {(0, 0, -1, 1): -1}, (_V7, _V8)),),
         ),
         CaseSpec(
             case_id="k4.P3C2",
@@ -360,10 +346,6 @@ _KAAA_BASE = (
     _ge(c=1),
     _ge(k=3, m=2, a=-1, b=-1, c=-1),
 )
-
-
-def _piece(bases: Sequence[Point], gens: Sequence[Point]) -> LatticePiece:
-    return LatticePiece(bases=tuple((1, b) for b in bases), generators=gens)
 
 
 def _kaaa_cases() -> Tuple[CaseSpec, ...]:
@@ -539,7 +521,7 @@ def _kaaa_cases() -> Tuple[CaseSpec, ...]:
             case_id=case_id,
             family="kaaa",
             region=extra + _KAAA_BASE,
-            realization=_piece(bases, gens),
+            realization=_piece("kaaa", dict.fromkeys(bases, 1), gens),
             parity=parity,
         )
         for case_id, extra, parity, bases, gens in entries
@@ -561,40 +543,31 @@ def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _lattice_piece(realization: Realization) -> LatticePiece:
-    """The realization's points as signed bases over its generators.
-
-    A cone becomes its fundamental-parallelepiped points over its generators.
-    """
-    if isinstance(realization, LatticePiece):
-        return realization
-    bases = tuple((1, p) for p in parallelepiped_points(realization))
-    return LatticePiece(bases=bases, generators=realization.generators)
+def _transform(cone: HalfOpenCone, family: str) -> RationalGF:
+    """The cone's integer-point transform in the family's coordinate variables."""
+    return integer_point_transform(cone, FAMILIES[family].zctx)
 
 
-def _signed_pieces(spec: CaseSpec) -> List[Tuple[int, LatticePiece]]:
-    """The case's signed pieces, realization first, each kept to its parity class.
+def _pieces(spec: CaseSpec) -> List[RationalGF]:
+    """The case's pieces, realization first, each kept to its parity class.
 
     Every generator must be even in the parity coordinate: then a point has its
     base's parity and dropping the other class's bases is exact.  An odd
     generator is a catalog bug.
     """
-    pieces = [(1, _lattice_piece(spec.realization)), *spec.corrections]
+    realization = spec.realization
+    if isinstance(realization, HalfOpenCone):
+        realization = _transform(realization, spec.family)
+    pieces = [realization, *spec.corrections]
     test = spec.parity_test
     if test is None:
         return pieces
     coord, residue = test
-    if any(g[coord] % 2 for _, piece in pieces for g in piece.generators):
+    if any(g[coord] % 2 for piece in pieces for g in piece.denominator):
         raise InternalInvariantError(f"{spec.case_id}: a generator is odd in {spec.parity[0]}")
-    return [
-        (sign, LatticePiece(tuple(b for b in p.bases if b[1][coord] % 2 == residue), p.generators))
-        for sign, p in pieces
-    ]
-
-
-def _piece_gf(piece: LatticePiece, zctx: VariableContext, sign: int) -> RationalGF:
-    terms = add_terms({}, ((base, sign * coef) for coef, base in piece.bases))
-    return RationalGF(zctx, LaurentPoly(zctx, terms), piece.generators)
+    kept = (p.numerator.restrict(b for b in p.numerator.terms if b[coord] % 2 == residue)
+            for p in pieces)
+    return [RationalGF(p.context, n, p.denominator) for p, n in zip(pieces, kept)]
 
 
 def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
@@ -625,9 +598,7 @@ def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
 
 def assemble_case(spec: CaseSpec) -> RationalGF:
     """Generating function of one case, in the family's marked output variables."""
-    fam = FAMILIES[spec.family]
-    gfs = (_piece_gf(piece, fam.zctx, sign) for sign, piece in _signed_pieces(spec))
-    return _pointwise_map(gf_sum(gfs), fam)
+    return _pointwise_map(gf_sum(_pieces(spec)), FAMILIES[spec.family])
 
 
 def _signed_case(spec: CaseSpec) -> RationalGF:
@@ -748,7 +719,7 @@ def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
     """The coverage table of the cases' pieces, corrections included.
 
     Bases are grouped by generator set; a base's coefficient carries its
-    sign, the correction's and the one given with its case.
+    own sign and the one given with its case.
     """
     rows: Dict[Point, int] = {}
     groups: Dict[Tuple[Point, ...], Tuple[int, List[Base]]] = {}
@@ -757,15 +728,16 @@ def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
         return tuple((rows.setdefault(row, len(rows)), sum(map(mul, row, base))) for row in matrix)
 
     for case_sign, spec in signed_specs:
-        for sign, piece in _signed_pieces(spec):
-            form = diagonal_form(piece.generators)
-            if form.rank != len(piece.generators):
+        for piece in _pieces(spec):
+            generators = piece.denominator
+            form = diagonal_form(generators)
+            if form.rank != len(generators):
                 raise InternalInvariantError("piece generators are linearly dependent")
             scaled, cokernel, lcm = form.inverse
-            _, bases = groups.setdefault(piece.generators, (lcm, []))
+            _, bases = groups.setdefault(generators, (lcm, []))
             bases.extend(
-                (case_sign * sign * coef, values_at(scaled, base), values_at(cokernel, base))
-                for coef, base in piece.bases
+                (case_sign * coef, values_at(scaled, base), values_at(cokernel, base))
+                for base, coef in piece.numerator.terms.items()
             )
     return tuple(rows), tuple((lcm, tuple(bases)) for lcm, bases in groups.values())
 

@@ -41,14 +41,15 @@ class HalfOpenCone:
         generators: Sequence[Sequence[int]],
         open_flags: Optional[Sequence[bool]] = None,
     ):
+        dim = _integer(dim, "cone dimension")
         apex = tuple(apex)
         if not all(isinstance(x, (int, Fraction)) for x in apex):
             raise DomainError(f"apex entries must be integers or fractions, got {apex!r}")
         apex = tuple(map(Fraction, apex))
         generators = tuple(_integers(g, "cone generators") for g in generators)
-        if open_flags is None:
-            open_flags = (False,) * len(generators)
-        open_flags = tuple(bool(f) for f in open_flags)
+        open_flags = (False,) * len(generators) if open_flags is None else tuple(open_flags)
+        if not all(isinstance(f, bool) for f in open_flags):
+            raise DomainError(f"open flags must be bools, got {open_flags!r}")
         if len(apex) != dim:
             raise UsageError(f"apex has length {len(apex)}, expected {dim}")
         if any(len(g) != dim for g in generators):
@@ -122,13 +123,13 @@ class RationalGF:
         object.__setattr__(self, "denominator", factors)
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
-        return gf_sum((self, other))
+        return gf_sum((self, other)) if isinstance(other, RationalGF) else NotImplemented
 
     def __neg__(self) -> "RationalGF":
         return RationalGF(self.context, -self.numerator, self.denominator)
 
     def __sub__(self, other: "RationalGF") -> "RationalGF":
-        return self + (-other)
+        return self + (-other) if isinstance(other, RationalGF) else NotImplemented
 
 
 def gf_sum(gfs: Iterable[RationalGF]) -> RationalGF:

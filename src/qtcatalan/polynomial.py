@@ -138,6 +138,8 @@ class LaurentPoly:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         _require_same_context(self, other)
         return LaurentPoly(self.context, add_terms(dict(self.terms), other.terms.items()))
 
@@ -145,11 +147,13 @@ class LaurentPoly:
         return LaurentPoly(self.context, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, LaurentPoly) else NotImplemented
 
     def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         if isinstance(other, int):
             return LaurentPoly(self.context, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         _require_same_context(self, other)
         products = (
             (tuple(map(add, e1, e2)), c1 * c2)
@@ -158,8 +162,7 @@ class LaurentPoly:
         )
         return LaurentPoly(self.context, add_terms({}, products))
 
-    def __rmul__(self, other: int) -> "LaurentPoly":
-        return self * other
+    __rmul__ = __mul__  # reached only by an int or a foreign operand
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -3,9 +3,11 @@
 These are the algorithms ``parallelepiped_points`` and the catalog coverage
 used before they moved to integers: Π from ``Fraction`` coset coefficients,
 and coverage by one ``DiagonalForm.solve`` per base of every piece.  The
-methods ``solve`` and ``cosets`` became functions of the form, and a cone's
-piece comes from this file's Π; otherwise the code is unchanged.  The tests
-compare the package's integer versions with them.  ``minor_gcd`` is an
+methods ``solve`` and ``cosets`` became functions of the form, and a piece is
+a ``(bases, generators)`` pair of this file's own: a cone's comes from this
+file's Π, and a catalog piece's is read off its generating function as the
+numerator's terms and the denominator; otherwise the code is unchanged.  The
+tests compare the package's integer versions with them.  ``minor_gcd`` is an
 independent index and rank check by cofactor expansion.  ``case_membership``
 evaluates each region constraint by coordinate name, as the package did
 before it kept each case's region as dense rows.  ``_multiplicity`` is the
@@ -23,14 +25,15 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from qtcatalan.catalog import CaseSpec, Coverage, LatticePiece, Realization, case_catalog
-from qtcatalan.cones import HalfOpenCone
+from qtcatalan.catalog import CaseSpec, Coverage, Realization, case_catalog
+from qtcatalan.cones import HalfOpenCone, RationalGF
 from qtcatalan.errors import InternalInvariantError
 from qtcatalan.families import FAMILIES
 from qtcatalan.lattice import DiagonalForm, diagonal_form
 
 Vector = Tuple[int, ...]
 Point = Tuple[int, ...]
+Piece = Tuple[Tuple[Tuple[int, Point], ...], Tuple[Vector, ...]]  # (coef, base)s, generators
 
 
 def _apply(matrix: Sequence[Sequence[int]], vector: Sequence) -> List:
@@ -110,20 +113,29 @@ def parallelepiped_points(cone: HalfOpenCone) -> List[Tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _lattice_piece(realization: Realization) -> LatticePiece:
-    """The realization's points as signed bases over its generators."""
-    if isinstance(realization, LatticePiece):
-        return realization
-    bases = tuple((1, p) for p in parallelepiped_points(realization))
-    return LatticePiece(bases=bases, generators=realization.generators)
+def _cone_piece(cone: HalfOpenCone) -> Piece:
+    """The cone's points as its Π over its generators."""
+    return tuple((1, p) for p in parallelepiped_points(cone)), cone.generators
 
 
-def _piece_covers(piece: LatticePiece, point: Point) -> int:
-    form = diagonal_form(piece.generators)
-    if form.rank != len(piece.generators):
+def _gf_piece(gf: RationalGF) -> Piece:
+    """A piece's numerator terms as signed bases over its denominator."""
+    return tuple((coef, base) for base, coef in gf.numerator.terms.items()), gf.denominator
+
+
+def _piece(realization: Realization) -> Piece:
+    if isinstance(realization, HalfOpenCone):
+        return _cone_piece(realization)
+    return _gf_piece(realization)
+
+
+def _piece_covers(piece: Piece, point: Point) -> int:
+    bases, generators = piece
+    form = diagonal_form(generators)
+    if form.rank != len(generators):
         raise InternalInvariantError("piece generators are linearly dependent")
     total = 0
-    for coef, base in piece.bases:
+    for coef, base in bases:
         lams = solve(form, tuple(p - b for p, b in zip(point, base)))
         if lams is not None and min(lams) >= 0:
             total += coef
@@ -151,9 +163,9 @@ def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
     point = tuple(int(x) for x in point)
     if not _parity_holds(spec, point):
         return 0
-    total = _piece_covers(_lattice_piece(spec.realization), point)
-    for sign, piece in spec.corrections:
-        total += sign * _piece_covers(piece, point)
+    total = _piece_covers(_piece(spec.realization), point)
+    for correction in spec.corrections:
+        total += _piece_covers(_gf_piece(correction), point)
     return total
 
 

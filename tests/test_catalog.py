@@ -17,16 +17,17 @@ from hypothesis import strategies as st
 from lattice_oracle import minor_gcd
 from regions import region_points
 
+from qtcatalan import catalog
 from qtcatalan.catalog import (
     CaseSpec,
     Constraint,
-    LatticePiece,
     _coverage,
     _eq,
     _ge,
     _gt,
     _kernel,
     _linear,
+    _piece,
     assemble_case,
     assemble_theorem,
     case_catalog,
@@ -354,7 +355,7 @@ RATIONALS = st.one_of(
 
 
 def _holds(constraints, point):
-    spec = CaseSpec("test", "k4", tuple(constraints), LatticePiece(bases=(), generators=()))
+    spec = CaseSpec("test", "k4", tuple(constraints), _piece("k4", {}, ()))
     return case_membership(spec, point)
 
 
@@ -434,7 +435,12 @@ def far_points(draw):
         return family, draw(st.tuples(*[st.integers(-BIG, BIG)] * width))
     spec = draw(st.sampled_from(case_catalog(family)))
     point = list(draw(st.tuples(*[st.integers(-2, 3)] * width)))
-    for g in spec.realization.generators:
+    realization = spec.realization
+    if isinstance(realization, RationalGF):
+        generators = realization.denominator
+    else:
+        generators = realization.generators
+    for g in generators:
         n = draw(st.integers(0, BIG))
         point = [x + n * e for x, e in zip(point, g)]
     return family, tuple(point)
@@ -486,11 +492,11 @@ K4_CASE = case_catalog("k4")[0]
 )
 def test_lattice_piece_refuses_non_integers(bases, generators):
     with pytest.raises(DomainError):
-        LatticePiece(bases=bases, generators=generators)
+        _piece("k4", {base: coef for coef, base in bases}, generators)
 
 
 def test_a_region_row_that_is_not_integer_is_a_domain_error():
-    spec = CaseSpec("drawn", "k4", (Constraint((("a", 0.5),), 0),), LatticePiece((), ()))
+    spec = CaseSpec("drawn", "k4", (Constraint((("a", 0.5),), 0),), _piece("k4", {}, ()))
     with pytest.raises(DomainError):
         case_membership(spec, (1, 1, 1, 1))
 
@@ -534,16 +540,20 @@ def lattice_pieces(draw):
         st.tuples(st.sampled_from((-1, 1, 2)), st.tuples(*[st.integers(-BOX, BOX)] * 4)),
         min_size=1, max_size=3,
     ))
-    return LatticePiece(bases=tuple(bases), generators=tuple(generators))
+    terms = {}  # a base drawn twice has the sum of its coefficients
+    for coef, base in bases:
+        terms[base] = terms.get(base, 0) + coef
+    return _piece("k4", terms, tuple(generators))
 
 
 def brute_piece_count(piece):
     """Signed count of ``base + sum n_i v_i`` over the points of the box."""
     counts = {}
-    for coef, base in piece.bases:
-        for ns in itertools.product(range(BOX - base[0] + 1), repeat=len(piece.generators)):
+    generators = piece.denominator
+    for base, coef in piece.numerator.terms.items():
+        for ns in itertools.product(range(BOX - base[0] + 1), repeat=len(generators)):
             point = tuple(
-                b + sum(n * g[i] for n, g in zip(ns, piece.generators)) for i, b in enumerate(base)
+                b + sum(n * g[i] for n, g in zip(ns, generators)) for i, b in enumerate(base)
             )
             if all(abs(x) <= BOX for x in point):
                 counts[point] = counts.get(point, 0) + coef
@@ -555,12 +565,9 @@ PARITIES = st.none() | st.tuples(st.sampled_from(K4_COORDS), st.sampled_from(("e
 
 @settings(max_examples=150, deadline=None)
 @given(lattice_pieces(), PARITIES)
-@example(LatticePiece(bases=((1, (0, 0, 0, 0)),), generators=((1, 0, 0, 0), (2, 0, 0, 0))), None)
-@example(LatticePiece(bases=((1, (-2, 0, 1, 0)),), generators=((1, 2, 0, 0), (1, 0, 2, 0))), None)
-@example(
-    LatticePiece(bases=((1, (-2, 0, 0, 0)), (-1, (-2, 0, 1, 0))), generators=((1, 0, 1, 0),)),
-    ("b", "odd"),
-)
+@example(_piece("k4", {(0, 0, 0, 0): 1}, ((1, 0, 0, 0), (2, 0, 0, 0))), None)
+@example(_piece("k4", {(-2, 0, 1, 0): 1}, ((1, 2, 0, 0), (1, 0, 2, 0))), None)
+@example(_piece("k4", {(-2, 0, 0, 0): 1, (-2, 0, 1, 0): -1}, ((1, 0, 1, 0),)), ("b", "odd"))
 def test_realized_multiplicity_counts_drawn_pieces(piece, parity):
     """With a drawn parity, the parity coordinate of every generator is doubled
     first, so that the rule's precondition holds; the count is then the brute
@@ -568,11 +575,11 @@ def test_realized_multiplicity_counts_drawn_pieces(piece, parity):
     interpreter both give it."""
     if parity is not None:
         coord = K4_COORDS.index(parity[0])
-        piece = LatticePiece(piece.bases, tuple(
-            g[:coord] + (2 * g[coord],) + g[coord + 1:] for g in piece.generators
+        piece = _piece("k4", piece.numerator.terms, tuple(
+            g[:coord] + (2 * g[coord],) + g[coord + 1:] for g in piece.denominator
         ))
     spec = CaseSpec("drawn", "k4", (), piece, parity)
-    if minor_gcd(piece.generators) == 0:
+    if minor_gcd(piece.denominator) == 0:
         with pytest.raises(InternalInvariantError):
             realized_multiplicity(spec, (0, 0, 0, 0))
         return
@@ -592,15 +599,30 @@ def test_a_parity_case_with_an_odd_generator_is_an_invariant_error():
     p2c1 = by_id("k4")["k4.P2C1"]
     odd_in_b = (1, 1, 1, 0)
     cone = HalfOpenCone(4, (0,) * 4, (odd_in_b,) + p2c1.realization.generators[1:])
-    correction = LatticePiece(bases=((1, (0, 0, 0, 1)),), generators=(odd_in_b,))
+    correction = _piece("k4", {(0, 0, 0, 1): -1}, (odd_in_b,))
     for spec in (
         replace(p2c1, realization=cone),
-        replace(p2c1, corrections=((-1, correction),)),
+        replace(p2c1, corrections=(correction,)),
     ):
         with pytest.raises(InternalInvariantError):
             assemble_case(spec)
         with pytest.raises(InternalInvariantError):
             realized_multiplicity(spec, (1, 0, 0, 1))
+
+
+def test_a_piece_base_that_is_not_integer_is_refused_before_any_kernel_is_compiled(monkeypatch):
+    """A piece built around ``_piece`` may hold a base exponent of 1.5; as a
+    realization or as a correction it is a DomainError from ``_source``, and
+    no kernel source is ever run."""
+    compiled = []
+    monkeypatch.setattr(catalog, "exec", lambda *args: compiled.append(args), raising=False)
+    p1c1a = by_id("k4")["k4.P1C1A"]
+    zctx = FAMILIES["k4"].zctx
+    bad = RationalGF(zctx, LaurentPoly(zctx, {(1, 1.5, 0, 0): 1}), p1c1a.realization.generators)
+    for spec in (replace(p1c1a, realization=bad), replace(p1c1a, corrections=(bad,))):
+        with pytest.raises(DomainError, match="kernel numbers"):
+            realized_multiplicity(spec, (1, 1, 1, 1))
+    assert compiled == []
 
 
 def _marks_exponents(fam, point, area, bounce):

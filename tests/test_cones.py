@@ -90,6 +90,24 @@ def test_constructors_refuse_non_integer_entries(entry):
             HalfOpenCone(2, (entry, 0), ((1, 0), (0, 1)))
 
 
+@pytest.mark.parametrize(
+    "dim, flags",
+    [
+        (2, ("closed", "closed")),
+        (2, (0, 1)),
+        (2, (None, False)),
+        (2.0, (False, False)),
+        (Fraction(2), (False, False)),
+        ("2", (False, False)),
+    ],
+)
+def test_the_cone_reads_its_flags_and_dim_strictly(dim, flags):
+    """A flag is a bool and the dimension an integer: ``bool("closed")`` would
+    open the generator, and ``2.0`` would be kept as the dimension."""
+    with pytest.raises(DomainError):
+        HalfOpenCone(dim, (0, 0), ((1, 0), (0, 1)), flags)
+
+
 def test_lattice_index_goldens():
     assert lattice_index(CONE_C1) == 1
     assert lattice_index(CONE_C2) == 1

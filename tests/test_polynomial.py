@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtcatalan.cones import RationalGF
 from qtcatalan.errors import DomainError, UsageError
 from qtcatalan.oracles import refined_catalan
 from qtcatalan.polynomial import (
@@ -32,6 +33,24 @@ def test_canonical_order():
     assert str(P("1 - q")) == "1 - q"
     assert str(LaurentPoly.zero(QT)) == "0"
     assert str(P("-2*q*t")) == "-2*q*t"
+
+
+def test_arithmetic_with_a_foreign_operand_is_a_type_error():
+    p = P("q + t")
+    g = RationalGF(QT, p, [(1, 0)])
+    for operation in (
+        lambda: p + 1,
+        lambda: p - 1,
+        lambda: p * 2.5,
+        lambda: 2.5 * p,
+        lambda: p + g,
+        lambda: g + 1,
+        lambda: g - 1,
+        lambda: g + p,
+    ):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            operation()
+    assert p * 3 == 3 * p == P("3*q + 3*t")
 
 
 def test_arith_examples():
