@@ -26,7 +26,7 @@ from .oracles import (
     repeated_tail_vectors,
     symmetry_report,
 )
-from .paths import KVector, enumerate_paths, path_stats
+from .paths import KVector, LegTable, enumerate_paths, path_stats
 from .polynomial import (
     LaurentPoly,
     VariableContext,
@@ -69,8 +69,9 @@ def _positive(text: str) -> int:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
+    legs = LegTable()
     for path in enumerate_paths(KVector(_vector(args.k))):
-        stats = path_stats(path)
+        stats = path_stats(path, legs)
         ranks = ",".join(str(r) for r in path.ranks)
         east = ",".join(str(a) for a in path.east_runs)
         print(f"ranks={ranks} east={east} area={stats.area} bounce={stats.bounce}")

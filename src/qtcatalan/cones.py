@@ -19,6 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -231,8 +232,9 @@ def series_expand(g: RationalGF, weights: Mapping[str, int], bound: int) -> Laur
             lightest.setdefault(w % wm, w)
         for start in lightest.values():
             for w in range(start, bound - wm + 1, wm):
-                shifted = ((tuple(map(add, key, m)), coef) for key, coef in layers[w].items())
-                add_terms(layers.setdefault(w + wm, {}), shifted)
+                layer = layers[w]
+                shifted = map(tuple, map(map, repeat(add), layer, repeat(m)))
+                add_terms(layers.setdefault(w + wm, {}), zip(shifted, layer.values()))
     # each layer is freed as it is merged, so the terms are not held twice; a
     # term's weight names its layer, so the layers' keys are disjoint
     terms: Dict[Exponents, int] = {}

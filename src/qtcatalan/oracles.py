@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalInvariantError, UsageError, _integer, _integers
 from .families import family
-from .paths import KVector, area_bounce_counts, count_paths, enumerate_paths, path_stats
+from .paths import KVector, LegTable, area_bounce_counts, count_paths, enumerate_paths, path_stats
 from .polynomial import QT_CONTEXT, LaurentPoly, VariableContext, add_terms, qt_swap, substitute_monomials
 
 Q_CONTEXT = VariableContext(("q",))
@@ -78,15 +78,18 @@ def check_verify_work(name: str, bound: int) -> None:
         check_path_work(vectors, MAX_VERIFY_WORK)
 
 
-def refined_catalan(parts: Sequence[int]) -> LaurentPoly:
+def refined_catalan(parts: Sequence[int], legs: Optional[LegTable] = None) -> LaurentPoly:
     """Sum of q^area t^bounce over all paths with the given run lengths.
 
     The counts come from a forward pass over merged bounce states, one run at
     a time: paths whose remaining bounce behaves the same share one state,
     whose ``{(area, potential): count}`` stands in for all of them, and no
-    path is built.
+    path is built.  A command that counts several vectors passes one
+    :class:`~qtcatalan.paths.LegTable`, made for all of them, to each call,
+    so that a bounce leg that two states, runs or vectors share is run once;
+    without one, the call makes its own.
     """
-    return LaurentPoly._trusted(QT_CONTEXT, area_bounce_counts(KVector(parts)))
+    return LaurentPoly._trusted(QT_CONTEXT, area_bounce_counts(KVector(parts), legs))
 
 
 def rearrangements(parts: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -117,7 +120,8 @@ def lambda_catalan(partition: Sequence[int]) -> LaurentPoly:
     if list(partition) != sorted(partition, reverse=True):
         raise DomainError(f"{partition} is not a partition (weakly decreasing, positive)")
     check_path_work(rearrangements(partition))
-    counts = (area_bounce_counts(KVector(a)).items() for a in rearrangements(partition))
+    legs = LegTable(rearrangements(partition))
+    counts = (area_bounce_counts(KVector(a), legs).items() for a in rearrangements(partition))
     return LaurentPoly(QT_CONTEXT, add_terms({}, itertools.chain.from_iterable(counts)))
 
 
@@ -186,9 +190,10 @@ def repeated_tail_vectors(max_value: int, lengths: Sequence[int]) -> Iterator[Tu
 
 def check_last_param(prefix: Sequence[int], m: int, l: int) -> bool:
     """Whether replacing the last run length m by l leaves the polynomial fixed."""
-    prefix = tuple(prefix)
-    check_path_work([prefix + (m,), prefix + (l,)])
-    return refined_catalan(prefix + (m,)) == refined_catalan(prefix + (l,))
+    vectors = [tuple(prefix) + (m,), tuple(prefix) + (l,)]
+    check_path_work(vectors)
+    legs = LegTable(vectors)
+    return refined_catalan(vectors[0], legs) == refined_catalan(vectors[1], legs)
 
 
 # -- closed-form vs algorithm agreement ---------------------------------------
@@ -201,16 +206,18 @@ def check_bounce_agreement(name: str, bound: int) -> bool:
     a disagreement means one of the two implementations is wrong.
     """
     fam = family(name)
-    for sizes in fam.sizes(bound):
-        parts = fam.kvector(sizes)
+    vectors = [fam.kvector(sizes) for sizes in fam.sizes(bound)]
+    legs = LegTable(vectors)
+    for parts in vectors:
         for path in enumerate_paths(KVector(parts)):
-            got = path_stats(path)
+            got = path_stats(path, legs)
             expected = fam.stats(*fam.coords_of(path))
             if (got.area, got.bounce) != expected:
                 raise InternalInvariantError(
                     f"stats disagree on runs {parts} ranks {path.ranks}: "
                     f"algorithm gives {(got.area, got.bounce)}, closed form {expected}"
                 )
+        legs.release(parts)
     return True
 
 

@@ -14,14 +14,17 @@ linear in the path's size.  :func:`area_bounce_counts` runs it over merged
 bounce states: after each run, paths whose remaining bounce behaves the same
 share one state, and a potential ``bounce + step * (m - filled)`` stands in
 for the bounce so far, so the legs' absolute index is not part of the state.
-The test suite checks the routes against each other exhaustively on small
-inputs.
+Both look each leg up in a :class:`LegTable` before running it: the legs
+depend only on the runs they climb past and the state they start from, so
+the vectors of one command share one table, which drops a segment's legs
+after the last vector that holds it.  The test suite checks the routes
+against each other exhaustively on small inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalInvariantError, _integers
 
@@ -180,15 +183,18 @@ def _legs(
     step = 0
     while gap < 0:
         if step >= limit:
-            raise InternalInvariantError(
-                f"bounce made no progress within {limit} legs after run {run} "
-                f"on runs {tuple(parts)}"
-            )
+            raise _stalled(parts, limit, run)
         active -= ends.pop(step, 0)
         gap += active
         step += 1
     expiring = tuple(sorted([(end - step, c) for end, c in ends.items()]))
     return gap, run + 1, active, expiring, step
+
+
+def _stalled(parts: Sequence[int], limit: int, run: int) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"bounce made no progress within {limit} legs after run {run} on runs {tuple(parts)}"
+    )
 
 
 def _check_end(parts: Sequence[int], gap: int, filled: int) -> None:
@@ -200,7 +206,98 @@ def _check_end(parts: Sequence[int], gap: int, filled: int) -> None:
         )
 
 
-def path_stats(path: DyckPath) -> PathStats:
+# (gap, active, expiring, steps): the state after the legs and how many ran
+_Leg = Tuple[int, int, _Expiring, int]
+
+
+def _segments(parts: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    """Each nonempty ``parts[filled:run + 1]`` that legs after run ``run`` may climb past."""
+    for run in range(len(parts)):
+        for filled in range(run + 1):
+            yield parts[filled:run + 1]
+
+
+class LegTable:
+    """The bounce legs of one command's vectors, each distinct leg run once.
+
+    The legs that :func:`_legs` runs after run ``run`` depend only on the
+    segment ``parts[filled:run + 1]`` they climb past and on ``(gap, active,
+    expiring)``: ``run + 1`` is where the segment ends, and the limit only
+    bounds them.  So the table maps ``(segment, gap, active, expiring)`` to a
+    :data:`_Leg`, for every vector and run that meets the same key.  A
+    caller looks a leg up in :meth:`known` and calls :func:`_run_into` when
+    it is not there, or when its ``steps`` pass the caller's limit.
+
+    Two guards keep every check of :func:`_legs`.  Only a nonempty segment
+    is kept, so a key's climb is its segment's length, and legs that climb
+    no run, or would stop below the runs already consumed, always reach
+    :func:`_legs`.  A kept leg whose ``steps`` pass a vector's limit raises
+    for that vector, as :func:`_legs` would have.
+
+    A command makes one table for the vectors it will count and passes it to
+    every count.  :meth:`release` marks one vector done, and a segment's legs
+    are dropped once no vector still to count holds it, so vectors that
+    share nothing keep about one vector's legs at a time.  A table lives
+    only as long as the command that made it.
+    """
+
+    def __init__(self, vectors: Iterable[Sequence[int]] = ()):
+        # segment -> {(active, expiring): {gap: leg}}
+        self._legs: Dict[Tuple[int, ...], Dict[Tuple[int, _Expiring], Dict[int, _Leg]]] = {}
+        # segment -> its (vector, run) uses by the vectors not yet released
+        self._uses: Dict[Tuple[int, ...], int] = {}
+        for parts in vectors:
+            for segment in _segments(tuple(parts)):
+                self._uses[segment] = self._uses.get(segment, 0) + 1
+
+    def release(self, parts: Sequence[int]) -> None:
+        """Mark one count of ``parts`` done; drop the legs that no vector left can meet."""
+        for segment in _segments(tuple(parts)):
+            uses = self._uses.pop(segment, 0) - 1
+            if uses > 0:
+                self._uses[segment] = uses
+            else:
+                self._legs.pop(segment, None)
+
+    def known(
+        self, parts: Tuple[int, ...], run: int, filled: int, active: int, expiring: _Expiring
+    ) -> Dict[int, _Leg]:
+        """The kept legs after run ``run`` from this state, by gap.
+
+        Legs that climb no run are never kept: they get a new, empty dict.
+        """
+        if filled > run:
+            return {}
+        states = self._legs.setdefault(parts[filled:run + 1], {})
+        known = states.get((active, expiring))
+        if known is None:
+            known = states[active, expiring] = {}
+        return known
+
+
+def _run_into(
+    known: Dict[int, _Leg],
+    parts: Tuple[int, ...],
+    limit: int,
+    run: int,
+    gap: int,
+    filled: int,
+    active: int,
+    expiring: _Expiring,
+) -> _Leg:
+    """Run by :func:`_legs` the legs that ``known`` lacks, and keep them there.
+
+    A leg that ``known`` already holds has passed ``limit``, and raises as
+    :func:`_legs` would have.
+    """
+    if gap in known:
+        raise _stalled(parts, limit, run)
+    after, _, active, expiring, steps = _legs(parts, limit, run, gap, filled, active, expiring)
+    leg = known[gap] = (after, active, expiring, steps)
+    return leg
+
+
+def path_stats(path: DyckPath, legs: Optional[LegTable] = None) -> PathStats:
     """Area plus the bounce statistic, in one pass over the legs.
 
     The bounce path starts at the origin and alternates vertical legs and
@@ -209,27 +306,30 @@ def path_stats(path: DyckPath) -> PathStats:
     ``s_j`` then counts towards the horizontal moves of legs
     ``s_j ... s_j + k_j - 1``.  The bounce is ``sum(s * runs consumed at s)``.
     The legs are run one north run at a time, as :func:`area_bounce_counts`
-    runs them.
+    runs them, and looked up first in ``legs``, a table that the paths of one
+    command share; a call without one keeps no legs.
     """
     parts = path.kvec.parts
     limit = path.kvec.n + path.kvec.m + 1
     gap = filled = active = 0
     expiring: _Expiring = ()
-    legs: List[int] = []
+    consumed: List[int] = []
     for run, east in enumerate(path.east_runs):
         gap -= east
         if gap < 0:
-            consumed = filled
-            gap, filled, active, expiring, steps = _legs(
-                parts, limit, run, gap, filled, active, expiring
-            )
-            legs += [filled - consumed] + [0] * (steps - 1)
+            known = {} if legs is None else legs.known(parts, run, filled, active, expiring)
+            leg = known.get(gap)
+            if leg is None or leg[3] > limit:
+                leg = _run_into(known, parts, limit, run, gap, filled, active, expiring)
+            gap, active, expiring, steps = leg
+            consumed += [run + 1 - filled] + [0] * (steps - 1)
+            filled = run + 1
     _check_end(parts, gap, filled)
-    bounce = sum(s * v for s, v in enumerate(legs))
-    return PathStats(area=sum(path.ranks), bounce=bounce, legs=tuple(legs))
+    bounce = sum(s * v for s, v in enumerate(consumed))
+    return PathStats(area=sum(path.ranks), bounce=bounce, legs=tuple(consumed))
 
 
-def area_bounce_counts(kvec: KVector) -> Dict[Tuple[int, int], int]:
+def area_bounce_counts(kvec: KVector, legs: Optional[LegTable] = None) -> Dict[Tuple[int, int], int]:
     """The number of paths with each (area, bounce), over merged bounce states.
 
     Run ``i`` starts at x = K_i - r_i, where K_i = k_1 + ... + k_{i-1}, and
@@ -247,9 +347,15 @@ def area_bounce_counts(kvec: KVector) -> Dict[Tuple[int, int], int]:
     counted from leg 0, is 0 (see :func:`_legs`).  After the last run every
     run is consumed, so the potential is the bounce.  Only two layers are
     alive at a time.
+
+    The legs come from ``legs``, a :class:`LegTable` shared by the vectors of
+    one command, which this count then releases; without one, the count makes
+    its own.
     """
     if not isinstance(kvec, KVector):
         kvec = KVector(kvec)
+    if legs is None:
+        legs = LegTable()
     parts = kvec.parts
     m = kvec.m
     limit = kvec.n + m + 1
@@ -261,16 +367,22 @@ def area_bounce_counts(kvec: KVector) -> Dict[Tuple[int, int], int]:
     total: Dict[int, int] = {}
     for run, k in enumerate(parts):
         final = run == m - 1
+        # legs after this run consume through it, and charge each run left
+        after = run + 1
+        charge = (m - after) * span
         following: Dict[tuple, Dict[int, int]] = {}
         for (rank, gap, filled, active, expiring), weights in layer.items():
             top = rank + k
+            known = legs.known(parts, run, filled, active, expiring)
             for nxt in (0,) if final else range(top, -1, -1):
                 rest, fl, act, exp, shift = gap - (top - nxt), filled, active, expiring, nxt
                 if rest < 0:
-                    rest, fl, act, exp, steps = _legs(
-                        parts, limit, run, rest, filled, active, expiring
-                    )
-                    shift += steps * (m - fl) * span
+                    leg = known.get(rest)
+                    if leg is None or leg[3] > limit:
+                        leg = _run_into(known, parts, limit, run, rest, filled, active, expiring)
+                    rest, act, exp, steps = leg
+                    fl = after
+                    shift += steps * charge
                 if final:
                     _check_end(parts, rest, fl)
                     into = total
@@ -280,6 +392,7 @@ def area_bounce_counts(kvec: KVector) -> Dict[Tuple[int, int], int]:
                     key += shift
                     into[key] = into.get(key, 0) + c
         layer = following
+    legs.release(parts)
     counts: Dict[Tuple[int, int], int] = {}
     for key, c in total.items():
         bounce, area = divmod(key, span)

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 from .families import family
 from .oracles import check_verify_work, refined_catalan
+from .paths import LegTable
 from .polynomial import QT_CONTEXT, qt_images
 
 if TYPE_CHECKING:
@@ -50,19 +51,20 @@ def series_matches_paths(gf: RationalGF, name: str, bound: int) -> bool:
     Every size variable weighs 1, so the members compared are those whose
     sizes sum to at most ``bound``.  The expansion is grouped by its size
     exponents once; each size's coefficient is read from its own group, and
-    a size with no group has coefficient zero.
+    a size with no group has coefficient zero.  The members' path counts
+    share one :class:`~qtcatalan.paths.LegTable`.
     """
     from .cones import series_expand
 
     fam = family(name)
     expansion = series_expand(gf, dict.fromkeys(fam.size_names, 1), bound)
     groups = expansion.group_terms(fam.size_names)
-    for sizes in fam.sizes(bound):
-        if sum(sizes) > bound:
-            continue
+    members = [sizes for sizes in fam.sizes(bound) if sum(sizes) <= bound]
+    legs = LegTable(fam.kvector(sizes) for sizes in members)
+    for sizes in members:
         part = expansion.restrict(groups.get(sizes, ()))
         coefficient = part.extract_coefficient(dict(zip(fam.size_names, sizes)), QT_CONTEXT)
-        if coefficient != refined_catalan(fam.kvector(sizes)):
+        if coefficient != refined_catalan(fam.kvector(sizes), legs):
             return False
     return True
 

@@ -1,5 +1,8 @@
+import contextlib
 import functools
+import io
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtcatalan.errors import DomainError, InternalInvariantError
+from qtcatalan import cli, paths
 from qtcatalan.families import FAMILIES
 from qtcatalan.paths import (
     DyckPath,
     KVector,
+    LegTable,
     _check_end,
     _legs,
+    _run_into,
     area_bounce_counts,
     count_paths,
     enumerate_paths,
@@ -22,6 +28,7 @@ from qtcatalan.paths import (
     stats_three,
 )
 
+import forward_transfer
 import prefix_walk
 from closed_k4 import stats_k4
 from tableau import tableau_stats
@@ -129,11 +136,15 @@ _small_tableau_scores = functools.cache(_tableau_scores)
 
 
 def test_linear_bounce_agrees_with_tableau_on_every_small_path():
+    # every path's legs come from one table shared by all the small vectors
+    legs = LegTable(SMALL_VECTORS)
     for parts in SMALL_VECTORS:
         paths = enumerate_paths(KVector(parts))
         for path, expected in zip(paths, _small_tableau_scores(parts), strict=True):
-            stats = path_stats(path)
+            stats = path_stats(path, legs)
             assert (stats.area, stats.bounce, stats.legs) == expected, (parts, path.ranks)
+        legs.release(parts)
+    assert legs._legs == {}
 
 
 @st.composite
@@ -192,6 +203,104 @@ def test_walk_agrees_with_tableau_on_drawn_vectors(parts):
 def test_merged_counts_agree_with_the_walk_on_twelve_unit_runs():
     kvec = KVector((1,) * 12)
     assert area_bounce_counts(kvec) == prefix_walk.area_bounce_counts(kvec)
+
+
+def _shared_counts_agree(vectors):
+    """Counts through one table for all of ``vectors`` equal the forward transfer's, one by one."""
+    legs = LegTable(vectors)
+    for parts in vectors:
+        assert area_bounce_counts(KVector(parts), legs) == forward_transfer.area_bounce_counts(
+            KVector(parts)
+        ), parts
+    # each segment's legs were dropped after the last vector that holds it
+    assert legs._legs == {} and legs._uses == {}
+
+
+def test_shared_counts_agree_with_the_forward_transfer_on_every_small_vector():
+    vectors = list(SMALL_VECTORS)
+    random.Random(0).shuffle(vectors)
+    _shared_counts_agree(vectors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(few_path_vectors(), min_size=10, max_size=10))
+def test_shared_counts_agree_with_the_forward_transfer_on_drawn_vectors(vectors):
+    # 100 examples of 10 vectors each: 1,000 drawn vectors, repeats included
+    _shared_counts_agree(vectors)
+
+
+def _members(name, bound):
+    fam = FAMILIES[name]
+    return [fam.kvector(sizes) for sizes in fam.sizes(bound) if sum(sizes) <= bound]
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [[(1,) * 14], _members("three", 12), _members("kaaa", 16)],
+    ids=["fourteen unit runs", "three 12", "kaaa 16"],
+)
+def test_shared_counts_agree_with_the_forward_transfer_on_large_commands(vectors):
+    _shared_counts_agree(vectors)
+
+
+def test_a_table_keeps_legs_only_for_the_vectors_still_to_count():
+    legs = LegTable([(2, 1, 1), (1, 1), (4, 4)])
+    area_bounce_counts(KVector((2, 1, 1)), legs)
+    # (1, 1) still holds (1,) and (1, 1); nothing left holds a segment with a 2
+    assert set(legs._legs) == {(1,), (1, 1)}
+    area_bounce_counts(KVector((1, 1)), legs)
+    assert legs._legs == {}
+    # vectors that share nothing keep one vector's legs at a time
+    area_bounce_counts(KVector((4, 4)), legs)
+    assert legs._legs == {} and legs._uses == {}
+
+
+def test_verify_runs_each_distinct_leg_once(monkeypatch):
+    # three at bound 12 runs 9,471 legs for 220 members, 1,445 of them distinct
+    calls = Counter()
+
+    def counted(*args):
+        calls["legs"] += 1
+        return _legs(*args)
+
+    monkeypatch.setattr(paths, "_legs", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--theorem", "three", "--bound", "12"]) == 0
+    assert calls["legs"] == 1445
+
+
+def test_a_leg_that_climbs_no_run_is_not_kept():
+    legs = LegTable()
+    parts = (1, 1, 1)
+    # after run 0 with one run consumed, the legs climb 0 runs and are run, not kept
+    climb_zero = legs.known(parts, 0, 1, 1, ())
+    assert _run_into(climb_zero, parts, 7, 0, -1, 1, 1, ()) == (0, 1, (), 1)
+    # with two consumed they would stop below them: the same empty segment and
+    # state hold nothing, and the legs raise
+    climb_below = legs.known(parts, 0, 2, 1, ())
+    assert climb_below == {}
+    with pytest.raises(InternalInvariantError, match="below the 2 runs"):
+        _run_into(climb_below, parts, 7, 0, -1, 2, 1, ())
+
+
+def test_a_kept_leg_past_the_limit_raises():
+    parts = (1, 1, 1)
+    path = DyckPath(KVector(parts), (0, 0, 0))
+
+    def table_with_long_first_leg():
+        # the path's first legs, after run 0 from gap -1, run 1 leg; kept as
+        # if they had run 8, past its limit n + m + 1 = 7
+        legs = LegTable([parts])
+        legs.known(parts, 0, 0, 0, ())[-1] = (0, 1, ((0, 1),), 8)
+        return legs
+
+    message = r"no progress within 7 legs after run 0 on runs \(1, 1, 1\)"
+    with pytest.raises(InternalInvariantError, match=message):
+        path_stats(path, table_with_long_first_leg())
+    with pytest.raises(InternalInvariantError, match=message):
+        area_bounce_counts(KVector(parts), table_with_long_first_leg())
+    # the leg as run, with its 1 step, is what the table would have kept
+    assert _legs(parts, 7, 0, -1, 0, 0, ()) == (0, 1, 1, ((0, 1),), 1)
 
 
 def test_bounce_invariant_checks():
