@@ -34,11 +34,10 @@ argument, validated by ``_coordinates`` before the call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from operator import mul
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cones import (
     HalfOpenCone,
@@ -47,14 +46,13 @@ from .cones import (
     gf_sum,
     integer_point_transform,
 )
-from .errors import InternalInvariantError, UsageError, _integers
+from .errors import Frozen, InternalInvariantError, UsageError, _integers
 from .families import FAMILIES, FamilyInfo, Point, family
 from .lattice import diagonal_form
 from .polynomial import Exponents, LaurentPoly, add_terms
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """Integer inequality ``const + sum coeff * coordinate >= 0``."""
 
     coeffs: Tuple[Tuple[str, int], ...]
@@ -85,15 +83,21 @@ def _eq(const=0, **coeffs) -> Tuple[Constraint, Constraint]:
 Realization = Union[HalfOpenCone, RationalGF]
 
 
-@dataclass(frozen=True)
-class CaseSpec:
-    case_id: str
-    family: str
-    region: Tuple[Constraint, ...]
-    realization: Realization
-    parity: Optional[Tuple[str, str]] = None  # (coordinate, "even"|"odd")
-    corrections: Tuple[RationalGF, ...] = ()
-    sign: int = 1
+class CaseSpec(Frozen):
+    # no __slots__: the cached members below keep their values in the instance dict
+    _fields = ("case_id", "family", "region", "realization", "parity", "corrections", "sign")
+
+    def __init__(
+        self,
+        case_id: str,
+        family: str,
+        region: Tuple[Constraint, ...],
+        realization: Realization,
+        parity: Optional[Tuple[str, str]] = None,  # (coordinate, "even"|"odd")
+        corrections: Tuple[RationalGF, ...] = (),
+        sign: int = 1,
+    ):
+        vars(self).update(zip(self._fields, (case_id, family, region, realization, parity, corrections, sign)))
 
     @cached_property
     def dense_region(self) -> Tuple[Tuple[int, Point], ...]:

@@ -161,12 +161,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.family is not None:
-        vectors = repeated_tail_vectors(args.max, _parse_parts(args.lengths))
+        vectors = list(repeated_tail_vectors(args.max, _parse_parts(args.lengths)))
     else:
-        vectors = kvectors_of_length(args.all_length, args.max)
+        vectors = list(kvectors_of_length(args.all_length, args.max))
+    # one leg table over the scan; each count releases its vector
+    legs = LegTable(vectors)
     all_symmetric = True
     for parts in vectors:
-        report = symmetry_report(parts)
+        report = symmetry_report(parts, legs)
         label = "(" + ",".join(str(p) for p in parts) + ")"
         if report.symmetric:
             print(f"{label} symmetric")

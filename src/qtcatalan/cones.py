@@ -17,19 +17,19 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DegenerateSubstitutionError, DomainError, NonExpandableError, UsageError, _integer, _integers
+from .errors import DegenerateSubstitutionError, DomainError, Frozen, NonExpandableError, UsageError
+from .errors import _integer, _integers
 from .lattice import diagonal_form
 from .polynomial import Exponents, LaurentPoly, VariableContext, add_terms, substitute_monomials
 
 
-@dataclass(frozen=True)
-class HalfOpenCone:
+class HalfOpenCone(Frozen):
+    __slots__ = _fields = ("dim", "apex", "generators", "open_flags")
     dim: int
     apex: Tuple[Fraction, ...]
     generators: Tuple[Exponents, ...]
@@ -102,10 +102,10 @@ def parallelepiped_points(cone: HalfOpenCone) -> List[Exponents]:
     return points
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Frozen):
     """Numerator polynomial over a multiset of ``(1 - z^m)`` factors."""
 
+    __slots__ = _fields = ("context", "numerator", "denominator")
     context: VariableContext
     numerator: LaurentPoly
     denominator: Tuple[Exponents, ...]

@@ -5,6 +5,8 @@ to: bad input (`UsageError`), input outside a formula's region of validity
 (`DomainError`), and broken internal invariants (`InternalInvariantError`,
 which always indicates a bug rather than bad data).  Both routes read
 integers through :func:`_integer` and :func:`_integers`, which raise the `DomainError`.
+The validated value types of both routes share :class:`Frozen`, which this
+leaf module holds so that the path route needs nothing else.
 """
 
 import operator
@@ -45,3 +47,37 @@ def _integers(values: Sequence[int], what: str) -> Tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         raise DomainError(f"{what} must be a sequence of integers, got {values!r}") from None
+
+
+class Frozen:
+    """An immutable value: ``__init__`` sets the fields named in ``_fields`` past the
+    ``__setattr__`` that refuses them, and equality, hash and repr read them in order."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild a value through __init__
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        """A new value with ``changes`` to some fields, checked again by ``__init__``."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Tuple
 
 from .errors import UsageError
 from .paths import DyckPath, stats_kaaa, stats_three
@@ -25,8 +24,7 @@ from .polynomial import Exponents, VariableContext
 Point = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
+class FamilyInfo(NamedTuple):
     name: str
     coords: Tuple[str, ...]
     out_ctx: VariableContext  # marking variables, then q and t

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
@@ -46,13 +45,30 @@ class Inverse(NamedTuple):
     lcm: int
 
 
-@dataclass(frozen=True)
 class DiagonalForm:
-    """``left @ V @ right = diag(factors)`` with unimodular ``left`` and ``right``."""
+    """``left @ V @ right = diag(factors)`` with unimodular ``left`` and ``right``;
+    an immutable value of those three, whose ``inverse`` is cached in its dict."""
 
-    factors: Vector
-    left: Matrix
-    right: Matrix
+    def __init__(self, factors: Vector, left: Matrix, right: Matrix):
+        vars(self).update(factors=factors, left=left, right=right)
+
+    def _values(self) -> Tuple[Vector, Matrix, Matrix]:
+        return self.factors, self.left, self.right
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "DiagonalForm(factors=%r, left=%r, right=%r)" % self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def rank(self) -> int:

@@ -11,9 +11,8 @@ statistics and the assembled series; :mod:`.verify` joins the two.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, prod
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalInvariantError, UsageError, _integer, _integers
 from .families import family
@@ -125,8 +124,7 @@ def lambda_catalan(partition: Sequence[int]) -> LaurentPoly:
     return LaurentPoly(QT_CONTEXT, add_terms({}, itertools.chain.from_iterable(counts)))
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     subject: Tuple[int, ...]
     symmetric: bool
     # ((i, j), coefficient of q^i t^j, coefficient of q^j t^i) for the
@@ -149,8 +147,9 @@ def _symmetry_witness(poly: LaurentPoly) -> Optional[Tuple[Tuple[int, int], int,
     return ((i, j), poly.terms.get((i, j), 0), poly.terms.get((j, i), 0))
 
 
-def symmetry_report(parts: Sequence[int]) -> SymmetryReport:
-    witness = _symmetry_witness(refined_catalan(parts))
+def symmetry_report(parts: Sequence[int], legs: Optional[LegTable] = None) -> SymmetryReport:
+    """Whether ``refined_catalan(parts, legs)`` is q,t-symmetric, with its smallest witness if not."""
+    witness = _symmetry_witness(refined_catalan(parts, legs))
     return SymmetryReport(subject=tuple(parts), symmetric=witness is None, witness=witness)
 
 

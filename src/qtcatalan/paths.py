@@ -23,16 +23,15 @@ against each other exhaustively on small inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DomainError, InternalInvariantError, _integers
+from .errors import DomainError, Frozen, InternalInvariantError, _integers
 
 
-@dataclass(frozen=True)
-class KVector:
+class KVector(Frozen):
     """An ordered tuple of positive run lengths."""
 
+    __slots__ = _fields = ("parts",)
     parts: Tuple[int, ...]
 
     def __init__(self, parts: Sequence[int]):
@@ -58,10 +57,10 @@ class KVector:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Frozen):
     """A path above the diagonal, stored as its rank sequence."""
 
+    __slots__ = _fields = ("kvec", "ranks")
     kvec: KVector
     ranks: Tuple[int, ...]
 

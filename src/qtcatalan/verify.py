@@ -13,8 +13,7 @@ loads only the path route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .families import family
 from .oracles import check_verify_work, refined_catalan
@@ -32,8 +31,7 @@ def gf_qt_swap(g: RationalGF) -> RationalGF:
     return gf_substitute(g, g.context, qt_images(g.context))
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     family: str
     bound: int
     formula_match: bool

@@ -7,7 +7,6 @@ transcribed product formulas.
 """
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import lattice_oracle
@@ -601,8 +600,8 @@ def test_a_parity_case_with_an_odd_generator_is_an_invariant_error():
     cone = HalfOpenCone(4, (0,) * 4, (odd_in_b,) + p2c1.realization.generators[1:])
     correction = _piece("k4", {(0, 0, 0, 1): -1}, (odd_in_b,))
     for spec in (
-        replace(p2c1, realization=cone),
-        replace(p2c1, corrections=(correction,)),
+        p2c1._replace(realization=cone),
+        p2c1._replace(corrections=(correction,)),
     ):
         with pytest.raises(InternalInvariantError):
             assemble_case(spec)
@@ -619,7 +618,7 @@ def test_a_piece_base_that_is_not_integer_is_refused_before_any_kernel_is_compil
     p1c1a = by_id("k4")["k4.P1C1A"]
     zctx = FAMILIES["k4"].zctx
     bad = RationalGF(zctx, LaurentPoly(zctx, {(1, 1.5, 0, 0): 1}), p1c1a.realization.generators)
-    for spec in (replace(p1c1a, realization=bad), replace(p1c1a, corrections=(bad,))):
+    for spec in (p1c1a._replace(realization=bad), p1c1a._replace(corrections=(bad,))):
         with pytest.raises(DomainError, match="kernel numbers"):
             realized_multiplicity(spec, (1, 1, 1, 1))
     assert compiled == []

@@ -5,9 +5,13 @@ must never depend on the cone route (``lattice``, ``cones``, ``catalog``)
 for its answers.  ``verify``, ``cli`` and the package root are the only
 modules that import both; ``verify`` and ``cli`` import the cone route only
 inside the functions that use it, so loading them loads the path route alone.
+No module imports ``dataclasses``, and no command loads it or ``inspect``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -189,3 +193,41 @@ def test_the_cli_holds_no_work_limit():
     }
     assert "count_paths" not in called
     assert not {name for name in assigned if name.endswith("_WORK")}
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, about a third of the package's import time
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in {name.split(".")[0] for name in names}, path.name
+
+
+LAUNCH = """
+import sys
+import qtcatalan.cli as cli
+cli.build_parser()
+codes = [cli.main(argv) for argv in (
+    ["catalan", "--k", "1,2,1"],
+    ["cone", sys.argv[1], "--index"],
+    ["verify", "--theorem", "three", "--bound", "3"],
+)]
+print(codes, sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    # -S: without the site hook, the modules loaded are the package's and what it imports
+    cone = tmp_path / "cone.txt"
+    cone.write_text("dim 2\ngen closed 1 1\ngen closed 1 -1\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCH, str(cone)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] []"

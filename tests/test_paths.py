@@ -269,6 +269,20 @@ def test_verify_runs_each_distinct_leg_once(monkeypatch):
     assert calls["legs"] == 1445
 
 
+def test_scan_runs_each_distinct_leg_once(monkeypatch):
+    # the 243 vectors of length 5 with parts up to 3 run 32,694 legs, 2,910 of them distinct
+    calls = Counter()
+
+    def counted(*args):
+        calls["legs"] += 1
+        return _legs(*args)
+
+    monkeypatch.setattr(paths, "_legs", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["scan", "--all-length", "5", "--max", "3"]) == 1
+    assert calls["legs"] == 2910
+
+
 def test_a_leg_that_climbs_no_run_is_not_kept():
     legs = LegTable()
     parts = (1, 1, 1)
