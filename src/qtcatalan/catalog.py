@@ -97,7 +97,7 @@ class CaseSpec(Frozen):
         corrections: Tuple[RationalGF, ...] = (),
         sign: int = 1,
     ):
-        vars(self).update(zip(self._fields, (case_id, family, region, realization, parity, corrections, sign)))
+        self._set(case_id, family, region, realization, parity, corrections, sign)
 
     @cached_property
     def dense_region(self) -> Tuple[Tuple[int, Point], ...]:

@@ -61,10 +61,7 @@ class HalfOpenCone(Frozen):
             raise UsageError("cone needs at least one generator")
         if diagonal_form(generators).rank != len(generators):
             raise UsageError(f"generators {generators} are not linearly independent")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "open_flags", open_flags)
+        self._set(dim, apex, generators, open_flags)
 
 
 def lattice_index(cone: HalfOpenCone) -> int:
@@ -119,9 +116,7 @@ class RationalGF(Frozen):
             raise UsageError("denominator factor (1 - z^0) is zero")
         if any(len(m) != len(context) for m in factors):
             raise UsageError("denominator monomial length does not match context")
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", factors)
+        self._set(context, numerator, factors)
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
         return gf_sum((self, other)) if isinstance(other, RationalGF) else NotImplemented

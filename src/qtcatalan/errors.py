@@ -5,7 +5,7 @@ to: bad input (`UsageError`), input outside a formula's region of validity
 (`DomainError`), and broken internal invariants (`InternalInvariantError`,
 which always indicates a bug rather than bad data).  Both routes read
 integers through :func:`_integer` and :func:`_integers`, which raise the `DomainError`.
-The validated value types of both routes share :class:`Frozen`, which this
+The value types of both routes share :class:`Frozen`, which this
 leaf module holds so that the path route needs nothing else.
 """
 
@@ -50,11 +50,16 @@ def _integers(values: Sequence[int], what: str) -> Tuple[int, ...]:
 
 
 class Frozen:
-    """An immutable value: ``__init__`` sets the fields named in ``_fields`` past the
-    ``__setattr__`` that refuses them, and equality, hash and repr read them in order."""
+    """An immutable value: ``__init__`` sets the fields named in ``_fields`` through
+    :meth:`_set`, and equality, hash and repr read them in order."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        """Set the fields to ``values`` in ``_fields`` order, past the refusing ``__setattr__``."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -17,7 +17,8 @@ Smith normal form: the quotient of the saturated lattice by ``V Z^k`` is
   ``W ((y_i - s_i) / d_i)`` for ``s = U shift`` and ``y`` in the box of
   residues ``0 <= y_i < d_i``.
 
-This module imports nothing from the rest of the package.
+From the rest of the package this module imports only the leaf ``errors``,
+for the :class:`~qtcatalan.errors.Frozen` base of :class:`DiagonalForm`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import math
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
+
+from .errors import Frozen
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Vector, ...]
@@ -45,30 +48,15 @@ class Inverse(NamedTuple):
     lcm: int
 
 
-class DiagonalForm:
+class DiagonalForm(Frozen):
     """``left @ V @ right = diag(factors)`` with unimodular ``left`` and ``right``;
-    an immutable value of those three, whose ``inverse`` is cached in its dict."""
+    a frozen value of those three, whose ``inverse`` is cached in its dict."""
+
+    # no __slots__: the cached inverse keeps its value in the instance dict
+    _fields = ("factors", "left", "right")
 
     def __init__(self, factors: Vector, left: Matrix, right: Matrix):
-        vars(self).update(factors=factors, left=left, right=right)
-
-    def _values(self) -> Tuple[Vector, Matrix, Matrix]:
-        return self.factors, self.left, self.right
-
-    def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return "DiagonalForm(factors=%r, left=%r, right=%r)" % self._values()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._set(factors, left, right)
 
     @property
     def rank(self) -> int:

@@ -40,7 +40,7 @@ class KVector(Frozen):
             raise DomainError("run-length vector must be nonempty")
         if any(p < 1 for p in parts):
             raise DomainError(f"run lengths must be positive, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        self._set(parts)
 
     @property
     def n(self) -> int:
@@ -78,8 +78,7 @@ class DyckPath(Frozen):
                 raise DomainError(
                     f"rank sequence {ranks} invalid for runs {kvec.parts} at position {i + 1}"
                 )
-        object.__setattr__(self, "kvec", kvec)
-        object.__setattr__(self, "ranks", ranks)
+        self._set(kvec, ranks)
 
     @property
     def east_runs(self) -> Tuple[int, ...]:
@@ -224,8 +223,8 @@ class LegTable:
     expiring)``: ``run + 1`` is where the segment ends, and the limit only
     bounds them.  So the table maps ``(segment, gap, active, expiring)`` to a
     :data:`_Leg`, for every vector and run that meets the same key.  A
-    caller looks a leg up in :meth:`known` and calls :func:`_run_into` when
-    it is not there, or when its ``steps`` pass the caller's limit.
+    caller fetches a leg through :func:`_fetch_leg` from the dict that
+    :meth:`known` returns, which runs the leg only when it is not there.
 
     Two guards keep every check of :func:`_legs`.  Only a nonempty segment
     is kept, so a key's climb is its segment's length, and legs that climb
@@ -274,7 +273,7 @@ class LegTable:
         return known
 
 
-def _run_into(
+def _fetch_leg(
     known: Dict[int, _Leg],
     parts: Tuple[int, ...],
     limit: int,
@@ -284,15 +283,17 @@ def _run_into(
     active: int,
     expiring: _Expiring,
 ) -> _Leg:
-    """Run by :func:`_legs` the legs that ``known`` lacks, and keep them there.
+    """The legs from ``gap`` after run ``run``: kept in ``known``, or run by
+    :func:`_legs` and kept there.
 
-    A leg that ``known`` already holds has passed ``limit``, and raises as
-    :func:`_legs` would have.
+    A kept leg whose ``steps`` pass ``limit`` raises as :func:`_legs` would have.
     """
-    if gap in known:
+    leg = known.get(gap)
+    if leg is None:
+        after, _, active, expiring, steps = _legs(parts, limit, run, gap, filled, active, expiring)
+        leg = known[gap] = (after, active, expiring, steps)
+    elif leg[3] > limit:
         raise _stalled(parts, limit, run)
-    after, _, active, expiring, steps = _legs(parts, limit, run, gap, filled, active, expiring)
-    leg = known[gap] = (after, active, expiring, steps)
     return leg
 
 
@@ -317,10 +318,7 @@ def path_stats(path: DyckPath, legs: Optional[LegTable] = None) -> PathStats:
         gap -= east
         if gap < 0:
             known = {} if legs is None else legs.known(parts, run, filled, active, expiring)
-            leg = known.get(gap)
-            if leg is None or leg[3] > limit:
-                leg = _run_into(known, parts, limit, run, gap, filled, active, expiring)
-            gap, active, expiring, steps = leg
+            gap, active, expiring, steps = _fetch_leg(known, parts, limit, run, gap, filled, active, expiring)
             consumed += [run + 1 - filled] + [0] * (steps - 1)
             filled = run + 1
     _check_end(parts, gap, filled)
@@ -376,10 +374,7 @@ def area_bounce_counts(kvec: KVector, legs: Optional[LegTable] = None) -> Dict[T
             for nxt in (0,) if final else range(top, -1, -1):
                 rest, fl, act, exp, shift = gap - (top - nxt), filled, active, expiring, nxt
                 if rest < 0:
-                    leg = known.get(rest)
-                    if leg is None or leg[3] > limit:
-                        leg = _run_into(known, parts, limit, run, rest, filled, active, expiring)
-                    rest, act, exp, steps = leg
+                    rest, act, exp, steps = _fetch_leg(known, parts, limit, run, rest, filled, active, expiring)
                     fl = after
                     shift += steps * charge
                 if final:

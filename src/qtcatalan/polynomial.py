@@ -13,15 +13,16 @@ import re
 from operator import add, mul
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import DomainError, UsageError, _integer
+from .errors import DomainError, Frozen, UsageError, _integer
 
 Exponents = Tuple[int, ...]
 
 
-class VariableContext:
+class VariableContext(Frozen):
     """An ordered tuple of distinct variable names with stable indices."""
 
-    __slots__ = ("names", "_index")
+    __slots__ = _fields = ("names",)
+    names: Tuple[str, ...]
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -29,26 +30,19 @@ class VariableContext:
             raise UsageError("variable context needs at least one name")
         if len(set(names)) != len(names):
             raise UsageError(f"duplicate variable names in {names}")
-        self.names = names
-        self._index = {name: i for i, name in enumerate(names)}
+        self._set(names)
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise UsageError(f"unknown variable {name!r}; context has {self.names}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self.names
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, VariableContext) and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
 
     def __repr__(self) -> str:
         return f"VariableContext({', '.join(self.names)})"

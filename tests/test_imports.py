@@ -27,7 +27,7 @@ EXPORT_TABLE = "_EXPORTS"
 # module -> the package modules it may import
 ALLOWED = {
     "errors": set(),
-    "lattice": set(),
+    "lattice": {"errors"},
     "paths": {"errors"},
     "polynomial": {"errors"},
     "families": {"errors", "paths", "polynomial"},

@@ -18,8 +18,8 @@ from qtcatalan.paths import (
     KVector,
     LegTable,
     _check_end,
+    _fetch_leg,
     _legs,
-    _run_into,
     area_bounce_counts,
     count_paths,
     enumerate_paths,
@@ -288,13 +288,13 @@ def test_a_leg_that_climbs_no_run_is_not_kept():
     parts = (1, 1, 1)
     # after run 0 with one run consumed, the legs climb 0 runs and are run, not kept
     climb_zero = legs.known(parts, 0, 1, 1, ())
-    assert _run_into(climb_zero, parts, 7, 0, -1, 1, 1, ()) == (0, 1, (), 1)
+    assert _fetch_leg(climb_zero, parts, 7, 0, -1, 1, 1, ()) == (0, 1, (), 1)
     # with two consumed they would stop below them: the same empty segment and
     # state hold nothing, and the legs raise
     climb_below = legs.known(parts, 0, 2, 1, ())
     assert climb_below == {}
     with pytest.raises(InternalInvariantError, match="below the 2 runs"):
-        _run_into(climb_below, parts, 7, 0, -1, 2, 1, ())
+        _fetch_leg(climb_below, parts, 7, 0, -1, 2, 1, ())
 
 
 def test_a_kept_leg_past_the_limit_raises():

@@ -204,6 +204,18 @@ def test_context_validation():
         QT.index("nope")
 
 
+def test_the_shared_context_cannot_be_changed():
+    poly = P("q^2*t")
+    before = (hash(poly), str(poly))
+    with pytest.raises(AttributeError):
+        QT_CONTEXT.names = ("t", "q")
+    with pytest.raises(AttributeError):
+        del QT_CONTEXT.names
+    assert QT_CONTEXT.names == ("q", "t") and QT_CONTEXT == VariableContext(("q", "t"))
+    assert QT_CONTEXT.index("q") == 0 and QT_CONTEXT.index("t") == 1
+    assert (hash(poly), str(poly)) == before == (hash(P("q^2*t")), "q^2*t")
+
+
 @pytest.mark.parametrize("entry", [2.7, "3", None])
 def test_coefficients_and_exponents_refuse_non_integers(entry):
     with pytest.raises(DomainError):

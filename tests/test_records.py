@@ -1,7 +1,7 @@
 """The package's records behave as frozen values.
 
-Plain records are ``NamedTuple``s; validated value types share
-``errors.Frozen``, and ``lattice.DiagonalForm`` is its own small value class.
+Plain records are ``NamedTuple``s; validated value types, ``lattice.DiagonalForm``
+and ``polynomial.VariableContext`` among them, share ``errors.Frozen``.
 Each compares and hashes by its fields, keeps the repr text below, refuses
 assignment, and the validated ones refuse invalid input with the errors below.
 """
@@ -40,6 +40,7 @@ def _records():
          "RationalGF(context=VariableContext(x, y), numerator=LaurentPoly(2*x), denominator=((0, 1),))"),
         (lambda: DiagonalForm((2, 3), ((1, 0), (0, 1)), ((1, 0), (0, 1))),
          "DiagonalForm(factors=(2, 3), left=((1, 0), (0, 1)), right=((1, 0), (0, 1)))"),
+        (lambda: VariableContext(("x", "y")), "VariableContext(x, y)"),
         (lambda: CaseSpec("c", "k4", (Constraint((("k", 1),), 0),), HalfOpenCone(1, (0,), ((1,),))),
          "CaseSpec(case_id='c', family='k4', region=(Constraint(coeffs=(('k', 1),), const=0),), "
          "realization=HalfOpenCone(dim=1, apex=(Fraction(0, 1),), generators=((1,),), open_flags=(False,)), "
