@@ -36,6 +36,8 @@ _EXPORTS = {
     "InternalInvariantError": "errors",
     "NonExpandableError": "errors",
     "UsageError": "errors",
+    "stats_kaaa": "families",
+    "stats_three": "families",
     "SymmetryReport": "oracles",
     "carlitz_riordan": "oracles",
     "check_bounce_agreement": "oracles",
@@ -52,8 +54,6 @@ _EXPORTS = {
     "count_paths": "paths",
     "enumerate_paths": "paths",
     "path_stats": "paths",
-    "stats_kaaa": "paths",
-    "stats_three": "paths",
     "QT_CONTEXT": "polynomial",
     "LaurentPoly": "polynomial",
     "VariableContext": "polynomial",

@@ -4,8 +4,8 @@ Each supported shape family (three free run lengths; four equal runs; one
 short run followed by three equal longer runs) comes with a fixed list of
 :class:`CaseSpec` entries.  A case records, as literal data:
 
-* the region of path coordinates it covers (integer inequalities plus an
-  optional parity constraint),
+* the region of path coordinates it covers (its own integer inequalities, the
+  family's base rows from ``families.UPPER_BOUNDS``, an optional parity test),
 * a realization of that region's lattice points, either a
   :class:`~.cones.HalfOpenCone` or a piece ``sum c z^b / prod (1 - z^v)``, a
   :class:`~.cones.RationalGF` in the family's coordinate variables (signed
@@ -47,7 +47,7 @@ from .cones import (
     integer_point_transform,
 )
 from .errors import Frozen, InternalInvariantError, UsageError, _integers
-from .families import FAMILIES, FamilyInfo, Point, family
+from .families import FAMILIES, UPPER_BOUNDS, FamilyInfo, Point, family
 from .lattice import diagonal_form
 from .polynomial import Exponents, LaurentPoly, add_terms
 
@@ -135,6 +135,16 @@ class CaseSpec(Frozen):
         return _coverage_kernel(_coverage([(1, self)]), self.family)
 
 
+def _base(name: str) -> Tuple[Constraint, ...]:
+    """The region's rows that a family's cases share: ``x >= 0``, then ``U - x >= 0`` if ``x <= U``."""
+    rows = []
+    for x in FAMILIES[name].coords:
+        rows.append(_ge(**{x: 1}))
+        if x in UPPER_BOUNDS[name]:
+            rows.append(_ge(**UPPER_BOUNDS[name][x], **{x: -1}))
+    return tuple(rows)
+
+
 def _piece(family: str, bases: Mapping[Point, int], generators: Sequence[Point]) -> RationalGF:
     """``sum coef z^base / prod (1 - z^v)`` in the family's coordinate variables;
     a base, coefficient or generator that is not an integer is a DomainError."""
@@ -144,16 +154,6 @@ def _piece(family: str, bases: Mapping[Point, int], generators: Sequence[Point])
 
 
 # -- family "three": coordinates (k1, k2, k3, r2, r3) -------------------------
-
-_THREE_BASE = (
-    _ge(k1=1),
-    _ge(k2=1),
-    _ge(k3=1),
-    _ge(r2=1),
-    _ge(k1=1, r2=-1),
-    _ge(r3=1),
-    _ge(r2=1, k2=1, r3=-1),
-)
 
 _E1 = (1, 0, 0, 0, 0)
 _E2 = (0, 1, 0, 0, 0)
@@ -165,37 +165,38 @@ _H = (0, 1, 0, 0, 1)
 
 
 def _three_cases() -> Tuple[CaseSpec, ...]:
+    base = _base("three")
     c3_gens = (_E1, _E3, _G, _S, _H)
     return (
         CaseSpec(
             case_id="three.C1",
             family="three",
-            region=(_ge(r2=1, k2=-1, r3=-1), _ge(r2=1, k2=-1)) + _THREE_BASE,
+            region=(_ge(r2=1, k2=-1, r3=-1), _ge(r2=1, k2=-1)) + base,
             realization=HalfOpenCone(5, (0,) * 5, (_E1, _E3, _U, _S, _G)),
         ),
         CaseSpec(
             case_id="three.C2",
             family="three",
             # gap condition relative to r2, the smaller side here
-            region=(_ge(k2=1, r2=-1, r3=-1), _ge(k2=1, r2=-1)) + _THREE_BASE,
+            region=(_ge(k2=1, r2=-1, r3=-1), _ge(k2=1, r2=-1)) + base,
             realization=HalfOpenCone(5, (0,) * 5, (_E1, _E2, _E3, _G, _H)),
         ),
         CaseSpec(
             case_id="three.C3A",
             family="three",
-            region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + _THREE_BASE,
+            region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + base,
             realization=_piece("three", {(1, 1, 0, 1, 2): 1}, c3_gens),
         ),
         CaseSpec(
             case_id="three.C3B",
             family="three",
-            region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + _THREE_BASE,
+            region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + base,
             realization=_piece("three", {(1, 1, 0, 1, 1): 1}, c3_gens),
         ),
         CaseSpec(
             case_id="three.overlap",
             family="three",
-            region=_eq(r2=1, k2=-1) + _eq(r3=1) + _THREE_BASE,
+            region=_eq(r2=1, k2=-1) + _eq(r3=1) + base,
             realization=HalfOpenCone(5, (0,) * 5, (_E1, _E3, _G)),
             sign=-1,
         ),
@@ -213,32 +214,24 @@ _V6 = (1, 0, 2, 1)
 _V7 = (1, 0, 0, 3)
 _V8 = (1, 1, 0, 2)
 
-_K4_BASE = (
-    _ge(a=1),
-    _ge(k=1, a=-1),
-    _ge(b=1),
-    _ge(k=2, a=-1, b=-1),
-    _ge(c=1),
-    _ge(k=3, a=-1, b=-1, c=-1),
-)
-
 _K4_PART1 = _ge(b=1, k=-2, a=2)  # b >= 2k - 2a
 _K4_PART23 = _gt(k=2, a=-2, b=-1)  # b < 2k - 2a
 
 
 def _k4_cases() -> Tuple[CaseSpec, ...]:
+    base = _base("k4")
     half = Fraction(1, 2)
     return (
         CaseSpec(
             case_id="k4.P1C1A",
             family="k4",
-            region=(_K4_PART1, _ge(c=1, k=-4, a=2, b=2)) + _K4_BASE,
+            region=(_K4_PART1, _ge(c=1, k=-4, a=2, b=2)) + base,
             realization=HalfOpenCone(4, (0,) * 4, (_V1, _V4, _V6, _V8)),
         ),
         CaseSpec(
             case_id="k4.P1C1B",
             family="k4",
-            region=(_K4_PART1, _ge(c=1, k=-4, a=2, b=2)) + _K4_BASE,
+            region=(_K4_PART1, _ge(c=1, k=-4, a=2, b=2)) + base,
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V4, _V5, _V6, _V8), (False, True, False, False)
             ),
@@ -246,7 +239,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P1C2",
             family="k4",
-            region=(_K4_PART1, _gt(k=4, a=-2, b=-2, c=-1)) + _K4_BASE,
+            region=(_K4_PART1, _gt(k=4, a=-2, b=-2, c=-1)) + base,
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V1, _V3, _V4, _V8), (False, True, False, False)
             ),
@@ -254,8 +247,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P2C1",
             family="k4",
-            region=(_K4_PART23, _ge(c=1, k=-3, a=1, b=Fraction(3, 2)))
-            + _K4_BASE,
+            region=(_K4_PART23, _ge(c=1, k=-3, a=1, b=Fraction(3, 2))) + base,
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V1, _V6, _V7, _V8), (False, False, True, False)
             ),
@@ -268,8 +260,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
                 _K4_PART23,
                 _ge(c=1, k=-3, a=3, b=Fraction(3, 2)),
                 _gt(k=3, a=-1, b=Fraction(-3, 2), c=-1),
-            )
-            + _K4_BASE,
+            ) + base,
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V1, _V3, _V7, _V8), (False, True, True, False)
             ),
@@ -278,7 +269,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P2C3",
             family="k4",
-            region=(_K4_PART23, _gt(k=3, a=-3, b=Fraction(-3, 2), c=-1)) + _K4_BASE,
+            region=(_K4_PART23, _gt(k=3, a=-3, b=Fraction(-3, 2), c=-1)) + base,
             realization=HalfOpenCone(
                 4, (0,) * 4, (_V1, _V2, _V3, _V7), (False, True, False, False)
             ),
@@ -287,8 +278,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P3C1",
             family="k4",
-            region=(_K4_PART23, _ge(const=half, c=1, k=-3, a=1, b=Fraction(3, 2)))
-            + _K4_BASE,
+            region=(_K4_PART23, _ge(const=half, c=1, k=-3, a=1, b=Fraction(3, 2))) + base,
             realization=HalfOpenCone(
                 4, (-half, 0, -1, -half), (_V1, _V6, _V7, _V8), (False, False, True, False)
             ),
@@ -302,8 +292,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
                 _K4_PART23,
                 _ge(const=half, c=1, k=-3, a=3, b=Fraction(3, 2)),
                 _gt(const=-half, k=3, a=-1, b=Fraction(-3, 2), c=-1),
-            )
-            + _K4_BASE,
+            ) + base,
             realization=HalfOpenCone(
                 4, (0, 0, 0, -half), (_V1, _V3, _V7, _V8), (False, True, True, False)
             ),
@@ -312,8 +301,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id="k4.P3C3",
             family="k4",
-            region=(_K4_PART23, _gt(const=-half, k=3, a=-3, b=Fraction(-3, 2), c=-1))
-            + _K4_BASE,
+            region=(_K4_PART23, _gt(const=-half, k=3, a=-3, b=Fraction(-3, 2), c=-1)) + base,
             realization=HalfOpenCone(
                 4, (Fraction(1, 6), 0, 0, 0), (_V1, _V2, _V3, _V7), (False, True, False, False)
             ),
@@ -341,18 +329,9 @@ _W_AB = (1, 0, 1, 1, 0)
 _W_MBC = (0, 1, 0, 1, 1)
 _W_ABC = (1, 0, 1, 1, 1)
 
-_KAAA_BASE = (
-    _ge(m=1),
-    _ge(a=1),
-    _ge(k=1, a=-1),
-    _ge(b=1),
-    _ge(k=2, m=1, a=-1, b=-1),
-    _ge(c=1),
-    _ge(k=3, m=2, a=-1, b=-1, c=-1),
-)
-
 
 def _kaaa_cases() -> Tuple[CaseSpec, ...]:
+    base = _base("kaaa")
     in_band = (_gt(b=1), _ge(k=2, a=-2, b=-1))  # 0 < b <= 2(k - a)
     above_band = _gt(b=1, k=-2, a=2)  # b > 2(k - a)
     p1c1 = _eq(b=1) + _eq(c=1)
@@ -524,7 +503,7 @@ def _kaaa_cases() -> Tuple[CaseSpec, ...]:
         CaseSpec(
             case_id=case_id,
             family="kaaa",
-            region=extra + _KAAA_BASE,
+            region=extra + base,
             realization=_piece("kaaa", dict.fromkeys(bases, 1), gens),
             parity=parity,
         )

@@ -5,12 +5,11 @@ the rank sequence ``(r_1, ..., r_m)``, where ``r_i`` is ``y - x`` at the start
 of the i-th north run.  The rank sequence determines the path: after run ``i``
 the path takes ``r_i + k_i - r_{i+1}`` unit east steps (with ``r_{m+1} = 0``).
 
-Two independent routes to the statistics are provided: the general bounce
-pass and closed-form piecewise formulas for the supported shape families
-(:func:`stats_three`, and :func:`stats_kaaa`, which gives four equal runs at
-m = 0).  The bounce pass runs its legs one north run at a time, by
-:func:`_legs`.  :func:`path_stats` runs it over one path's ranks, in time
-linear in the path's size.  :func:`area_bounce_counts` runs it over merged
+The statistics come from the bounce pass, which knows no shape family: the
+closed forms of the supported families, the independent route to the same
+numbers, live in :mod:`.families`.  The pass runs its legs one north run at
+a time, by :func:`_legs`.  :func:`path_stats` runs it over one path's ranks,
+in time linear in the path's size.  :func:`area_bounce_counts` runs it over merged
 bounce states: after each run, paths whose remaining bounce behaves the same
 share one state, and a potential ``bounce + step * (m - filled)`` stands in
 for the bounce so far, so the legs' absolute index is not part of the state.
@@ -392,78 +391,3 @@ def area_bounce_counts(kvec: KVector, legs: Optional[LegTable] = None) -> Dict[T
         bounce, area = divmod(key, span)
         counts[(area, bounce)] = c
     return counts
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-# -- closed forms, one per shape family -------------------------------------
-#
-# Each formula is valid on the closure of the path region (sizes may be 0),
-# which the cone catalog relies on; the rank inequalities are still enforced.
-
-
-def stats_three(k1: int, k2: int, k3: int, r2: int, r3: int) -> Tuple[int, int]:
-    """Area and bounce for a three-run path given the free ranks r2, r3."""
-    if min(k1, k2, k3) < 0:
-        raise DomainError("run lengths must be nonnegative")
-    if not (0 <= r2 <= k1):
-        raise DomainError(f"need 0 <= r2 <= k1, got r2={r2}, k1={k1}")
-    if not (0 <= r3 <= r2 + k2):
-        raise DomainError(f"need 0 <= r3 <= r2 + k2, got r3={r3}")
-    area = r2 + r3
-    gap = r2 + k2 - r3
-    if gap >= 2 * min(r2, k2):
-        bounce = 2 * (k1 - r2) + gap - min(r2, k2)
-    else:
-        bounce = 2 * (k1 - r2) + _ceil_div(gap, 2)
-    return area, bounce
-
-
-def stats_kaaa(k: int, m: int, a: int, b: int, c: int) -> Tuple[int, int]:
-    """Area and bounce for runs (k, k+m, k+m, k+m).
-
-    Coordinates relate to ranks by ``r2 = k - a``, ``r3 = 2k + m - a - b``,
-    ``r4 = 3k + 2m - a - b - c``.  At m = 0 these are four equal runs of length k.
-    """
-    if m < 0:
-        raise DomainError(f"need m >= 0, got {m}")
-    if not (0 <= a <= k):
-        raise DomainError(f"need 0 <= a <= k, got a={a}, k={k}")
-    if not (0 <= b <= 2 * k + m - a):
-        raise DomainError(f"need 0 <= b <= 2k + m - a, got b={b}")
-    if not (0 <= c <= 3 * k + 2 * m - a - b):
-        raise DomainError(f"need 0 <= c <= 3k + 2m - a - b, got c={c}")
-    area = 6 * k + 3 * m - 3 * a - 2 * b - c
-    hb = _ceil_div(b, 2)
-    if b == 0:
-        if c == 0:
-            bounce = 3 * a
-        elif c <= 3 * (k - a):
-            bounce = 3 * a + _ceil_div(c, 3)
-        else:
-            bounce = 2 * a + k + _ceil_div(c - 3 * (k - a), 2)
-    elif b <= 2 * (k - a):
-        if c == 0:
-            bounce = 3 * a + 2 * hb
-        elif b % 2 == 0:
-            if c <= 3 * (k - a - hb):
-                bounce = 3 * a + 2 * hb + _ceil_div(c, 3)
-            elif c <= 3 * (k - hb) - a + 2 * m:
-                bounce = 2 * a + hb + k + _ceil_div(c - 3 * (k - a - hb), 2)
-            else:
-                bounce = c - 2 * k + 4 * a + 4 * hb - m
-        else:
-            if c - 1 <= 3 * (k - a - hb):
-                bounce = 3 * a + 2 * hb + _ceil_div(c - 1, 3)
-            elif c - 1 <= 3 * (k - hb) - a + 2 * m:
-                bounce = 2 * a + hb + k + _ceil_div(c - 1 - 3 * (k - a - hb), 2)
-            else:
-                bounce = c - 1 - 2 * k + 4 * a + 4 * hb - m
-    else:
-        if c <= 2 * (2 * k - a + m - b):
-            bounce = 5 * a + 2 * b - 2 * k + _ceil_div(c, 2)
-        else:
-            bounce = 6 * a + 3 * b - 4 * k + c - m
-    return area, bounce

@@ -1,7 +1,7 @@
 """The paper's closed form for four equal runs, kept as a test oracle.
 
 The package reads the statistics of ``(k, k, k, k)`` from
-``paths.stats_kaaa`` at m = 0; this is the separate transcription of the
+``families.stats_kaaa`` at m = 0; this is the separate transcription of the
 four-equal-runs case that the tests check against it and against the bounce
 pass ``paths.path_stats``.
 """
@@ -11,7 +11,11 @@ from __future__ import annotations
 from typing import Tuple
 
 from qtcatalan.errors import DomainError
-from qtcatalan.paths import _ceil_div
+
+
+def _ceil_div(a: int, b: int) -> int:
+    """The least integer at or above ``a / b``, for ``b > 0``."""
+    return (a + b - 1) // b
 
 
 def stats_k4(k: int, a: int, b: int, c: int) -> Tuple[int, int]:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lattice_oracle import minor_gcd
-from regions import region_points
+from regions import region_gf, region_points
 
 from qtcatalan import catalog
 from qtcatalan.catalog import (
@@ -27,6 +27,7 @@ from qtcatalan.catalog import (
     _kernel,
     _linear,
     _piece,
+    _pieces,
     assemble_case,
     assemble_theorem,
     case_catalog,
@@ -39,6 +40,7 @@ from qtcatalan.cones import (
     HalfOpenCone,
     RationalGF,
     gf_equals,
+    gf_sum,
     integer_point_transform,
     series_expand,
 )
@@ -386,6 +388,45 @@ def test_partition_property(family):
     for point in region_points(family, 3):
         assert signed_multiplicity(family, point) == 1, point
         assert any(case_membership(s, point) for s in case_catalog(family)), point
+
+
+def _case_gf(spec):
+    """The case's pieces summed in the coordinate variables, times its sign."""
+    gf = gf_sum(_pieces(spec))
+    return gf if spec.sign > 0 else -gf
+
+
+@pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
+def test_the_cases_partition_the_whole_region_exactly(family):
+    # every point of the region, not only the small ones: the signed sum of
+    # the pieces is the region's own generating function, which the pieces
+    # do not read
+    assert gf_equals(gf_sum(map(_case_gf, case_catalog(family))), region_gf(family))
+
+
+def _mutants(cases):
+    """``(name, cases)`` with one case dropped, its sign flipped or its parity flipped."""
+    flip = {"even": "odd", "odd": "even"}
+    for i, spec in enumerate(cases):
+        mutated = [("dropped", ()), ("sign flipped", (spec._replace(sign=-spec.sign),))]
+        if spec.parity is not None:
+            coord, parity = spec.parity
+            mutated.append(("parity flipped", (spec._replace(parity=(coord, flip[parity])),)))
+        for change, replaced in mutated:
+            yield f"{spec.case_id} {change}", [*cases[:i], *replaced, *cases[i + 1:]]
+
+
+@pytest.mark.parametrize("family, count", [("three", 10), ("k4", 24), ("kaaa", 50)])
+def test_every_mutated_catalog_breaks_the_partition(family, count):
+    region = region_gf(family)
+    gfs = {spec: _case_gf(spec) for spec in case_catalog(family)}
+    mutants = list(_mutants(case_catalog(family)))
+    assert len(mutants) == count
+    survivors = [
+        name for name, cases in mutants
+        if gf_equals(gf_sum(gfs[s] if s in gfs else _case_gf(s) for s in cases), region)
+    ]
+    assert survivors == []
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])

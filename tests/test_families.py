@@ -10,11 +10,12 @@ from qtcatalan.catalog import (
     printed_theorem,
     signed_multiplicity,
 )
-from qtcatalan.errors import UsageError
-from qtcatalan.families import family
+from qtcatalan.errors import DomainError, UsageError
+from qtcatalan.families import FAMILIES, UPPER_BOUNDS, family
 from qtcatalan.oracles import check_bounce_agreement
 from qtcatalan.verify import series_matches_paths
 
+from regions import region_points
 from test_imports import package_imports
 
 
@@ -68,6 +69,45 @@ def test_specialization_drops_only_the_marks():
         image == three.theorem_ctx.monomial(**{name: 1})
         for name, image in three.specialize.items()
     )
+
+
+def _table_points(name, free):
+    """The region's points, bounded coordinates enumerated by ``UPPER_BOUNDS``, with the
+    unbounded ones, in order, set to ``free``."""
+    coords, bounds, free = FAMILIES[name].coords, UPPER_BOUNDS[name], iter(free)
+    points = [{}]
+    for x in coords:
+        if x in bounds:
+            points = [
+                {**p, x: v}
+                for p in points
+                for v in range(sum(c * p[y] for y, c in bounds[x].items()) + 1)
+            ]
+        else:
+            v = next(free)
+            points = [{**p, x: v} for p in points]
+    return [tuple(p[x] for x in coords) for p in points]
+
+
+@pytest.mark.parametrize("name", ["three", "k4", "kaaa"])
+def test_the_region_table_has_the_oracle_s_points(name):
+    unbounded = [i for i, x in enumerate(FAMILIES[name].coords) if x not in UPPER_BOUNDS[name]]
+    for size in range(7):
+        expected = sorted(region_points(name, size))
+        sizes = sorted({tuple(p[i] for i in unbounded) for p in expected})
+        assert sorted(p for free in sizes for p in _table_points(name, free)) == expected, size
+
+
+@pytest.mark.parametrize("name", ["three", "k4", "kaaa"])
+def test_the_closed_forms_refuse_exactly_the_points_outside_the_region(name):
+    fam = FAMILIES[name]
+    inside = set(region_points(name, 6))
+    for point in itertools.product(range(-1, 4), repeat=len(fam.coords)):
+        if point in inside:
+            fam.stats(*point)
+        else:
+            with pytest.raises(DomainError):
+                fam.stats(*point)
 
 
 @pytest.mark.parametrize(

@@ -133,7 +133,7 @@ def test_the_oracles_load_nothing_of_the_cone_route():
 
 def test_the_root_exports_from_the_modules_it_always_did():
     assert package_imports("__init__") == {
-        "errors", "paths", "polynomial", "oracles", "cones", "catalog", "verify"
+        "errors", "paths", "polynomial", "families", "oracles", "cones", "catalog", "verify"
     }
 
 

@@ -43,9 +43,10 @@ EXPORTS = {
     ),
     **dict.fromkeys(
         ["DyckPath", "KVector", "area_bounce_counts", "count_paths", "enumerate_paths",
-         "path_stats", "stats_kaaa", "stats_three"],
+         "path_stats"],
         "paths",
     ),
+    **dict.fromkeys(["stats_kaaa", "stats_three"], "families"),
     **dict.fromkeys(
         ["QT_CONTEXT", "LaurentPoly", "VariableContext", "coefficient_grid", "is_qt_symmetric",
          "qt_swap", "substitute_monomials"],

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qtcatalan.errors import DomainError, InternalInvariantError
 from qtcatalan import cli, paths
-from qtcatalan.families import FAMILIES
+from qtcatalan.families import FAMILIES, stats_kaaa, stats_three
 from qtcatalan.paths import (
     DyckPath,
     KVector,
@@ -24,8 +24,6 @@ from qtcatalan.paths import (
     count_paths,
     enumerate_paths,
     path_stats,
-    stats_kaaa,
-    stats_three,
 )
 
 import forward_transfer
