@@ -28,7 +28,9 @@ literal templates in this module, the synthetic names ``x0, x1, ...`` and
 ``v0, v1, ...``, and numbers, a base's row values among them, that ``_source``
 passed through ``operator.index`` and wrote with ``%d``; ``_piece`` reads
 bases as ints.  No outside text reaches it: a point is the function's
-argument, validated by ``_coordinates`` before the call.
+argument, which its first line validates, ``x0, ..., xn, = map(index, point)``,
+with only ``map`` and ``operator.index`` in its namespace; a point it refuses
+falls back to ``_coordinates`` for the refusal's own error (see ``_run``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from operator import mul
+from operator import index, mul
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cones import (
@@ -522,7 +524,7 @@ def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
 
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point satisfies the case's region and parity constraints."""
-    return spec.membership_kernel(*_coordinates(spec.family, point))
+    return _run(spec.membership_kernel, spec.family, point)
 
 
 @lru_cache(maxsize=None)
@@ -698,6 +700,17 @@ def _coordinates(family: str, point: Sequence[int]) -> Point:
     return point
 
 
+def _run(kernel: Callable[[Point], int], family: str, point: Sequence[int]) -> int:
+    """The kernel at the point: a tuple goes straight to it, and any other point,
+    or one it refuses, goes through :func:`_coordinates`, which raises the refusal."""
+    if isinstance(point, tuple):
+        try:
+            return kernel(point)
+        except (TypeError, ValueError):
+            pass
+    return kernel(_coordinates(family, point))
+
+
 def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
     """The coverage table of the cases' pieces, corrections included.
 
@@ -727,7 +740,7 @@ def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
 
 def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
     """How many times the case's realization (with corrections) hits a point."""
-    return spec.coverage_kernel(*_coordinates(spec.family, point))
+    return _run(spec.coverage_kernel, spec.family, point)
 
 
 @lru_cache(maxsize=None)
@@ -739,8 +752,7 @@ def _family_kernel(family: str) -> Callable[..., int]:
 
 def signed_multiplicity(family: str, point: Sequence[int]) -> int:
     """Signed number of catalog pieces covering a coordinate point."""
-    kernel = _family_kernel(family)
-    return kernel(*_coordinates(family, point))
+    return _run(_family_kernel(family), family, point)
 
 
 # -- straight-line kernels (see the module docstring for why the source is safe)
@@ -762,20 +774,27 @@ def _linear(row: Sequence[int], const: int = 0) -> str:
 
 
 def _kernel(family: str, lines: Sequence[str], result: str) -> Callable[..., int]:
-    """The function of the family's coordinates ``x0, x1, ...`` that runs
-    ``lines`` and returns ``result``."""
-    params = ", ".join(_source("x%d", i) for i in range(len(FAMILIES[family].coords)))
-    body = "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
-    namespace: dict = {"__builtins__": {}}
-    exec(f"def kernel({params}):\n{body}", namespace)
-    return namespace["kernel"]
+    """The function of a point, read as the family's coordinates ``x0, x1, ...``
+    (else a ValueError or TypeError), that runs ``lines`` and returns ``result``."""
+    params = "".join(_source("x%d, ", i) for i in range(len(FAMILIES[family].coords)))
+    body = "".join(f"    {line}\n" for line in [params + "= map(index, point)", *lines, f"return {result}"])
+    namespace: dict = {"__builtins__": {}, "map": map, "index": index}
+    exec(f"def kernel(point):\n{body}", namespace)
+    return namespace.pop("kernel")
 
 
 def _coverage_kernel(coverage: Coverage, family: str) -> Callable[..., int]:
     """The table's signed multiplicity: one line per distinct row, then one
-    guarded ``if`` per base."""
+    guarded ``if`` per base.  Rows go by gcd, and a row that is an integer multiple
+    of an earlier one, ``-3*x2`` of ``x2`` say, is that row's value times the multiple."""
     rows, groups = coverage
-    lines = [_source("v%d = ", i) + _linear(row) for i, row in enumerate(rows)]
+    lines, computed = [], {}  # direction -> (index, multiple) of its row computed by a product
+    for g, i, row in sorted((math.gcd(*row) or 1, i, row) for i, row in enumerate(rows)):
+        unit = tuple(x // g for x in row)
+        direction, g = max((unit, g), (tuple(-x for x in unit), -g))  # first nonzero entry > 0
+        j, h = computed.setdefault(direction, (i, g))
+        value = _source("%d*v%d", g // h, j) if j != i and g % h == 0 else _linear(row)
+        lines.append(_source("v%d = ", i) + value)
     lines.append("t = 0")
     for lcm, bases in groups:
         for coef, scaled, cokernel in bases:

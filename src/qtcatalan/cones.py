@@ -18,7 +18,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -132,8 +132,11 @@ def gf_sum(gfs: Iterable[RationalGF]) -> RationalGF:
     """Sum over the least common multiset of the denominators.
 
     Each numerator is multiplied by the factors its denominator lacks, each
-    ``(1 - z^m)`` as a shift by ``m`` subtracted from the terms, and the
-    products are added up once.
+    ``(1 - z^m)`` as a shift by ``m`` subtracted from the terms.  Numerators
+    that lack the same multiset are added up first, as one group.  Then one
+    factor at a time, the one lacking from the fewest groups (ties to the least
+    exponent tuple), multiplies each group that lacks it, and groups whose
+    remaining lack agrees merge: a factor many lack multiplies their sum once.
     """
     gfs = list(gfs)
     context = gfs[0].context
@@ -142,14 +145,25 @@ def gf_sum(gfs: Iterable[RationalGF]) -> RationalGF:
         if g.context != context:
             raise UsageError("context mismatch between generating functions")
         common |= Counter(g.denominator)
-    terms: Dict[Exponents, int] = {}
+    groups: Dict[Tuple[Exponents, ...], Dict[Exponents, int]] = {}
     for g in gfs:
-        part = g.numerator.terms
-        for m in (common - Counter(g.denominator)).elements():
-            shifted = ((tuple(map(add, exps, m)), -coef) for exps, coef in part.items())
-            part = add_terms(dict(part), shifted)
-        add_terms(terms, part.items())
-    return RationalGF(context, LaurentPoly(context, terms), common.elements())
+        lack = tuple((common - Counter(g.denominator)).elements())  # equal lacks list common's order
+        add_terms(groups.setdefault(lack, {}), g.numerator.terms.items())
+    while any(groups):  # some group still lacks a factor
+        counts = Counter(chain.from_iterable(map(set, groups)))
+        _, m = min(zip(counts.values(), counts))
+        lifted: Dict[Tuple[Exponents, ...], Dict[Exponents, int]] = {}
+        for lack, part in groups.items():
+            if m in lack:
+                i = lack.index(m)
+                lack = lack[:i] + lack[i + 1:]
+                shifted = ((tuple(map(add, exps, m)), -coef) for exps, coef in part.items())
+                part = add_terms(dict(part), shifted)
+            if lifted.setdefault(lack, part) is not part:
+                add_terms(lifted[lack], part.items())
+        groups = lifted
+    # the terms are the numerators' own, shifted by factors of their context, zeros dropped
+    return RationalGF(context, LaurentPoly._trusted(context, groups[()]), common.elements())
 
 
 def integer_point_transform(cone: HalfOpenCone, context: VariableContext) -> RationalGF:

@@ -108,6 +108,17 @@ def stats_kaaa(k: int, m: int, a: int, b: int, c: int) -> Tuple[int, int]:
     ``r4 = 3k + 2m - a - b - c``.  At m = 0 these are four equal runs of length k.
     """
     _check_region("kaaa", (k, m, a, b, c))
+    return _kaaa_stats(k, m, a, b, c)
+
+
+def _stats_k4(k: int, a: int, b: int, c: int) -> Tuple[int, int]:
+    """:func:`stats_kaaa` at m = 0, refusing a point outside the k4 region."""
+    _check_region("k4", (k, a, b, c))
+    return _kaaa_stats(k, 0, a, b, c)
+
+
+def _kaaa_stats(k: int, m: int, a: int, b: int, c: int) -> Tuple[int, int]:
+    """The closed form of :func:`stats_kaaa` on a point inside the region."""
     area = 6 * k + 3 * m - 3 * a - 2 * b - c
     hb = _ceil_div(b, 2)
     if b == 0:
@@ -179,7 +190,7 @@ FAMILIES: Dict[str, FamilyInfo] = {
         coords=("k", "a", "b", "c"),
         out_ctx=K4_OUT,
         theorem_ctx=K4_THEOREM,
-        stats=lambda k, a, b, c: stats_kaaa(k, 0, a, b, c),
+        stats=_stats_k4,
         sizes=lambda bound: ((k,) for k in range(1, bound + 1)),
         size_count=lambda bound: bound,
         kvector=lambda sizes: tuple(sizes) * 4,

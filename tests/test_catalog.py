@@ -7,20 +7,29 @@ transcribed product formulas.
 """
 
 import itertools
+import math
+import operator
+import re
+import tokenize
 from fractions import Fraction
+from io import StringIO
+from typing import NamedTuple
 
 import lattice_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lattice_oracle import minor_gcd
+from lift_oracle import gf_sum as sequential_gf_sum
 from regions import region_gf, region_points
 
 from qtcatalan import catalog
 from qtcatalan.catalog import (
     CaseSpec,
     Constraint,
+    _coordinates,
     _coverage,
+    _coverage_kernel,
     _eq,
     _ge,
     _gt,
@@ -28,6 +37,7 @@ from qtcatalan.catalog import (
     _linear,
     _piece,
     _pieces,
+    _pointwise_map,
     assemble_case,
     assemble_theorem,
     case_catalog,
@@ -40,6 +50,7 @@ from qtcatalan.cones import (
     HalfOpenCone,
     RationalGF,
     gf_equals,
+    gf_substitute,
     gf_sum,
     integer_point_transform,
     series_expand,
@@ -397,6 +408,22 @@ def _case_gf(spec):
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
+def test_assemble_theorem_is_the_sequential_lift(family):
+    """Each case's pieces and then the family's cases summed by the sequential
+    lift give exactly the assembled theorem's terms and denominator."""
+    fam = FAMILIES[family]
+    cases = []
+    for spec in case_catalog(family):
+        case = _pointwise_map(sequential_gf_sum(_pieces(spec)), fam)
+        case = case if spec.sign > 0 else -case
+        cases.append(gf_substitute(case, fam.theorem_ctx, fam.specialize))
+    sequential = sequential_gf_sum(cases)
+    assembled = assemble_theorem(family)
+    assert assembled.numerator.terms == sequential.numerator.terms
+    assert assembled.denominator == sequential.denominator
+
+
+@pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
 def test_the_cases_partition_the_whole_region_exactly(family):
     # every point of the region, not only the small ones: the signed sum of
     # the pieces is the region's own generating function, which the pieces
@@ -513,7 +540,57 @@ def test_kernels_agree_with_the_oracles_on_far_points(drawn):
 def test_a_compiled_row_is_the_row(row, const, point):
     """The source of a row, ``+1*``/``-1*`` shortened, evaluates to the row."""
     kernel = _kernel("kaaa", [], _linear(row, const))
-    assert kernel(*point) == const + sum(c * x for c, x in zip(row, point))
+    assert kernel(point) == const + sum(c * x for c, x in zip(row, point))
+
+
+KERNEL_NAMES = re.compile(r"x\d+|v\d+|t|point|index|map|and|if|return|True")
+KERNEL_OPERATORS = {"=", "==", ">=", "%", "+", "-", "*", "+=", ",", "(", ")", ":"}
+
+
+def _directions(rows):
+    """The rows up to scale and sign."""
+    directions = set()
+    for row in rows:
+        unit = tuple(x // math.gcd(*row) for x in row)
+        directions.add(max(unit, tuple(-x for x in unit)))
+    return directions
+
+
+@pytest.mark.parametrize("family, directions", [("three", 10), ("k4", 12), ("kaaa", 20)])
+def test_every_kernel_is_compiled_from_the_module_s_alphabet(monkeypatch, family, directions):
+    """Every kernel the family compiles sees only ``map`` and ``index``, and its
+    source holds only the names, integers and operators that the module
+    docstring allows; the family kernel takes one product per row direction."""
+    sources = []
+
+    def compile_kernel(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(catalog, "exec", compile_kernel, raising=False)
+    cases = catalog._CASES[family]()  # built afresh, so no kernel is cached yet
+    table = _coverage((spec.sign, spec) for spec in cases)
+    kernels = [_coverage_kernel(table, family)]
+    for spec in cases:
+        kernels += [spec.membership_kernel, spec.coverage_kernel]
+    assert len(sources) == len(kernels)
+    for kernel in kernels:
+        assert kernel.__globals__ == {"__builtins__": {}, "map": map, "index": operator.index}
+    for source in sources:
+        header, body = source.split("\n", 1)
+        assert header == "def kernel(point):"
+        for token in tokenize.generate_tokens(StringIO(body).readline):
+            kind, text = tokenize.tok_name[token.type], token.string
+            if kind == "NAME":
+                assert KERNEL_NAMES.fullmatch(text), text
+            elif kind == "NUMBER":
+                assert text.isdigit(), text
+            elif kind == "OP":
+                assert text in KERNEL_OPERATORS, text
+            else:
+                assert kind in {"NEWLINE", "NL", "INDENT", "DEDENT", "ENDMARKER"}, (kind, text)
+    products = re.findall(r"^ +v\d+ = .*x\d", sources[0], re.MULTILINE)
+    assert len(products) == len(_directions(table[0])) == directions
 
 
 K4_CASE = case_catalog("k4")[0]
@@ -541,6 +618,28 @@ def test_a_region_row_that_is_not_integer_is_a_domain_error():
         case_membership(spec, (1, 1, 1, 1))
 
 
+class K4Point(NamedTuple):
+    k: object
+    a: object
+    b: object
+    c: object
+
+
+class Long(NamedTuple):
+    k: int
+    a: int
+    b: int
+    c: int
+    d: int
+
+
+POINT_CHECKS = (
+    lambda point: signed_multiplicity("k4", point),
+    lambda point: realized_multiplicity(K4_CASE, point),
+    lambda point: case_membership(K4_CASE, point),
+)
+
+
 @pytest.mark.parametrize(
     "point, error",
     [
@@ -550,15 +649,43 @@ def test_a_region_row_that_is_not_integer_is_a_domain_error():
         (1, DomainError),
         ((1, 1, 1), UsageError),
         ((1, 1, 1, 1, 1), UsageError),
+        pytest.param(lambda: (x for x in (1, 1, 1)), UsageError, id="one-shot generator"),
+        pytest.param([1, 1.5, 1, 1], DomainError, id="list"),
+        pytest.param(K4Point(1, 1, 1, 1.5), DomainError, id="NamedTuple"),
+        pytest.param(Long(1, 1, 1, 1, 1), UsageError, id="long NamedTuple"),
+        pytest.param((1, 1, 1, 1, 1.5), DomainError, id="long, then not an integer"),
+        pytest.param((1, 1, 1, 1, 1, 1.5), DomainError, id="longer, then not an integer"),
+        pytest.param((True, True, True), UsageError, id="short bools"),
+        pytest.param((True, 1.5, True, True), DomainError, id="bools and not an integer"),
     ],
 )
 def test_coverage_refuses_malformed_points(point, error):
-    with pytest.raises(error):
-        signed_multiplicity("k4", point)
-    with pytest.raises(error):
-        realized_multiplicity(K4_CASE, point)
-    with pytest.raises(error):
-        case_membership(K4_CASE, point)
+    """Each check refuses a point with ``_coordinates``' own class and message,
+    whether or not the point first went to a kernel."""
+    make = point if callable(point) else lambda: point
+    with pytest.raises(error) as expected:
+        _coordinates("k4", make())
+    for check in POINT_CHECKS:
+        with pytest.raises(error) as refused:
+            check(make())
+        assert type(refused.value) is type(expected.value)
+        assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (x for x in (1, 0, 1, 0)),
+        lambda: [1, 0, 1, 0],
+        lambda: K4Point(1, 0, 1, 0),
+        lambda: (True, False, True, False),
+    ],
+    ids=["one-shot generator", "list", "NamedTuple", "bools"],
+)
+def test_any_sequence_of_integers_is_a_point(make):
+    """A point that is not a plain tuple of ints is read as ``_coordinates`` reads it."""
+    for check in POINT_CHECKS:
+        assert check(make()) == check((1, 0, 1, 0))
 
 
 BOX = 2  # the drawn pieces are counted on the points of [-BOX, BOX]^4

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from lattice_oracle import minor_gcd
 from lattice_oracle import parallelepiped_points as fraction_parallelepiped_points
+from lift_oracle import gf_sum as sequential_gf_sum
 from series_oracle import series_expand as walked_series
 
 from qtcatalan.cones import (
@@ -466,6 +467,42 @@ def test_gf_sum_is_the_cross_multiplied_sum(gfs):
     total = gf_sum(gfs)
     assert total.numerator == expected
     assert Counter(total.denominator) == common
+
+
+@st.composite
+def pooled_gfs(draw):
+    """Up to 20 GFs whose factors come from one pool of 4-6, so many lack the
+    same multiset and their groups merge; a negated copy of a drawn GF lacks
+    what it lacks, so its group cancels to nothing."""
+    pool = draw(st.lists(EXPONENTS.filter(any), min_size=4, max_size=6, unique=True))
+    gfs = draw(st.lists(
+        st.builds(
+            lambda terms, factors: RationalGF(Z4, LaurentPoly(Z4, terms), factors),
+            st.dictionaries(EXPONENTS, st.integers(-2, 2), max_size=3),
+            st.lists(st.sampled_from(pool), max_size=4),
+        ),
+        min_size=1, max_size=20,
+    ))
+    negated = draw(st.lists(st.sampled_from(gfs), max_size=len(gfs)))
+    return (gfs + [-g for g in negated])[:20]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_gfs())
+def test_gf_sum_lifts_merged_groups_to_the_cross_multiplied_sum(gfs):
+    common = Counter()
+    for g in gfs:
+        common |= Counter(g.denominator)
+    expected = LaurentPoly.zero(Z4)
+    for g in gfs:
+        part = g.numerator
+        for m in (common - Counter(g.denominator)).elements():
+            part = part * LaurentPoly(Z4, {(0, 0, 0, 0): 1, m: -1})
+        expected = expected + part
+    total = gf_sum(gfs)
+    assert total.numerator == expected
+    assert Counter(total.denominator) == common
+    assert total == sequential_gf_sum(gfs)
 
 
 def test_gf_equals_rescaling():

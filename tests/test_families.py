@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from qtcatalan import families
 from qtcatalan.catalog import (
     assemble_theorem,
     case_catalog,
@@ -108,6 +109,18 @@ def test_the_closed_forms_refuse_exactly_the_points_outside_the_region(name):
         else:
             with pytest.raises(DomainError):
                 fam.stats(*point)
+
+
+def test_a_refused_point_is_named_in_its_own_family(monkeypatch):
+    """k4 reuses kaaa's closed form at m = 0, but checks and names its own
+    region, and each family's point is checked once."""
+    with pytest.raises(DomainError) as refused:
+        FAMILIES["k4"].stats(2, 1, 4, 0)
+    assert str(refused.value) == "k4 point (2, 1, 4, 0) is outside 0 <= b <= 3"
+    checked = []
+    monkeypatch.setattr(families, "_check_region", lambda *args: checked.append(args))
+    assert FAMILIES["k4"].stats(2, 1, 1, 0) == FAMILIES["kaaa"].stats(2, 0, 1, 1, 0)
+    assert checked == [("k4", (2, 1, 1, 0)), ("kaaa", (2, 0, 1, 1, 0))]
 
 
 @pytest.mark.parametrize(
