@@ -21,16 +21,20 @@ formulas from :func:`printed_theorem`.
 
 The partition checks :func:`signed_multiplicity`, :func:`realized_multiplicity`
 and :func:`case_membership` run compiled kernels: each family's coverage
-table, and each case's coverage table and dense region with its parity test,
-becomes one Python function of straight-line integer code, built once.  The
-source of such a function is safe to compile.  It is assembled only from
-literal templates in this module, the synthetic names ``x0, x1, ...`` and
-``v0, v1, ...``, and numbers, a base's row values among them, that ``_source``
-passed through ``operator.index`` and wrote with ``%d``; ``_piece`` reads
-bases as ints.  No outside text reaches it: a point is the function's
-argument, which its first line validates, ``x0, ..., xn, = map(index, point)``,
-with only ``map`` and ``operator.index`` in its namespace; a point it refuses
-falls back to ``_coordinates`` for the refusal's own error (see ``_run``).
+table, each case's coverage table, and each distinct dense region with its
+parity test becomes one Python function of straight-line integer code, built
+once; cases with the same region share one membership kernel.  The source of
+such a function is safe to compile.  It is assembled only from literal
+templates in this module, the synthetic names ``x0, x1, ...`` and
+``v0, v1, ...``, and numbers, a base's row values among them, written with
+``%d`` after one ``operator.index`` pass over each row or line of them
+(``_integers``, in ``_linear``, ``_source`` and ``CaseSpec.membership_kernel``);
+``_piece`` reads bases as ints.  No outside text reaches it: a point is the
+function's argument, which its first line validates,
+``x0, ..., xn, = map(index, point)``, with only ``map`` and ``operator.index``
+in its namespace.  A tuple or a list goes straight to the kernel, which reads
+it once; any other point, or one the kernel refuses, goes through
+``_coordinates``, which raises the refusal's own error.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ class Constraint(NamedTuple):
 
 def _ge(const=0, **coeffs) -> Constraint:
     """``const + sum coeff * coordinate >= 0``, times the lcm of its denominators."""
+    if all(type(c) is int for c in (const, *coeffs.values())):  # the lcm is 1
+        return Constraint(tuple(sorted((name, c) for name, c in coeffs.items() if c)), const)
     const = Fraction(const)
     coeffs = {name: Fraction(c) for name, c in coeffs.items() if c}
     scale = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
@@ -124,17 +130,20 @@ class CaseSpec(Frozen):
 
     @cached_property
     def membership_kernel(self) -> Callable[..., bool]:
-        """:func:`case_membership` as straight-line code: one ``and`` chain
-        over the dense rows, ending in the parity test."""
-        tests = [_linear(row, const) + " >= 0" for const, row in self.dense_region]
-        if self.parity_test is not None:
-            tests.append(_source("x%d %% 2 == %d", *self.parity_test))
-        return _kernel(self.family, [], " and ".join(tests) or "True")
+        """:func:`case_membership` as straight-line code, shared by every case
+        with the same family, dense rows and parity test."""
+        rows = tuple(_integers((const, *row), "kernel numbers") for const, row in self.dense_region)
+        return _membership_kernel(self.family, rows, self.parity_test)
 
     @cached_property
     def coverage_kernel(self) -> Callable[..., int]:
         """:func:`realized_multiplicity` as straight-line code."""
         return _coverage_kernel(_coverage([(1, self)]), self.family)
+
+    @cached_property
+    def pieces(self) -> Tuple[RationalGF, ...]:
+        """:func:`_pieces`, worked out once for assembly and coverage alike."""
+        return tuple(_pieces(self))
 
 
 def _base(name: str) -> Tuple[Constraint, ...]:
@@ -524,7 +533,13 @@ def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
 
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point satisfies the case's region and parity constraints."""
-    return _run(spec.membership_kernel, spec.family, point)
+    kernel = spec.membership_kernel
+    if isinstance(point, (tuple, list)):  # see the module docstring
+        try:
+            return kernel(point)
+        except (TypeError, ValueError):
+            pass
+    return kernel(_coordinates(spec.family, point))
 
 
 @lru_cache(maxsize=None)
@@ -583,7 +598,7 @@ def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
 
 def assemble_case(spec: CaseSpec) -> RationalGF:
     """Generating function of one case, in the family's marked output variables."""
-    return _pointwise_map(gf_sum(_pieces(spec)), FAMILIES[spec.family])
+    return _pointwise_map(gf_sum(spec.pieces), FAMILIES[spec.family])
 
 
 def _signed_case(spec: CaseSpec) -> RationalGF:
@@ -598,10 +613,8 @@ def assemble_theorem(name: str) -> RationalGF:
     first and the cases are added over one common denominator.
     """
     fam = family(name)
-    return gf_sum(
-        gf_substitute(_signed_case(spec), fam.theorem_ctx, fam.specialize)
-        for spec in case_catalog(name)
-    )
+    images = fam.specialize
+    return gf_sum(gf_substitute(_signed_case(spec), fam.theorem_ctx, images) for spec in case_catalog(name))
 
 
 # -- transcribed product formulas ---------------------------------------------
@@ -700,17 +713,6 @@ def _coordinates(family: str, point: Sequence[int]) -> Point:
     return point
 
 
-def _run(kernel: Callable[[Point], int], family: str, point: Sequence[int]) -> int:
-    """The kernel at the point: a tuple goes straight to it, and any other point,
-    or one it refuses, goes through :func:`_coordinates`, which raises the refusal."""
-    if isinstance(point, tuple):
-        try:
-            return kernel(point)
-        except (TypeError, ValueError):
-            pass
-    return kernel(_coordinates(family, point))
-
-
 def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
     """The coverage table of the cases' pieces, corrections included.
 
@@ -724,7 +726,7 @@ def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
         return tuple((rows.setdefault(row, len(rows)), sum(map(mul, row, base))) for row in matrix)
 
     for case_sign, spec in signed_specs:
-        for piece in _pieces(spec):
+        for piece in spec.pieces:
             generators = piece.denominator
             form = diagonal_form(generators)
             if form.rank != len(generators):
@@ -740,7 +742,13 @@ def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
 
 def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
     """How many times the case's realization (with corrections) hits a point."""
-    return _run(spec.coverage_kernel, spec.family, point)
+    kernel = spec.coverage_kernel
+    if isinstance(point, (tuple, list)):  # see the module docstring
+        try:
+            return kernel(point)
+        except (TypeError, ValueError):
+            pass
+    return kernel(_coordinates(spec.family, point))
 
 
 @lru_cache(maxsize=None)
@@ -752,32 +760,60 @@ def _family_kernel(family: str) -> Callable[..., int]:
 
 def signed_multiplicity(family: str, point: Sequence[int]) -> int:
     """Signed number of catalog pieces covering a coordinate point."""
-    return _run(_family_kernel(family), family, point)
+    kernel = _family_kernel(family)
+    if isinstance(point, (tuple, list)):  # see the module docstring
+        try:
+            return kernel(point)
+        except (TypeError, ValueError):
+            pass
+    return kernel(_coordinates(family, point))
 
 
 # -- straight-line kernels (see the module docstring for why the source is safe)
 
 
-def _source(template: str, *numbers: int) -> str:
-    """``template`` with each number written by ``%d`` after ``operator.index``;
-    a number that is not an integer is a DomainError."""
+def _source(template: str, numbers: Sequence[int]) -> str:
+    """``template`` with each number written by ``%d`` after ``operator.index``,
+    one check for a whole line; a number that is not an integer is a DomainError."""
     return template % _integers(numbers, "kernel numbers")
 
 
 def _linear(row: Sequence[int], const: int = 0) -> str:
     """``const + row . x`` as source, e.g. ``2*x0 -x2 +3``."""
-    terms = [_source("%+d*x%d", c, i) for i, c in enumerate(row) if c]
+    const, *row = _integers((const, *row), "kernel numbers")
+    terms = ["%+d*x%d" % (c, i) for i, c in enumerate(row) if c]
     if const or not terms:
-        terms.append(_source("%+d", const))
+        terms.append("%+d" % const)
     # "+1*x2" is written "+x2", a multiply less; the leading "+" is dropped
     return " ".join(terms).replace("+1*", "+").replace("-1*", "-").lstrip("+")
+
+
+@lru_cache(maxsize=None)
+def _row_test(row: Point) -> str:
+    """``row . x >= -const`` for a row ``(const, *coefficients)``."""
+    return _linear(row[1:]) + _source(" >= %d", (-row[0],))
+
+
+@lru_cache(maxsize=None)
+def _membership_kernel(
+    family: str, rows: Tuple[Point, ...], parity_test: Optional[Tuple[int, int]]
+) -> Callable[..., bool]:
+    """One ``and`` chain over checked dense rows, ending in the parity test."""
+    tests = [_row_test(row) for row in rows]
+    if parity_test is not None:
+        tests.append(_source("x%d %% 2 == %d", parity_test))
+    return _kernel(family, [], " and ".join(tests) or "True")
+
+
+# family -> the first line of its kernels, the point read as its coordinates
+_UNPACK = {name: "".join("x%d, " % i for i in range(len(fam.coords))) + "= map(index, point)"
+           for name, fam in FAMILIES.items()}
 
 
 def _kernel(family: str, lines: Sequence[str], result: str) -> Callable[..., int]:
     """The function of a point, read as the family's coordinates ``x0, x1, ...``
     (else a ValueError or TypeError), that runs ``lines`` and returns ``result``."""
-    params = "".join(_source("x%d, ", i) for i in range(len(FAMILIES[family].coords)))
-    body = "".join(f"    {line}\n" for line in [params + "= map(index, point)", *lines, f"return {result}"])
+    body = "".join(f"    {line}\n" for line in [_UNPACK[family], *lines, f"return {result}"])
     namespace: dict = {"__builtins__": {}, "map": map, "index": index}
     exec(f"def kernel(point):\n{body}", namespace)
     return namespace.pop("kernel")
@@ -793,16 +829,18 @@ def _coverage_kernel(coverage: Coverage, family: str) -> Callable[..., int]:
         unit = tuple(x // g for x in row)
         direction, g = max((unit, g), (tuple(-x for x in unit), -g))  # first nonzero entry > 0
         j, h = computed.setdefault(direction, (i, g))
-        value = _source("%d*v%d", g // h, j) if j != i and g % h == 0 else _linear(row)
-        lines.append(_source("v%d = ", i) + value)
+        value = _source("%d*v%d", (g // h, j)) if j != i and g % h == 0 else _linear(row)
+        lines.append(_source("v%d = ", (i,)) + value)
     lines.append("t = 0")
     for lcm, bases in groups:
+        test = "v%d >= %d and v%d %% %d == %d" if lcm != 1 else "v%d >= %d"
         for coef, scaled, cokernel in bases:
-            tests = []
+            tests, numbers = [], []
             for i, v in scaled:
-                tests.append(_source("v%d >= %d", i, v))
-                if lcm != 1:
-                    tests.append(_source("v%d %% %d == %d", i, lcm, v % lcm))
-            tests += [_source("v%d == %d", i, v) for i, v in cokernel]
-            lines.append(f"if {' and '.join(tests)}: " + _source("t += %d", coef))
+                tests.append(test)
+                numbers += (i, v, i, lcm, v % lcm) if lcm != 1 else (i, v)
+            for i, v in cokernel:
+                tests.append("v%d == %d")
+                numbers += (i, v)
+            lines.append(_source(f"if {' and '.join(tests)}: t += %d", (*numbers, coef)))
     return _kernel(family, lines, "t")

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .errors import DegenerateSubstitutionError, DomainError, Frozen, NonExpandableError, UsageError
 from .errors import _integer, _integers
 from .lattice import diagonal_form
-from .polynomial import Exponents, LaurentPoly, VariableContext, add_terms, substitute_monomials
+from .polynomial import Exponents, LaurentPoly, VariableContext, add_terms, monomial_image
 
 
 class HalfOpenCone(Frozen):
@@ -137,32 +137,45 @@ def gf_sum(gfs: Iterable[RationalGF]) -> RationalGF:
     factor at a time, the one lacking from the fewest groups (ties to the least
     exponent tuple), multiplies each group that lacks it, and groups whose
     remaining lack agrees merge: a factor many lack multiplies their sum once.
+    A group holds its first numerator's own terms until a lift or a merge
+    writes to it, and only then copies them: no input is ever written to.
     """
     gfs = list(gfs)
+    if len(gfs) == 1:  # a value is immutable, so the sum of one is the one
+        return gfs[0]
     context = gfs[0].context
     common: Counter = Counter()
     for g in gfs:
         if g.context != context:
             raise UsageError("context mismatch between generating functions")
         common |= Counter(g.denominator)
-    groups: Dict[Tuple[Exponents, ...], Dict[Exponents, int]] = {}
-    for g in gfs:
-        lack = tuple((common - Counter(g.denominator)).elements())  # equal lacks list common's order
-        add_terms(groups.setdefault(lack, {}), g.numerator.terms.items())
-    while any(groups):  # some group still lacks a factor
+    inputs = {id(g.numerator.terms) for g in gfs}  # gfs keeps them alive, so no id is reused
+    # equal lacks list common's order
+    parts = [(tuple((common - Counter(g.denominator)).elements()), g.numerator.terms) for g in gfs]
+    while True:
+        groups: Dict[Tuple[Exponents, ...], Dict[Exponents, int]] = {}
+        for lack, part in parts:
+            held = groups.get(lack)
+            if held is None:
+                groups[lack] = part
+                continue
+            if id(held) in inputs:  # copied before its first write
+                held = groups[lack] = dict(held)
+            add_terms(held, part.items())
+        if not any(groups):  # no group lacks a factor
+            break
         counts = Counter(chain.from_iterable(map(set, groups)))
         _, m = min(zip(counts.values(), counts))
-        lifted: Dict[Tuple[Exponents, ...], Dict[Exponents, int]] = {}
+        parts = []
         for lack, part in groups.items():
             if m in lack:
                 i = lack.index(m)
                 lack = lack[:i] + lack[i + 1:]
                 shifted = ((tuple(map(add, exps, m)), -coef) for exps, coef in part.items())
                 part = add_terms(dict(part), shifted)
-            if lifted.setdefault(lack, part) is not part:
-                add_terms(lifted[lack], part.items())
-        groups = lifted
-    # the terms are the numerators' own, shifted by factors of their context, zeros dropped
+            parts.append((lack, part))
+    # the terms are the numerators' own, shifted by factors of their context, zeros
+    # dropped; two GFs or more meet in some merge, so they are no input's dict
     return RationalGF(context, LaurentPoly._trusted(context, groups[()]), common.elements())
 
 
@@ -178,16 +191,12 @@ def gf_substitute(
     g: RationalGF, target: VariableContext, images: Mapping[str, Sequence[int]]
 ) -> RationalGF:
     """Apply a monomial substitution to numerator and denominator alike."""
-    numerator = substitute_monomials(g.numerator, target, images)
-    factors = []
-    for m in g.denominator:
-        # a monomial maps to one monomial with coefficient 1
-        (image,) = substitute_monomials(LaurentPoly.monomial(g.context, m), target, images).terms
-        if not any(image):
-            raise DegenerateSubstitutionError(
-                f"denominator factor {m} maps to the zero exponent vector"
-            )
-        factors.append(image)
+    image = monomial_image(g.context, target, images)
+    numerator = LaurentPoly(target, add_terms({}, ((image(e), c) for e, c in g.numerator.terms.items())))
+    factors = list(map(image, g.denominator))
+    for m, f in zip(g.denominator, factors):
+        if not any(f):
+            raise DegenerateSubstitutionError(f"denominator factor {m} maps to the zero exponent vector")
     return RationalGF(target, numerator, factors)
 
 

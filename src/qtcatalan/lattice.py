@@ -71,14 +71,10 @@ class DiagonalForm(Frozen):
     def inverse(self) -> Inverse:
         """``(P, T, L)``: the integer solve of ``V lam = b`` described above."""
         lcm = math.lcm(*self.factors)
-        left = self.left[:self.rank]
-        scaled = tuple(
-            tuple(
-                sum(w * (lcm // d) * row[c] for w, d, row in zip(right_row, self.factors, left))
-                for c in range(len(self.left))
-            )
-            for right_row in self.right
-        )
+        # the columns of diag(L / d_i) U[:r], one per coordinate (empty ones at rank 0)
+        scaled_left = ([lcm // d * x for x in row] for d, row in zip(self.factors, self.left))
+        columns = list(zip(*scaled_left)) or [()] * len(self.left)
+        scaled = tuple(tuple(sum(map(mul, right_row, c)) for c in columns) for right_row in self.right)
         return Inverse(scaled, self.left[self.rank:], lcm)
 
     def cosets(self, shift: Sequence[int], denominator: int) -> Iterator[Vector]:

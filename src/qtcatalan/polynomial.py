@@ -296,6 +296,26 @@ class LaurentPoly:
         return cls(context, add_terms({}, pairs))
 
 
+def monomial_image(
+    source: VariableContext,
+    target: VariableContext,
+    images: Mapping[str, Sequence[int]],
+) -> Callable[[Exponents], Exponents]:
+    """The map of exponent tuples that sends each variable of ``source`` to its
+    image, an exponent vector in ``target``; exponents combine additively."""
+    table = []
+    for name in source.names:
+        if name not in images:
+            raise UsageError(f"no image given for variable {name!r}")
+        image = tuple(images[name])
+        if len(image) != len(target):
+            raise UsageError(f"image for {name!r} has wrong length for {target}")
+        table.append(image)
+    # a term's image exponent is one dot product per target variable
+    columns = list(zip(*table))
+    return lambda exps: tuple(sum(map(mul, exps, column)) for column in columns)
+
+
 def substitute_monomials(
     poly: LaurentPoly,
     target: VariableContext,
@@ -306,21 +326,8 @@ def substitute_monomials(
     `images` assigns every variable of ``poly.context`` an exponent vector in
     ``target``.  Exponents combine additively, so this is a ring homomorphism.
     """
-    table = []
-    for name in poly.context.names:
-        if name not in images:
-            raise UsageError(f"no image given for variable {name!r}")
-        image = tuple(images[name])
-        if len(image) != len(target):
-            raise UsageError(f"image for {name!r} has wrong length for {target}")
-        table.append(image)
-    # a term's image exponent is one dot product per target variable
-    columns = list(zip(*table))
-    images_of = (
-        (tuple(sum(map(mul, exps, column)) for column in columns), coef)
-        for exps, coef in poly.terms.items()
-    )
-    return LaurentPoly(target, add_terms({}, images_of))
+    image = monomial_image(poly.context, target, images)
+    return LaurentPoly(target, add_terms({}, ((image(e), c) for e, c in poly.terms.items())))
 
 
 def qt_images(context: VariableContext) -> Dict[str, Exponents]:

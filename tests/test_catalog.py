@@ -15,6 +15,7 @@ from fractions import Fraction
 from io import StringIO
 from typing import NamedTuple
 
+import constraint_oracle
 import lattice_oracle
 import pytest
 from hypothesis import example, given, settings
@@ -394,6 +395,49 @@ def test_scaled_constraints_agree_with_rational_evaluation(coeffs, const, point,
     assert _holds(_eq(const, **named), point) == (value == 0)
 
 
+SCALARS = RATIONALS | st.booleans() | st.integers(-(10**20), 10**20)
+
+
+@settings(max_examples=200)
+@given(const=SCALARS, coeffs=st.dictionaries(st.sampled_from(K4_COORDS), SCALARS))
+def test_integer_constraints_are_the_fraction_constraints(const, coeffs):
+    """The int fast path of ``_ge``, ``_gt`` and ``_eq`` builds exactly what
+    the Fraction-only builders build, down to the types of the numbers."""
+    for built, oracle in ((_ge, constraint_oracle._ge), (_gt, constraint_oracle._gt)):
+        assert repr(built(const, **coeffs)) == repr(oracle(const, **coeffs))
+    assert repr(_eq(const, **coeffs)) == repr(constraint_oracle._eq(const, **coeffs))
+
+
+@pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
+def test_every_catalog_constraint_is_the_fraction_constraint(monkeypatch, family):
+    """Each constraint a catalog builds, checked call by call against the
+    Fraction-only builders, and the catalog built by those builders equal
+    to the cached one."""
+    calls = []
+
+    def checked(name):
+        built, oracle = getattr(catalog, name), getattr(constraint_oracle, name)
+
+        def build(*args, **kwargs):
+            calls.append(name)
+            result = built(*args, **kwargs)
+            assert repr(result) == repr(oracle(*args, **kwargs)), (name, args, kwargs)
+            return result
+
+        return build
+
+    with monkeypatch.context() as patch:
+        for name in ("_ge", "_gt", "_eq"):
+            patch.setattr(catalog, name, checked(name))
+        assert catalog._CASES[family]() == case_catalog(family)
+    assert calls
+    for name in ("_ge", "_gt", "_eq"):
+        monkeypatch.setattr(catalog, name, getattr(constraint_oracle, name))
+    assert catalog._CASES[family]() == case_catalog(family)
+    assert catalog._K4_PART1 == constraint_oracle._ge(b=1, k=-2, a=2)
+    assert catalog._K4_PART23 == constraint_oracle._gt(k=2, a=-2, b=-1)
+
+
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
 def test_partition_property(family):
     for point in region_points(family, 3):
@@ -560,7 +604,8 @@ def _directions(rows):
 def test_every_kernel_is_compiled_from_the_module_s_alphabet(monkeypatch, family, directions):
     """Every kernel the family compiles sees only ``map`` and ``index``, and its
     source holds only the names, integers and operators that the module
-    docstring allows; the family kernel takes one product per row direction."""
+    docstring allows; the family kernel takes one product per row direction,
+    and the cases share one membership kernel per distinct region."""
     sources = []
 
     def compile_kernel(source, namespace):
@@ -568,12 +613,21 @@ def test_every_kernel_is_compiled_from_the_module_s_alphabet(monkeypatch, family
         exec(source, namespace)
 
     monkeypatch.setattr(catalog, "exec", compile_kernel, raising=False)
+    catalog._membership_kernel.cache_clear()
     cases = catalog._CASES[family]()  # built afresh, so no kernel is cached yet
     table = _coverage((spec.sign, spec) for spec in cases)
     kernels = [_coverage_kernel(table, family)]
+    memberships = {}
     for spec in cases:
-        kernels += [spec.membership_kernel, spec.coverage_kernel]
-    assert len(sources) == len(kernels)
+        kernels.append(spec.coverage_kernel)
+        memberships.setdefault(spec.membership_kernel, []).append(spec)
+    kernels += memberships
+    regions = {"three": 4, "k4": 8, "kaaa": 12}[family]  # distinct (dense_region, parity_test)
+    assert len(memberships) == regions
+    assert len(sources) == len(kernels) == 1 + len(cases) + regions
+    for a, b in itertools.combinations(cases, 2):
+        same_region = (a.dense_region, a.parity_test) == (b.dense_region, b.parity_test)
+        assert (a.membership_kernel is b.membership_kernel) == same_region, (a.case_id, b.case_id)
     for kernel in kernels:
         assert kernel.__globals__ == {"__builtins__": {}, "map": map, "index": operator.index}
     for source in sources:

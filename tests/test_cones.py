@@ -11,6 +11,7 @@ from lattice_oracle import minor_gcd
 from lattice_oracle import parallelepiped_points as fraction_parallelepiped_points
 from lift_oracle import gf_sum as sequential_gf_sum
 from series_oracle import series_expand as walked_series
+from substitute_oracle import gf_substitute as per_factor_gf_substitute
 
 from qtcatalan.cones import (
     HalfOpenCone,
@@ -505,6 +506,41 @@ def test_gf_sum_lifts_merged_groups_to_the_cross_multiplied_sum(gfs):
     assert total == sequential_gf_sum(gfs)
 
 
+@st.composite
+def shared_gfs(draw):
+    """1-20 GFs over one pool of factors, read only by the sum: some drawn GFs
+    come again as the same object, some numerators again over another
+    denominator, and now and then every GF has one denominator, so that none
+    lacks a factor and the sum is one group."""
+    pool = draw(st.lists(EXPONENTS.filter(any), min_size=1, max_size=5, unique=True))
+    factors = st.lists(st.sampled_from(pool), max_size=4)
+    numerators = st.builds(
+        lambda terms: LaurentPoly(Z4, terms), st.dictionaries(EXPONENTS, st.integers(-2, 2), max_size=3)
+    )
+    one_denominator = draw(st.none() | factors)
+    gfs = draw(st.lists(
+        st.builds(lambda n, f: RationalGF(Z4, n, one_denominator or f), numerators, factors),
+        min_size=1, max_size=20,
+    ))
+    again = draw(st.lists(st.sampled_from(gfs), max_size=5))
+    shared = [RationalGF(Z4, g.numerator, one_denominator or draw(factors))
+              for g in draw(st.lists(st.sampled_from(gfs), max_size=5))]
+    return draw(st.permutations(gfs + again + shared))[:20]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_gfs())
+def test_gf_sum_writes_to_no_input(gfs):
+    """The sum is the sequential lift's, and every input keeps its terms and
+    factors; a sum of more than one GF holds terms of its own."""
+    before = [(dict(g.numerator.terms), g.denominator) for g in gfs]
+    total = gf_sum(gfs)
+    assert [(g.numerator.terms, g.denominator) for g in gfs] == before
+    assert total == sequential_gf_sum(gfs)
+    if len(gfs) > 1:
+        assert all(total.numerator.terms is not g.numerator.terms for g in gfs)
+
+
 def test_gf_equals_rescaling():
     base = gf(Z4, "y + z1", ["y", "z1*z2"])
     scaled = RationalGF(
@@ -558,6 +594,44 @@ def test_gf_substitute_identity_and_degenerate():
     collapse = {name: Z4.monomial() for name in Z4.names}
     with pytest.raises(DegenerateSubstitutionError):
         gf_substitute(transform, Z4, collapse)
+
+
+NAMES = ("a", "b", "c", "d")
+
+
+@st.composite
+def substitutions(draw):
+    """A GF over 1-3 source variables, a target context and images, some of
+    which map a factor to zero, miss a variable or have the wrong length."""
+    source = VariableContext(draw(st.permutations(NAMES))[:draw(st.integers(1, 3))])
+    target = VariableContext(draw(st.permutations(("x", "y", "q")))[:draw(st.integers(1, 3))])
+    exponents = st.tuples(*[st.integers(-2, 2)] * len(source))
+    gf = RationalGF(
+        source,
+        LaurentPoly(source, draw(st.dictionaries(exponents, st.integers(-2, 2), max_size=4))),
+        draw(st.lists(exponents.filter(any), max_size=3)),
+    )
+    images = {}
+    for name in source.names:
+        width = draw(st.sampled_from((len(target),) * 8 + (len(target) + 1, len(target) - 1)))
+        images[name] = draw(st.just((0,) * width) | st.tuples(*[st.integers(-1, 1)] * width))
+    images.pop(draw(st.sampled_from((None,) * 8 + source.names)), None)  # now and then none
+    return gf, target, images
+
+
+def _outcome(substitute, gf, target, images):
+    try:
+        return substitute(gf, target, images)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions())
+def test_gf_substitute_is_the_per_factor_substitution(drawn):
+    """One linear image for numerator and factors gives the per-factor result,
+    or the same exception class and message."""
+    assert _outcome(gf_substitute, *drawn) == _outcome(per_factor_gf_substitute, *drawn)
 
 
 def test_series_constant_term():

@@ -109,11 +109,12 @@ def test_different_values_differ_and_only_plain_records_equal_their_tuples():
 
 def test_a_replaced_case_is_checked_again_and_keeps_no_cached_member():
     spec = case_catalog("k4")[0]
-    kernel = spec.membership_kernel
+    kernel, pieces = spec.membership_kernel, spec.pieces
     flipped = spec._replace(sign=-spec.sign)
     assert flipped.sign == -spec.sign and flipped.case_id == spec.case_id
     assert flipped != spec and flipped._replace(sign=spec.sign) == spec
     assert "membership_kernel" not in vars(flipped) and spec.membership_kernel is kernel
+    assert "pieces" not in vars(flipped) and spec.pieces is pieces
     with pytest.raises(TypeError):
         spec._replace(colour="red")
 
