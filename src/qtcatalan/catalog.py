@@ -32,9 +32,9 @@ templates in this module, the synthetic names ``x0, x1, ...`` and
 ``_piece`` reads bases as ints.  No outside text reaches it: a point is the
 function's argument, which its first line validates,
 ``x0, ..., xn, = map(index, point)``, with only ``map`` and ``operator.index``
-in its namespace.  A tuple or a list goes straight to the kernel, which reads
-it once; any other point, or one the kernel refuses, goes through
-``_coordinates``, which raises the refusal's own error.
+in its namespace.  A tuple goes straight to the kernel, which reads it once;
+any other point, or one the kernel refuses, goes through ``_coordinates``,
+which raises the refusal's own error.
 """
 
 from __future__ import annotations
@@ -534,7 +534,7 @@ def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point satisfies the case's region and parity constraints."""
     kernel = spec.membership_kernel
-    if isinstance(point, (tuple, list)):  # see the module docstring
+    if isinstance(point, tuple):  # see the module docstring
         try:
             return kernel(point)
         except (TypeError, ValueError):
@@ -743,7 +743,7 @@ def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
 def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
     """How many times the case's realization (with corrections) hits a point."""
     kernel = spec.coverage_kernel
-    if isinstance(point, (tuple, list)):  # see the module docstring
+    if isinstance(point, tuple):  # see the module docstring
         try:
             return kernel(point)
         except (TypeError, ValueError):
@@ -761,7 +761,7 @@ def _family_kernel(family: str) -> Callable[..., int]:
 def signed_multiplicity(family: str, point: Sequence[int]) -> int:
     """Signed number of catalog pieces covering a coordinate point."""
     kernel = _family_kernel(family)
-    if isinstance(point, (tuple, list)):  # see the module docstring
+    if isinstance(point, tuple):  # see the module docstring
         try:
             return kernel(point)
         except (TypeError, ValueError):

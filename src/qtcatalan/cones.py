@@ -137,8 +137,6 @@ def gf_sum(gfs: Iterable[RationalGF]) -> RationalGF:
     factor at a time, the one lacking from the fewest groups (ties to the least
     exponent tuple), multiplies each group that lacks it, and groups whose
     remaining lack agrees merge: a factor many lack multiplies their sum once.
-    A group holds its first numerator's own terms until a lift or a merge
-    writes to it, and only then copies them: no input is ever written to.
     """
     gfs = list(gfs)
     if len(gfs) == 1:  # a value is immutable, so the sum of one is the one
@@ -149,33 +147,24 @@ def gf_sum(gfs: Iterable[RationalGF]) -> RationalGF:
         if g.context != context:
             raise UsageError("context mismatch between generating functions")
         common |= Counter(g.denominator)
-    inputs = {id(g.numerator.terms) for g in gfs}  # gfs keeps them alive, so no id is reused
-    # equal lacks list common's order
-    parts = [(tuple((common - Counter(g.denominator)).elements()), g.numerator.terms) for g in gfs]
-    while True:
-        groups: Dict[Tuple[Exponents, ...], Dict[Exponents, int]] = {}
-        for lack, part in parts:
-            held = groups.get(lack)
-            if held is None:
-                groups[lack] = part
-                continue
-            if id(held) in inputs:  # copied before its first write
-                held = groups[lack] = dict(held)
-            add_terms(held, part.items())
-        if not any(groups):  # no group lacks a factor
-            break
+    groups: Dict[Tuple[Exponents, ...], Dict[Exponents, int]] = {}
+    for g in gfs:
+        lack = tuple((common - Counter(g.denominator)).elements())  # equal lacks list common's order
+        add_terms(groups.setdefault(lack, {}), g.numerator.terms.items())
+    while any(groups):  # some group still lacks a factor
         counts = Counter(chain.from_iterable(map(set, groups)))
         _, m = min(zip(counts.values(), counts))
-        parts = []
+        lifted: Dict[Tuple[Exponents, ...], Dict[Exponents, int]] = {}
         for lack, part in groups.items():
             if m in lack:
                 i = lack.index(m)
                 lack = lack[:i] + lack[i + 1:]
                 shifted = ((tuple(map(add, exps, m)), -coef) for exps, coef in part.items())
                 part = add_terms(dict(part), shifted)
-            parts.append((lack, part))
-    # the terms are the numerators' own, shifted by factors of their context, zeros
-    # dropped; two GFs or more meet in some merge, so they are no input's dict
+            if lifted.setdefault(lack, part) is not part:
+                add_terms(lifted[lack], part.items())
+        groups = lifted
+    # the terms are the numerators' own, shifted by factors of their context, zeros dropped
     return RationalGF(context, LaurentPoly._trusted(context, groups[()]), common.elements())
 
 
