@@ -12,6 +12,10 @@ short run followed by three equal longer runs) comes with a fixed list of
   base points over a free generator set),
 * optional correction pieces (e.g. removal of a spurious boundary slice).
 
+The four-equal-runs family k4 is the short-run family kaaa at m = 0, so its
+cases are derived: each kaaa case with a base at m = 0 gives one k4 case, its
+rows and its piece restricted to that face.
+
 Lattice points map to generating-function monomials pointwise, through the
 family's closed-form statistics.
 :func:`assemble_case` turns one case into a rational generating function and
@@ -210,113 +214,6 @@ def _three_cases() -> Tuple[CaseSpec, ...]:
             region=_eq(r2=1, k2=-1) + _eq(r3=1) + base,
             realization=HalfOpenCone(5, (0,) * 5, (_E1, _E3, _G)),
             sign=-1,
-        ),
-    )
-
-
-# -- family "k4": coordinates (k, a, b, c) ------------------------------------
-
-_V1 = (1, 0, 2, 0)
-_V2 = (1, 0, 0, 0)
-_V3 = (1, 1, 0, 0)
-_V4 = (1, 1, 1, 0)
-_V5 = (1, 1, 1, 1)
-_V6 = (1, 0, 2, 1)
-_V7 = (1, 0, 0, 3)
-_V8 = (1, 1, 0, 2)
-
-_K4_PART1 = _ge(b=1, k=-2, a=2)  # b >= 2k - 2a
-_K4_PART23 = _gt(k=2, a=-2, b=-1)  # b < 2k - 2a
-
-
-def _k4_cases() -> Tuple[CaseSpec, ...]:
-    base = _base("k4")
-    half = Fraction(1, 2)
-    return (
-        CaseSpec(
-            case_id="k4.P1C1A",
-            family="k4",
-            region=(_K4_PART1, _ge(c=1, k=-4, a=2, b=2)) + base,
-            realization=HalfOpenCone(4, (0,) * 4, (_V1, _V4, _V6, _V8)),
-        ),
-        CaseSpec(
-            case_id="k4.P1C1B",
-            family="k4",
-            region=(_K4_PART1, _ge(c=1, k=-4, a=2, b=2)) + base,
-            realization=HalfOpenCone(
-                4, (0,) * 4, (_V4, _V5, _V6, _V8), (False, True, False, False)
-            ),
-        ),
-        CaseSpec(
-            case_id="k4.P1C2",
-            family="k4",
-            region=(_K4_PART1, _gt(k=4, a=-2, b=-2, c=-1)) + base,
-            realization=HalfOpenCone(
-                4, (0,) * 4, (_V1, _V3, _V4, _V8), (False, True, False, False)
-            ),
-        ),
-        CaseSpec(
-            case_id="k4.P2C1",
-            family="k4",
-            region=(_K4_PART23, _ge(c=1, k=-3, a=1, b=Fraction(3, 2))) + base,
-            realization=HalfOpenCone(
-                4, (0,) * 4, (_V1, _V6, _V7, _V8), (False, False, True, False)
-            ),
-            parity=("b", "even"),
-        ),
-        CaseSpec(
-            case_id="k4.P2C2",
-            family="k4",
-            region=(
-                _K4_PART23,
-                _ge(c=1, k=-3, a=3, b=Fraction(3, 2)),
-                _gt(k=3, a=-1, b=Fraction(-3, 2), c=-1),
-            ) + base,
-            realization=HalfOpenCone(
-                4, (0,) * 4, (_V1, _V3, _V7, _V8), (False, True, True, False)
-            ),
-            parity=("b", "even"),
-        ),
-        CaseSpec(
-            case_id="k4.P2C3",
-            family="k4",
-            region=(_K4_PART23, _gt(k=3, a=-3, b=Fraction(-3, 2), c=-1)) + base,
-            realization=HalfOpenCone(
-                4, (0,) * 4, (_V1, _V2, _V3, _V7), (False, True, False, False)
-            ),
-            parity=("b", "even"),
-        ),
-        CaseSpec(
-            case_id="k4.P3C1",
-            family="k4",
-            region=(_K4_PART23, _ge(const=half, c=1, k=-3, a=1, b=Fraction(3, 2))) + base,
-            realization=HalfOpenCone(
-                4, (-half, 0, -1, -half), (_V1, _V6, _V7, _V8), (False, False, True, False)
-            ),
-            parity=("b", "odd"),
-            corrections=(_piece("k4", {(0, 0, -1, 1): -1}, (_V7, _V8)),),
-        ),
-        CaseSpec(
-            case_id="k4.P3C2",
-            family="k4",
-            region=(
-                _K4_PART23,
-                _ge(const=half, c=1, k=-3, a=3, b=Fraction(3, 2)),
-                _gt(const=-half, k=3, a=-1, b=Fraction(-3, 2), c=-1),
-            ) + base,
-            realization=HalfOpenCone(
-                4, (0, 0, 0, -half), (_V1, _V3, _V7, _V8), (False, True, True, False)
-            ),
-            parity=("b", "odd"),
-        ),
-        CaseSpec(
-            case_id="k4.P3C3",
-            family="k4",
-            region=(_K4_PART23, _gt(const=-half, k=3, a=-3, b=Fraction(-3, 2), c=-1)) + base,
-            realization=HalfOpenCone(
-                4, (Fraction(1, 6), 0, 0, 0), (_V1, _V2, _V3, _V7), (False, True, False, False)
-            ),
-            parity=("b", "odd"),
         ),
     )
 
@@ -520,6 +417,34 @@ def _kaaa_cases() -> Tuple[CaseSpec, ...]:
         )
         for case_id, extra, parity, bases, gens in entries
     )
+
+
+# -- family "k4": coordinates (k, a, b, c), kaaa's face m = 0 -------------------
+
+
+def _k4_cases() -> Tuple[CaseSpec, ...]:
+    """kaaa's cases at m = 0, where runs (k, k+m, k+m, k+m) are (k, k, k, k).
+
+    No kaaa base or generator has a negative m part, so a piece's points with
+    m = 0 are its bases with m = 0 over its generators with m = 0; a case with
+    no such base has no point there.  A case's own rows lose their m column,
+    and the kaaa base rows at m = 0 are k4's (``families.UPPER_BOUNDS``).
+    """
+    shared, base = len(_base("kaaa")), _base("k4")
+    cases = []
+    for spec in case_catalog("kaaa"):
+        piece = spec.realization
+        if any(v[1] < 0 for v in (*piece.numerator.terms, *piece.denominator)):
+            raise InternalInvariantError(f"{spec.case_id}: a base or generator has m < 0")
+        bases = {v[:1] + v[2:]: coef for v, coef in piece.numerator.terms.items() if v[1] == 0}
+        if not bases:
+            continue
+        rows = tuple(Constraint(tuple(p for p in row.coeffs if p[0] != "m"), row.const)
+                     for row in spec.region[:-shared])
+        face = _piece("k4", bases, tuple(g[:1] + g[2:] for g in piece.denominator if g[1] == 0))
+        cases.append(spec._replace(case_id="k4" + spec.case_id[4:], family="k4",
+                                   region=rows + base, realization=face))
+    return tuple(cases)
 
 
 _CASES = {"three": _three_cases, "k4": _k4_cases, "kaaa": _kaaa_cases}

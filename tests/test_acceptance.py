@@ -7,6 +7,7 @@ Each test prints one ``[PASS]``/``[FAIL]`` line (run pytest with ``-s`` or
 import itertools
 import time
 
+import k4_cones
 from regions import region_points
 
 from qtcatalan.catalog import (
@@ -107,7 +108,7 @@ def test_criterion_05_symmetry_of_formulas():
 def test_criterion_06_parallelepiped_goldens():
     with _Budget(1.0) as budget:
         cones = {spec.case_id: spec.realization for spec in case_catalog("three")}
-        cones.update({spec.case_id: spec.realization for spec in case_catalog("k4")})
+        cones.update({spec.case_id: spec.realization for spec in k4_cones.CASES})
         c3 = HalfOpenCone(
             5,
             (0,) * 5,

@@ -3,7 +3,9 @@
 Every per-case generating function display is frozen here, in both the
 coordinate variables (integer-point transforms) and the marked output
 variables, and the assembled family sums are compared against the
-transcribed product formulas.
+transcribed product formulas.  The k4 cases are kaaa's at m = 0 and are
+checked against them point by point; the frozen k4 displays are those of the
+paper's hand-written cones in ``k4_cones``, kept as an oracle.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from io import StringIO
 from typing import NamedTuple
 
 import constraint_oracle
+import k4_cones
 import lattice_oracle
 import pytest
 from hypothesis import example, given, settings
@@ -57,7 +60,7 @@ from qtcatalan.cones import (
     series_expand,
 )
 from qtcatalan.errors import DomainError, InternalInvariantError, UsageError
-from qtcatalan.families import FAMILIES
+from qtcatalan.families import FAMILIES, UPPER_BOUNDS
 from qtcatalan.oracles import refined_catalan
 from qtcatalan.polynomial import QT_CONTEXT, LaurentPoly, VariableContext
 
@@ -81,6 +84,9 @@ def by_id(family):
     return {spec.case_id: spec for spec in case_catalog(family)}
 
 
+K4_HAND = {spec.case_id: spec for spec in k4_cones.CASES}  # the paper's own k4 cones
+
+
 def test_catalog_shapes():
     assert [s.case_id for s in case_catalog("three")] == [
         "three.C1",
@@ -89,7 +95,7 @@ def test_catalog_shapes():
         "three.C3B",
         "three.overlap",
     ]
-    assert len(case_catalog("k4")) == 9
+    assert len(case_catalog("k4")) == 13
     assert len(case_catalog("kaaa")) == 21
     assert case_catalog("three")[-1].sign == -1
     with pytest.raises(UsageError):
@@ -177,7 +183,7 @@ K4_TRANSFORMS = {
 
 
 def test_k4_integer_point_transforms():
-    specs = by_id("k4")
+    specs = K4_HAND
     for case_id, (num, den) in K4_TRANSFORMS.items():
         got = integer_point_transform(specs[case_id].realization, Z4)
         assert got == gf(Z4, num, den), case_id
@@ -221,7 +227,7 @@ K4_MARKED = {
 
 
 def test_k4_marked_displays():
-    specs = by_id("k4")
+    specs = K4_HAND
     for case_id, (num, den) in K4_MARKED.items():
         assert assemble_case(specs[case_id]) == gf(OUT4, num, den), case_id
 
@@ -236,6 +242,89 @@ def test_k4_printed_series_is_classical_at_x1():
     coefficient = series.extract_coefficient({"x": 1}, QT_CONTEXT)
     assert coefficient == refined_catalan((1, 1, 1, 1))
     assert len(coefficient.terms) == 14
+
+
+# k4 is kaaa's face m = 0: runs (k, k+m, k+m, k+m) are (k, k, k, k) there.
+
+
+def test_the_printed_kaaa_formula_at_y_0_is_the_printed_k4_formula():
+    """Numerator terms and denominator factors with a positive y exponent
+    vanish at y = 0, which is a value only because no exponent of y is negative."""
+    kaaa, k4 = printed_theorem("kaaa"), printed_theorem("k4")
+    y = kaaa.context.names.index("y")
+    assert all(e[y] >= 0 for e in (*kaaa.numerator.terms, *kaaa.denominator))
+    assert k4.context.names == kaaa.context.names[:y] + kaaa.context.names[y + 1:]
+    numerator = {e[:y] + e[y + 1:]: c for e, c in kaaa.numerator.terms.items() if e[y] == 0}
+    factors = [f[:y] + f[y + 1:] for f in kaaa.denominator if f[y] == 0]
+    assert gf_equals(RationalGF(k4.context, LaurentPoly(k4.context, numerator), factors), k4)
+
+
+def test_no_kaaa_base_or_generator_has_a_negative_m_part():
+    m = FAMILIES["kaaa"].coords.index("m")
+    for spec in case_catalog("kaaa"):
+        for piece in spec.pieces:
+            assert all(v[m] >= 0 for v in (*piece.numerator.terms, *piece.denominator)), spec.case_id
+
+
+def test_a_kaaa_base_with_a_negative_m_part_is_an_invariant_error(monkeypatch):
+    """The face m = 0 of a piece is its bases and generators with m = 0 only
+    when nothing has a negative m part; the derivation refuses anything else."""
+    kaaa = list(case_catalog("kaaa"))
+    piece = kaaa[0].realization
+    moved = _piece("kaaa", {(1, -1, 0, 0, 0): 1}, piece.denominator)
+    kaaa[0] = kaaa[0]._replace(realization=moved)
+    monkeypatch.setattr(catalog, "case_catalog", lambda name: tuple(kaaa))
+    with pytest.raises(InternalInvariantError, match="m < 0"):
+        catalog._CASES["k4"]()
+
+
+def test_the_kaaa_region_at_m_0_is_the_k4_region():
+    kaaa, k4 = FAMILIES["kaaa"], FAMILIES["k4"]
+    assert k4.coords == tuple(x for x in kaaa.coords if x != "m")
+    at_zero = {x: {y: c for y, c in upper.items() if y != "m"}
+               for x, upper in UPPER_BOUNDS["kaaa"].items()}
+    assert at_zero == UPPER_BOUNDS["k4"]
+
+
+def test_each_k4_case_is_its_kaaa_case_at_m_0():
+    """At every point of [-1, 3]^4, outside the region too, a k4 case's
+    membership and coverage are its kaaa case's at the point with m = 0, and
+    a kaaa case without a k4 case covers no such point."""
+    k4 = by_id("k4")
+    for kaaa in case_catalog("kaaa"):
+        spec = k4.pop("k4" + kaaa.case_id[4:], None)
+        if spec is not None:
+            assert (spec.sign, spec.parity) == (kaaa.sign, kaaa.parity)
+        for k, a, b, c in itertools.product(range(-1, 4), repeat=4):
+            lifted = (k, 0, a, b, c)
+            if spec is None:
+                assert realized_multiplicity(kaaa, lifted) == 0, (kaaa.case_id, lifted)
+                continue
+            point = (k, a, b, c)
+            assert case_membership(spec, point) == case_membership(kaaa, lifted), (kaaa.case_id, point)
+            assert realized_multiplicity(spec, point) == realized_multiplicity(kaaa, lifted), (
+                kaaa.case_id, point)
+    assert k4 == {}
+
+
+def test_the_derived_k4_pieces_sum_to_the_hand_catalog_s():
+    """In coordinate space, signed case by case, before any statistics."""
+    derived = gf_sum(map(_case_gf, case_catalog("k4")))
+    assert gf_equals(derived, gf_sum(map(_case_gf, k4_cones.CASES)))
+
+
+def test_the_hand_k4_catalog_assembles_to_the_printed_formula():
+    fam = FAMILIES["k4"]
+    assembled = gf_sum(gf_substitute(catalog._signed_case(spec), fam.theorem_ctx, fam.specialize)
+                       for spec in k4_cones.CASES)
+    assert gf_equals(assembled, printed_theorem("k4"))
+
+
+def test_the_hand_k4_catalog_covers_what_the_derived_one_covers():
+    """Every point of [-1, 3]^4, outside the region too."""
+    hand = _coverage_kernel(_coverage((spec.sign, spec) for spec in k4_cones.CASES), "k4")
+    for point in itertools.product(range(-1, 4), repeat=4):
+        assert hand(point) == signed_multiplicity("k4", point), point
 
 
 # -- short-run family -----------------------------------------------------------
@@ -347,7 +436,7 @@ def test_kaaa_printed_constant_term_is_one():
 
 
 def test_case_membership_examples():
-    k4 = by_id("k4")
+    k4 = K4_HAND
     assert case_membership(k4["k4.P1C1A"], (1, 1, 1, 1))
     assert case_membership(k4["k4.P1C1B"], (1, 1, 1, 1))
     for case_id in ("k4.P2C1", "k4.P2C2", "k4.P2C3"):
@@ -412,8 +501,9 @@ def test_integer_constraints_are_the_fraction_constraints(const, coeffs):
 def test_every_catalog_constraint_is_the_fraction_constraint(monkeypatch, family):
     """Each constraint a catalog builds, checked call by call against the
     Fraction-only builders, and the catalog built by those builders equal
-    to the cached one."""
+    to the cached one.  k4 is derived from a kaaa catalog built the same way."""
     calls = []
+    monkeypatch.setattr(catalog, "case_catalog", lambda name: catalog._CASES[name]())
 
     def checked(name):
         built, oracle = getattr(catalog, name), getattr(constraint_oracle, name)
@@ -434,8 +524,8 @@ def test_every_catalog_constraint_is_the_fraction_constraint(monkeypatch, family
     for name in ("_ge", "_gt", "_eq"):
         monkeypatch.setattr(catalog, name, getattr(constraint_oracle, name))
     assert catalog._CASES[family]() == case_catalog(family)
-    assert catalog._K4_PART1 == constraint_oracle._ge(b=1, k=-2, a=2)
-    assert catalog._K4_PART23 == constraint_oracle._gt(k=2, a=-2, b=-1)
+    assert k4_cones._K4_PART1 == constraint_oracle._ge(b=1, k=-2, a=2)
+    assert k4_cones._K4_PART23 == constraint_oracle._gt(k=2, a=-2, b=-1)
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
@@ -487,11 +577,14 @@ def _mutants(cases):
             yield f"{spec.case_id} {change}", [*cases[:i], *replaced, *cases[i + 1:]]
 
 
-@pytest.mark.parametrize("family, count", [("three", 10), ("k4", 24), ("kaaa", 50)])
+@pytest.mark.parametrize(
+    "family, count", [("three", 10), ("k4", 32), ("kaaa", 50), ("k4_cones", 24)]
+)
 def test_every_mutated_catalog_breaks_the_partition(family, count):
-    region = region_gf(family)
-    gfs = {spec: _case_gf(spec) for spec in case_catalog(family)}
-    mutants = list(_mutants(case_catalog(family)))
+    cases = k4_cones.CASES if family == "k4_cones" else case_catalog(family)
+    region = region_gf(cases[0].family)
+    gfs = {spec: _case_gf(spec) for spec in cases}
+    mutants = list(_mutants(cases))
     assert len(mutants) == count
     survivors = [
         name for name, cases in mutants
@@ -600,7 +693,7 @@ def _directions(rows):
     return directions
 
 
-@pytest.mark.parametrize("family, directions", [("three", 10), ("k4", 12), ("kaaa", 20)])
+@pytest.mark.parametrize("family, directions", [("three", 10), ("k4", 13), ("kaaa", 20)])
 def test_every_kernel_is_compiled_from_the_module_s_alphabet(monkeypatch, family, directions):
     """Every kernel the family compiles sees only ``map`` and ``index``, and its
     source holds only the names, integers and operators that the module
@@ -622,7 +715,7 @@ def test_every_kernel_is_compiled_from_the_module_s_alphabet(monkeypatch, family
         kernels.append(spec.coverage_kernel)
         memberships.setdefault(spec.membership_kernel, []).append(spec)
     kernels += memberships
-    regions = {"three": 4, "k4": 8, "kaaa": 12}[family]  # distinct (dense_region, parity_test)
+    regions = {"three": 4, "k4": 12, "kaaa": 12}[family]  # distinct (dense_region, parity_test)
     assert len(memberships) == regions
     assert len(sources) == len(kernels) == 1 + len(cases) + regions
     for a, b in itertools.combinations(cases, 2):
@@ -817,7 +910,7 @@ def test_realized_multiplicity_counts_drawn_pieces(piece, parity):
 def test_a_parity_case_with_an_odd_generator_is_an_invariant_error():
     """Dropping the bases of the other parity class is exact only when every
     generator, corrections' included, is even in the parity coordinate."""
-    p2c1 = by_id("k4")["k4.P2C1"]
+    p2c1 = K4_HAND["k4.P2C1"]
     odd_in_b = (1, 1, 1, 0)
     cone = HalfOpenCone(4, (0,) * 4, (odd_in_b,) + p2c1.realization.generators[1:])
     correction = _piece("k4", {(0, 0, 0, 1): -1}, (odd_in_b,))
@@ -837,7 +930,7 @@ def test_a_piece_base_that_is_not_integer_is_refused_before_any_kernel_is_compil
     no kernel source is ever run."""
     compiled = []
     monkeypatch.setattr(catalog, "exec", lambda *args: compiled.append(args), raising=False)
-    p1c1a = by_id("k4")["k4.P1C1A"]
+    p1c1a = K4_HAND["k4.P1C1A"]
     zctx = FAMILIES["k4"].zctx
     bad = RationalGF(zctx, LaurentPoly(zctx, {(1, 1.5, 0, 0): 1}), p1c1a.realization.generators)
     for spec in (p1c1a._replace(realization=bad), p1c1a._replace(corrections=(bad,))):
