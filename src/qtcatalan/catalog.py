@@ -2,15 +2,17 @@
 
 Each supported shape family (three free run lengths; four equal runs; one
 short run followed by three equal longer runs) comes with a fixed list of
-:class:`CaseSpec` entries.  A case records, as literal data:
+:class:`CaseSpec` entries.  A case's five fields record, as literal data:
 
-* the region of path coordinates it covers (its own integer inequalities, the
-  family's base rows from ``families.UPPER_BOUNDS``, an optional parity test),
-* a realization of that region's lattice points, either a
-  :class:`~.cones.HalfOpenCone` or a piece ``sum c z^b / prod (1 - z^v)``, a
-  :class:`~.cones.RationalGF` in the family's coordinate variables (signed
-  base points over a free generator set),
-* optional correction pieces (e.g. removal of a spurious boundary slice).
+* ``case_id`` and ``family``,
+* the ``region`` of path coordinates it covers (its own integer inequalities,
+  then the family's base rows from ``families.UPPER_BOUNDS``) and an optional
+  ``parity`` test,
+* its lattice points as one ``piece`` ``sum c z^b / prod (1 - z^v)``, a
+  :class:`~.cones.RationalGF` in the family's coordinate variables: signed
+  base points over a free generator set, the case's sign in the coefficients.
+  Under a parity test every generator is even in its coordinate and every base
+  in its class, or the case's first assembly or coverage raises.
 
 The four-equal-runs family k4 is the short-run family kaaa at m = 0, so its
 cases are derived: each kaaa case with a base at m = 0 gives one k4 case, its
@@ -23,22 +25,22 @@ family's closed-form statistics.
 which the verification layer compares against the transcribed product
 formulas from :func:`printed_theorem`.
 
-The partition checks :func:`signed_multiplicity`, :func:`realized_multiplicity`
-and :func:`case_membership` run compiled kernels: each family's coverage
-table, each case's coverage table, and each distinct dense region with its
-parity test becomes one Python function of straight-line integer code, built
-once; cases with the same region share one membership kernel.  The source of
-such a function is safe to compile.  It is assembled only from literal
-templates in this module, the synthetic names ``x0, x1, ...`` and
-``v0, v1, ...``, and numbers, a base's row values among them, written with
-``%d`` after one ``operator.index`` pass over each row or line of them
-(``_integers``, in ``_linear``, ``_source`` and ``CaseSpec.membership_kernel``);
-``_piece`` reads bases as ints.  No outside text reaches it: a point is the
-function's argument, which its first line validates,
-``x0, ..., xn, = map(index, point)``, with only ``map`` and ``operator.index``
-in its namespace.  A tuple goes straight to the kernel, which reads it once;
-any other point, or one the kernel refuses, goes through ``_coordinates``,
-which raises the refusal's own error.
+The partition checks :func:`signed_multiplicity` and :func:`case_membership`
+run compiled kernels: each family's coverage table, and each distinct dense
+region with its parity test, becomes one Python function of straight-line
+integer code, built once; cases with the same region share one membership
+kernel.  The source of such a function is safe to compile.  It is assembled
+only from literal templates in this module, the synthetic names
+``x0, x1, ...`` and ``v0, v1, ...``, and numbers, a base's row values among
+them, written with ``%d`` after one ``operator.index`` pass over each row or
+line of them (``_integers``, in ``_linear``, ``_source`` and
+``CaseSpec.membership_kernel``); ``_piece`` reads bases as ints.  No outside
+text reaches it: a point is the function's argument, which its first line
+validates, ``x0, ..., xn, = map(index, point)``, with only ``map`` and
+``operator.index`` in its namespace.  Both entry points call ``_run_kernel``:
+a tuple goes straight to the kernel, which reads it once; any other point, or
+one the kernel refuses, goes through ``_coordinates``, which raises the
+refusal's own error.
 """
 
 from __future__ import annotations
@@ -47,15 +49,9 @@ import math
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from operator import index, mul
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .cones import (
-    HalfOpenCone,
-    RationalGF,
-    gf_substitute,
-    gf_sum,
-    integer_point_transform,
-)
+from .cones import RationalGF, gf_substitute, gf_sum
 from .errors import Frozen, InternalInvariantError, UsageError, _integers
 from .families import FAMILIES, UPPER_BOUNDS, FamilyInfo, Point, family
 from .lattice import diagonal_form
@@ -92,24 +88,19 @@ def _eq(const=0, **coeffs) -> Tuple[Constraint, Constraint]:
     return _ge(const, **coeffs), _ge(-const, **{name: -c for name, c in coeffs.items()})
 
 
-Realization = Union[HalfOpenCone, RationalGF]
-
-
 class CaseSpec(Frozen):
     # no __slots__: the cached members below keep their values in the instance dict
-    _fields = ("case_id", "family", "region", "realization", "parity", "corrections", "sign")
+    _fields = ("case_id", "family", "region", "piece", "parity")
 
     def __init__(
         self,
         case_id: str,
         family: str,
         region: Tuple[Constraint, ...],
-        realization: Realization,
+        piece: RationalGF,
         parity: Optional[Tuple[str, str]] = None,  # (coordinate, "even"|"odd")
-        corrections: Tuple[RationalGF, ...] = (),
-        sign: int = 1,
     ):
-        self._set(case_id, family, region, realization, parity, corrections, sign)
+        self._set(case_id, family, region, piece, parity)
 
     @cached_property
     def dense_region(self) -> Tuple[Tuple[int, Point], ...]:
@@ -140,14 +131,17 @@ class CaseSpec(Frozen):
         return _membership_kernel(self.family, rows, self.parity_test)
 
     @cached_property
-    def coverage_kernel(self) -> Callable[..., int]:
-        """:func:`realized_multiplicity` as straight-line code."""
-        return _coverage_kernel(_coverage([(1, self)]), self.family)
-
-    @cached_property
-    def pieces(self) -> Tuple[RationalGF, ...]:
-        """:func:`_pieces`, worked out once for assembly and coverage alike."""
-        return tuple(_pieces(self))
+    def checked_piece(self) -> RationalGF:
+        """The piece, checked once for assembly and coverage alike: under a parity
+        test every generator is even in its coordinate and every base in its class,
+        so each point the piece covers passes the test.  Else it is a catalog bug."""
+        if self.parity is not None:
+            (coord, residue), (name, parity) = self.parity_test, self.parity
+            if any(g[coord] % 2 for g in self.piece.denominator):
+                raise InternalInvariantError(f"{self.case_id}: a generator is odd in {name}")
+            if any(b[coord] % 2 != residue for b in self.piece.numerator.terms):
+                raise InternalInvariantError(f"{self.case_id}: a base is not {parity} in {name}")
+        return self.piece
 
 
 def _base(name: str) -> Tuple[Constraint, ...]:
@@ -187,33 +181,32 @@ def _three_cases() -> Tuple[CaseSpec, ...]:
             case_id="three.C1",
             family="three",
             region=(_ge(r2=1, k2=-1, r3=-1), _ge(r2=1, k2=-1)) + base,
-            realization=HalfOpenCone(5, (0,) * 5, (_E1, _E3, _U, _S, _G)),
+            piece=_piece("three", {(0,) * 5: 1}, (_E1, _E3, _U, _S, _G)),
         ),
         CaseSpec(
             case_id="three.C2",
             family="three",
             # gap condition relative to r2, the smaller side here
             region=(_ge(k2=1, r2=-1, r3=-1), _ge(k2=1, r2=-1)) + base,
-            realization=HalfOpenCone(5, (0,) * 5, (_E1, _E2, _E3, _G, _H)),
+            piece=_piece("three", {(0,) * 5: 1}, (_E1, _E2, _E3, _G, _H)),
         ),
         CaseSpec(
             case_id="three.C3A",
             family="three",
             region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + base,
-            realization=_piece("three", {(1, 1, 0, 1, 2): 1}, c3_gens),
+            piece=_piece("three", {(1, 1, 0, 1, 2): 1}, c3_gens),
         ),
         CaseSpec(
             case_id="three.C3B",
             family="three",
             region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + base,
-            realization=_piece("three", {(1, 1, 0, 1, 1): 1}, c3_gens),
+            piece=_piece("three", {(1, 1, 0, 1, 1): 1}, c3_gens),
         ),
         CaseSpec(
             case_id="three.overlap",
             family="three",
             region=_eq(r2=1, k2=-1) + _eq(r3=1) + base,
-            realization=HalfOpenCone(5, (0,) * 5, (_E1, _E3, _G)),
-            sign=-1,
+            piece=_piece("three", {(0,) * 5: -1}, (_E1, _E3, _G)),
         ),
     )
 
@@ -412,7 +405,7 @@ def _kaaa_cases() -> Tuple[CaseSpec, ...]:
             case_id=case_id,
             family="kaaa",
             region=extra + base,
-            realization=_piece("kaaa", dict.fromkeys(bases, 1), gens),
+            piece=_piece("kaaa", dict.fromkeys(bases, 1), gens),
             parity=parity,
         )
         for case_id, extra, parity, bases, gens in entries
@@ -433,7 +426,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
     shared, base = len(_base("kaaa")), _base("k4")
     cases = []
     for spec in case_catalog("kaaa"):
-        piece = spec.realization
+        piece = spec.piece
         if any(v[1] < 0 for v in (*piece.numerator.terms, *piece.denominator)):
             raise InternalInvariantError(f"{spec.case_id}: a base or generator has m < 0")
         bases = {v[:1] + v[2:]: coef for v, coef in piece.numerator.terms.items() if v[1] == 0}
@@ -443,7 +436,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
                      for row in spec.region[:-shared])
         face = _piece("k4", bases, tuple(g[:1] + g[2:] for g in piece.denominator if g[1] == 0))
         cases.append(spec._replace(case_id="k4" + spec.case_id[4:], family="k4",
-                                   region=rows + base, realization=face))
+                                   region=rows + base, piece=face))
     return tuple(cases)
 
 
@@ -458,41 +451,7 @@ def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
 
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point satisfies the case's region and parity constraints."""
-    kernel = spec.membership_kernel
-    if isinstance(point, tuple):  # see the module docstring
-        try:
-            return kernel(point)
-        except (TypeError, ValueError):
-            pass
-    return kernel(_coordinates(spec.family, point))
-
-
-@lru_cache(maxsize=None)
-def _transform(cone: HalfOpenCone, family: str) -> RationalGF:
-    """The cone's integer-point transform in the family's coordinate variables."""
-    return integer_point_transform(cone, FAMILIES[family].zctx)
-
-
-def _pieces(spec: CaseSpec) -> List[RationalGF]:
-    """The case's pieces, realization first, each kept to its parity class.
-
-    Every generator must be even in the parity coordinate: then a point has its
-    base's parity and dropping the other class's bases is exact.  An odd
-    generator is a catalog bug.
-    """
-    realization = spec.realization
-    if isinstance(realization, HalfOpenCone):
-        realization = _transform(realization, spec.family)
-    pieces = [realization, *spec.corrections]
-    test = spec.parity_test
-    if test is None:
-        return pieces
-    coord, residue = test
-    if any(g[coord] % 2 for piece in pieces for g in piece.denominator):
-        raise InternalInvariantError(f"{spec.case_id}: a generator is odd in {spec.parity[0]}")
-    kept = (p.numerator.restrict(b for b in p.numerator.terms if b[coord] % 2 == residue)
-            for p in pieces)
-    return [RationalGF(p.context, n, p.denominator) for p, n in zip(pieces, kept)]
+    return _run_kernel(spec.membership_kernel, spec.family, point)
 
 
 def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
@@ -522,13 +481,8 @@ def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
 
 
 def assemble_case(spec: CaseSpec) -> RationalGF:
-    """Generating function of one case, in the family's marked output variables."""
-    return _pointwise_map(gf_sum(spec.pieces), FAMILIES[spec.family])
-
-
-def _signed_case(spec: CaseSpec) -> RationalGF:
-    gf = assemble_case(spec)
-    return gf if spec.sign > 0 else -gf
+    """Signed generating function of one case, in the family's marked output variables."""
+    return _pointwise_map(spec.checked_piece, FAMILIES[spec.family])
 
 
 def assemble_theorem(name: str) -> RationalGF:
@@ -539,7 +493,7 @@ def assemble_theorem(name: str) -> RationalGF:
     """
     fam = family(name)
     images = fam.specialize
-    return gf_sum(gf_substitute(_signed_case(spec), fam.theorem_ctx, images) for spec in case_catalog(name))
+    return gf_sum(gf_substitute(assemble_case(spec), fam.theorem_ctx, images) for spec in case_catalog(name))
 
 
 # -- transcribed product formulas ---------------------------------------------
@@ -638,55 +592,45 @@ def _coordinates(family: str, point: Sequence[int]) -> Point:
     return point
 
 
-def _coverage(signed_specs: Iterable[Tuple[int, CaseSpec]]) -> Coverage:
-    """The coverage table of the cases' pieces, corrections included.
-
-    Bases are grouped by generator set; a base's coefficient carries its
-    own sign and the one given with its case.
-    """
+def _coverage(specs: Iterable[CaseSpec]) -> Coverage:
+    """The coverage table of the cases' pieces, bases grouped by generator set."""
     rows: Dict[Point, int] = {}
     groups: Dict[Tuple[Point, ...], Tuple[int, List[Base]]] = {}
 
     def values_at(matrix: Sequence[Point], base: Point) -> RowValues:
         return tuple((rows.setdefault(row, len(rows)), sum(map(mul, row, base))) for row in matrix)
 
-    for case_sign, spec in signed_specs:
-        for piece in spec.pieces:
-            generators = piece.denominator
-            form = diagonal_form(generators)
-            if form.rank != len(generators):
-                raise InternalInvariantError("piece generators are linearly dependent")
-            scaled, cokernel, lcm = form.inverse
-            _, bases = groups.setdefault(generators, (lcm, []))
-            bases.extend(
-                (case_sign * coef, values_at(scaled, base), values_at(cokernel, base))
-                for base, coef in piece.numerator.terms.items()
-            )
+    for spec in specs:
+        piece = spec.checked_piece
+        generators = piece.denominator
+        form = diagonal_form(generators)
+        if form.rank != len(generators):
+            raise InternalInvariantError("piece generators are linearly dependent")
+        scaled, cokernel, lcm = form.inverse
+        _, bases = groups.setdefault(generators, (lcm, []))
+        bases.extend(
+            (coef, values_at(scaled, base), values_at(cokernel, base))
+            for base, coef in piece.numerator.terms.items()
+        )
     return tuple(rows), tuple((lcm, tuple(bases)) for lcm, bases in groups.values())
-
-
-def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
-    """How many times the case's realization (with corrections) hits a point."""
-    kernel = spec.coverage_kernel
-    if isinstance(point, tuple):  # see the module docstring
-        try:
-            return kernel(point)
-        except (TypeError, ValueError):
-            pass
-    return kernel(_coordinates(spec.family, point))
 
 
 @lru_cache(maxsize=None)
 def _family_kernel(family: str) -> Callable[..., int]:
-    """The family's coverage table, each case signed, as straight-line code; an
-    unknown family is a UsageError from :func:`case_catalog` before anything is built."""
-    return _coverage_kernel(_coverage((spec.sign, spec) for spec in case_catalog(family)), family)
+    """The family's coverage table as straight-line code; an unknown family is
+    a UsageError from :func:`case_catalog` before anything is built."""
+    return _coverage_kernel(_coverage(case_catalog(family)), family)
 
 
 def signed_multiplicity(family: str, point: Sequence[int]) -> int:
     """Signed number of catalog pieces covering a coordinate point."""
-    kernel = _family_kernel(family)
-    if isinstance(point, tuple):  # see the module docstring
+    return _run_kernel(_family_kernel(family), family, point)
+
+
+def _run_kernel(kernel: Callable[..., int], family: str, point: Sequence[int]) -> int:
+    """The kernel at the point: a tuple goes straight to it, and any other point,
+    or one it refuses, through :func:`_coordinates` (see the module docstring)."""
+    if isinstance(point, tuple):
         try:
             return kernel(point)
         except (TypeError, ValueError):

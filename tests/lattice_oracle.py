@@ -4,10 +4,9 @@ These are the algorithms ``parallelepiped_points`` and the catalog coverage
 used before they moved to integers: Π from ``Fraction`` coset coefficients,
 and coverage by one ``DiagonalForm.solve`` per base of every piece.  The
 methods ``solve`` and ``cosets`` became functions of the form, and a piece is
-a ``(bases, generators)`` pair of this file's own: a cone's comes from this
-file's Π, and a catalog piece's is read off its generating function as the
-numerator's terms and the denominator; otherwise the code is unchanged.  The
-tests compare the package's integer versions with them.  ``minor_gcd`` is an
+a ``(bases, generators)`` pair of this file's own, read off a case's piece as
+the numerator's terms and the denominator; otherwise the code is unchanged.
+The tests compare the package's integer versions with them.  ``minor_gcd`` is an
 independent index and rank check by cofactor expansion.  ``case_membership``
 evaluates each region constraint by coordinate name, as the package did
 before it kept each case's region as dense rows.  ``_multiplicity`` is the
@@ -21,11 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from qtcatalan.catalog import CaseSpec, Coverage, Realization, case_catalog
+from qtcatalan.catalog import CaseSpec, Coverage, case_catalog
 from qtcatalan.cones import HalfOpenCone, RationalGF
 from qtcatalan.errors import InternalInvariantError
 from qtcatalan.families import FAMILIES
@@ -112,21 +110,9 @@ def parallelepiped_points(cone: HalfOpenCone) -> List[Tuple[int, ...]]:
     return points
 
 
-@lru_cache(maxsize=None)
-def _cone_piece(cone: HalfOpenCone) -> Piece:
-    """The cone's points as its Π over its generators."""
-    return tuple((1, p) for p in parallelepiped_points(cone)), cone.generators
-
-
 def _gf_piece(gf: RationalGF) -> Piece:
     """A piece's numerator terms as signed bases over its denominator."""
     return tuple((coef, base) for base, coef in gf.numerator.terms.items()), gf.denominator
-
-
-def _piece(realization: Realization) -> Piece:
-    if isinstance(realization, HalfOpenCone):
-        return _cone_piece(realization)
-    return _gf_piece(realization)
 
 
 def _piece_covers(piece: Piece, point: Point) -> int:
@@ -159,21 +145,16 @@ def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
 
 
 def realized_multiplicity(spec: CaseSpec, point: Sequence[int]) -> int:
-    """How many times the case's realization (with corrections) hits a point."""
+    """Signed number of times the case's piece hits a point of its parity class."""
     point = tuple(int(x) for x in point)
     if not _parity_holds(spec, point):
         return 0
-    total = _piece_covers(_piece(spec.realization), point)
-    for correction in spec.corrections:
-        total += _piece_covers(_gf_piece(correction), point)
-    return total
+    return _piece_covers(_gf_piece(spec.piece), point)
 
 
 def signed_multiplicity(family: str, point: Sequence[int]) -> int:
     """Signed number of catalog pieces covering a coordinate point."""
-    return sum(
-        spec.sign * realized_multiplicity(spec, point) for spec in case_catalog(family)
-    )
+    return sum(realized_multiplicity(spec, point) for spec in case_catalog(family))
 
 
 def _multiplicity(coverage: Coverage, point: Point) -> int:

@@ -107,8 +107,7 @@ def test_criterion_05_symmetry_of_formulas():
 
 def test_criterion_06_parallelepiped_goldens():
     with _Budget(1.0) as budget:
-        cones = {spec.case_id: spec.realization for spec in case_catalog("three")}
-        cones.update({spec.case_id: spec.realization for spec in k4_cones.CASES})
+        cones = k4_cones.CONES
         c3 = HalfOpenCone(
             5,
             (0,) * 5,

@@ -14,6 +14,7 @@ import operator
 import re
 import tokenize
 from fractions import Fraction
+from functools import cache
 from io import StringIO
 from typing import NamedTuple
 
@@ -40,18 +41,16 @@ from qtcatalan.catalog import (
     _kernel,
     _linear,
     _piece,
-    _pieces,
     _pointwise_map,
+    _run_kernel,
     assemble_case,
     assemble_theorem,
     case_catalog,
     case_membership,
     printed_theorem,
-    realized_multiplicity,
     signed_multiplicity,
 )
 from qtcatalan.cones import (
-    HalfOpenCone,
     RationalGF,
     gf_equals,
     gf_substitute,
@@ -87,6 +86,13 @@ def by_id(family):
 K4_HAND = {spec.case_id: spec for spec in k4_cones.CASES}  # the paper's own k4 cones
 
 
+@cache
+def realized(spec):
+    """The case's own coverage table as straight-line code: the signed number
+    of times its piece hits a point."""
+    return _coverage_kernel(_coverage([spec]), spec.family)
+
+
 def test_catalog_shapes():
     assert [s.case_id for s in case_catalog("three")] == [
         "three.C1",
@@ -97,7 +103,7 @@ def test_catalog_shapes():
     ]
     assert len(case_catalog("k4")) == 13
     assert len(case_catalog("kaaa")) == 21
-    assert case_catalog("three")[-1].sign == -1
+    assert list(case_catalog("three")[-1].piece.numerator.terms.values()) == [-1]
     with pytest.raises(UsageError):
         case_catalog("nope")
 
@@ -110,7 +116,7 @@ THREE_MARKED = {
     "three.C2": ("1", ["x1*t^2", "x2*t", "x3", "x1*x2*q*t", "x2*q"]),
     "three.C3A": ("x1*x2*q^3", ["x1*t^2", "x3", "x1*x2*q*t", "x2*q", "x1*q^2"]),
     "three.C3B": ("x1*x2*q^2*t", ["x1*t^2", "x3", "x1*x2*q*t", "x2*q", "x1*q^2"]),
-    "three.overlap": ("1", ["x1*t^2", "x3", "x1*x2*q*t"]),
+    "three.overlap": ("-1", ["x1*t^2", "x3", "x1*x2*q*t"]),  # the piece carries the case's sign
 }
 
 
@@ -134,6 +140,19 @@ def test_three_split_cases_sum_to_the_whole_cone():
         ["x1*t^2", "x3", "x1*x2*q*t", "x2*q", "x1*q^2"],
     )
     assert total == want
+
+
+def test_three_s_cone_cases_are_their_cones_transforms():
+    """C1, C2 and the overlap are closed cones at 0 with lattice index 1, so
+    Π = {0} and each piece is its cone's integer-point transform, negated for
+    the overlap."""
+    zctx = FAMILIES["three"].zctx
+    specs = by_id("three")
+    for case_id in ("three.C1", "three.C2", "three.overlap"):
+        cone = k4_cones.CONES[case_id]
+        assert lattice_oracle.parallelepiped_points(cone) == [(0,) * 5], case_id
+        transform = integer_point_transform(cone, zctx)
+        assert specs[case_id].piece == (-transform if case_id == "three.overlap" else transform), case_id
 
 
 def test_three_assembled_matches_printed():
@@ -183,9 +202,8 @@ K4_TRANSFORMS = {
 
 
 def test_k4_integer_point_transforms():
-    specs = K4_HAND
     for case_id, (num, den) in K4_TRANSFORMS.items():
-        got = integer_point_transform(specs[case_id].realization, Z4)
+        got = integer_point_transform(k4_cones.CONES[case_id], Z4)
         assert got == gf(Z4, num, den), case_id
 
 
@@ -262,17 +280,17 @@ def test_the_printed_kaaa_formula_at_y_0_is_the_printed_k4_formula():
 def test_no_kaaa_base_or_generator_has_a_negative_m_part():
     m = FAMILIES["kaaa"].coords.index("m")
     for spec in case_catalog("kaaa"):
-        for piece in spec.pieces:
-            assert all(v[m] >= 0 for v in (*piece.numerator.terms, *piece.denominator)), spec.case_id
+        piece = spec.piece
+        assert all(v[m] >= 0 for v in (*piece.numerator.terms, *piece.denominator)), spec.case_id
 
 
 def test_a_kaaa_base_with_a_negative_m_part_is_an_invariant_error(monkeypatch):
     """The face m = 0 of a piece is its bases and generators with m = 0 only
     when nothing has a negative m part; the derivation refuses anything else."""
     kaaa = list(case_catalog("kaaa"))
-    piece = kaaa[0].realization
+    piece = kaaa[0].piece
     moved = _piece("kaaa", {(1, -1, 0, 0, 0): 1}, piece.denominator)
-    kaaa[0] = kaaa[0]._replace(realization=moved)
+    kaaa[0] = kaaa[0]._replace(piece=moved)
     monkeypatch.setattr(catalog, "case_catalog", lambda name: tuple(kaaa))
     with pytest.raises(InternalInvariantError, match="m < 0"):
         catalog._CASES["k4"]()
@@ -293,17 +311,19 @@ def test_each_k4_case_is_its_kaaa_case_at_m_0():
     k4 = by_id("k4")
     for kaaa in case_catalog("kaaa"):
         spec = k4.pop("k4" + kaaa.case_id[4:], None)
+        covers = realized(kaaa)
         if spec is not None:
-            assert (spec.sign, spec.parity) == (kaaa.sign, kaaa.parity)
+            face = [coef for base, coef in kaaa.piece.numerator.terms.items() if base[1] == 0]
+            assert (sorted(spec.piece.numerator.terms.values()), spec.parity) == (sorted(face), kaaa.parity)
+            face_covers = realized(spec)
         for k, a, b, c in itertools.product(range(-1, 4), repeat=4):
             lifted = (k, 0, a, b, c)
             if spec is None:
-                assert realized_multiplicity(kaaa, lifted) == 0, (kaaa.case_id, lifted)
+                assert covers(lifted) == 0, (kaaa.case_id, lifted)
                 continue
             point = (k, a, b, c)
             assert case_membership(spec, point) == case_membership(kaaa, lifted), (kaaa.case_id, point)
-            assert realized_multiplicity(spec, point) == realized_multiplicity(kaaa, lifted), (
-                kaaa.case_id, point)
+            assert face_covers(point) == covers(lifted), (kaaa.case_id, point)
     assert k4 == {}
 
 
@@ -315,14 +335,14 @@ def test_the_derived_k4_pieces_sum_to_the_hand_catalog_s():
 
 def test_the_hand_k4_catalog_assembles_to_the_printed_formula():
     fam = FAMILIES["k4"]
-    assembled = gf_sum(gf_substitute(catalog._signed_case(spec), fam.theorem_ctx, fam.specialize)
+    assembled = gf_sum(gf_substitute(assemble_case(spec), fam.theorem_ctx, fam.specialize)
                        for spec in k4_cones.CASES)
     assert gf_equals(assembled, printed_theorem("k4"))
 
 
 def test_the_hand_k4_catalog_covers_what_the_derived_one_covers():
     """Every point of [-1, 3]^4, outside the region too."""
-    hand = _coverage_kernel(_coverage((spec.sign, spec) for spec in k4_cones.CASES), "k4")
+    hand = _coverage_kernel(_coverage(k4_cones.CASES), "k4")
     for point in itertools.product(range(-1, 4), repeat=4):
         assert hand(point) == signed_multiplicity("k4", point), point
 
@@ -536,20 +556,19 @@ def test_partition_property(family):
 
 
 def _case_gf(spec):
-    """The case's pieces summed in the coordinate variables, times its sign."""
-    gf = gf_sum(_pieces(spec))
-    return gf if spec.sign > 0 else -gf
+    """The case's signed piece in the coordinate variables, once it is checked
+    against the case's parity test."""
+    return spec.checked_piece
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
 def test_assemble_theorem_is_the_sequential_lift(family):
-    """Each case's pieces and then the family's cases summed by the sequential
-    lift give exactly the assembled theorem's terms and denominator."""
+    """The family's cases summed by the sequential lift give exactly the
+    assembled theorem's terms and denominator."""
     fam = FAMILIES[family]
     cases = []
     for spec in case_catalog(family):
-        case = _pointwise_map(sequential_gf_sum(_pieces(spec)), fam)
-        case = case if spec.sign > 0 else -case
+        case = _pointwise_map(spec.piece, fam)
         cases.append(gf_substitute(case, fam.theorem_ctx, fam.specialize))
     sequential = sequential_gf_sum(cases)
     assembled = assemble_theorem(family)
@@ -569,7 +588,7 @@ def _mutants(cases):
     """``(name, cases)`` with one case dropped, its sign flipped or its parity flipped."""
     flip = {"even": "odd", "odd": "even"}
     for i, spec in enumerate(cases):
-        mutated = [("dropped", ()), ("sign flipped", (spec._replace(sign=-spec.sign),))]
+        mutated = [("dropped", ()), ("sign flipped", (spec._replace(piece=-spec.piece),))]
         if spec.parity is not None:
             coord, parity = spec.parity
             mutated.append(("parity flipped", (spec._replace(parity=(coord, flip[parity])),)))
@@ -586,23 +605,51 @@ def test_every_mutated_catalog_breaks_the_partition(family, count):
     gfs = {spec: _case_gf(spec) for spec in cases}
     mutants = list(_mutants(cases))
     assert len(mutants) == count
-    survivors = [
-        name for name, cases in mutants
-        if gf_equals(gf_sum(gfs[s] if s in gfs else _case_gf(s) for s in cases), region)
-    ]
+    survivors, refused = [], []
+    for name, cases in mutants:
+        try:
+            total = gf_sum(gfs[s] if s in gfs else _case_gf(s) for s in cases)
+        except InternalInvariantError:  # its bases are all outside the flipped class
+            refused.append(name)
+            continue
+        if gf_equals(total, region):
+            survivors.append(name)
     assert survivors == []
+    assert refused == [name for name, _ in mutants if name.endswith("parity flipped")]
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
 def test_realized_points_stay_in_region(family):
-    for point in region_points(family, 3):
-        for spec in case_catalog(family):
-            if realized_multiplicity(spec, point) > 0:
+    for spec in case_catalog(family):
+        covers = realized(spec)
+        for point in region_points(family, 3):
+            if covers(point) != 0:  # the overlap's piece counts -1
                 assert case_membership(spec, point), (spec.case_id, point)
 
 
+@pytest.mark.parametrize("family, regions", [("three", 4), ("k4", 12), ("kaaa", 12)])
+def test_each_region_is_covered_once_by_the_cases_that_share_it(family, regions):
+    """The cases that share a dense region and parity test cover each small
+    point of the family's region once, with one sign, if the point is in their
+    region, and not at all if it is not: each case's own rows match its piece.
+    The sign is -1 for the three-run overlap alone."""
+    shared = {}
+    for spec in case_catalog(family):
+        shared.setdefault((spec.dense_region, spec.parity_test), []).append(spec)
+    assert len(shared) == regions
+    wrong = []
+    for cases in shared.values():
+        kernel = _coverage_kernel(_coverage(cases), family)
+        sign = -1 if [spec.case_id for spec in cases] == ["three.overlap"] else 1
+        for point in region_points(family, 3):
+            want = sign if case_membership(cases[0], point) else 0
+            if kernel(point) != want:
+                wrong.append((cases[0].case_id, point, kernel(point), want))
+    assert wrong == []
+
+
 def _family_table(family):
-    return _coverage((spec.sign, spec) for spec in case_catalog(family))
+    return _coverage(case_catalog(family))
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
@@ -610,14 +657,14 @@ def test_coverage_agrees_with_the_per_base_solve(family):
     """Every point of [-1, 3]^n, outside the region too, against the oracle
     and the table interpreter; case membership against the named evaluation
     of each constraint."""
-    specs = case_catalog(family)
+    specs = [(spec, realized(spec)) for spec in case_catalog(family)]
     table = _family_table(family)
     for point in itertools.product(range(-1, 4), repeat=len(FAMILIES[family].coords)):
         got = signed_multiplicity(family, point)
         assert got == lattice_oracle.signed_multiplicity(family, point), point
         assert got == lattice_oracle._multiplicity(table, point), point
-        for spec in specs:
-            assert realized_multiplicity(spec, point) == lattice_oracle.realized_multiplicity(
+        for spec, covers in specs:
+            assert covers(point) == lattice_oracle.realized_multiplicity(
                 spec, point
             ), (spec.case_id, point)
             assert case_membership(spec, point) == lattice_oracle.case_membership(
@@ -639,12 +686,7 @@ def far_points(draw):
         return family, draw(st.tuples(*[st.integers(-BIG, BIG)] * width))
     spec = draw(st.sampled_from(case_catalog(family)))
     point = list(draw(st.tuples(*[st.integers(-2, 3)] * width)))
-    realization = spec.realization
-    if isinstance(realization, RationalGF):
-        generators = realization.denominator
-    else:
-        generators = realization.generators
-    for g in generators:
+    for g in spec.piece.denominator:
         n = draw(st.integers(0, BIG))
         point = [x + n * e for x, e in zip(point, g)]
     return family, tuple(point)
@@ -658,7 +700,7 @@ def test_kernels_agree_with_the_oracles_on_far_points(drawn):
     assert got == lattice_oracle._multiplicity(_family_table(family), point)
     assert got == lattice_oracle.signed_multiplicity(family, point)
     for spec in case_catalog(family):
-        assert realized_multiplicity(spec, point) == lattice_oracle.realized_multiplicity(
+        assert realized(spec)(point) == lattice_oracle.realized_multiplicity(
             spec, point
         ), spec.case_id
         assert case_membership(spec, point) == lattice_oracle.case_membership(
@@ -708,11 +750,11 @@ def test_every_kernel_is_compiled_from_the_module_s_alphabet(monkeypatch, family
     monkeypatch.setattr(catalog, "exec", compile_kernel, raising=False)
     catalog._membership_kernel.cache_clear()
     cases = catalog._CASES[family]()  # built afresh, so no kernel is cached yet
-    table = _coverage((spec.sign, spec) for spec in cases)
+    table = _coverage(cases)
     kernels = [_coverage_kernel(table, family)]
     memberships = {}
     for spec in cases:
-        kernels.append(spec.coverage_kernel)
+        kernels.append(_coverage_kernel(_coverage([spec]), family))
         memberships.setdefault(spec.membership_kernel, []).append(spec)
     kernels += memberships
     regions = {"three": 4, "k4": 12, "kaaa": 12}[family]  # distinct (dense_region, parity_test)
@@ -782,7 +824,7 @@ class Long(NamedTuple):
 
 POINT_CHECKS = (
     lambda point: signed_multiplicity("k4", point),
-    lambda point: realized_multiplicity(K4_CASE, point),
+    lambda point: _run_kernel(realized(K4_CASE), "k4", point),
     lambda point: case_membership(K4_CASE, point),
 )
 
@@ -884,58 +926,86 @@ PARITIES = st.none() | st.tuples(st.sampled_from(K4_COORDS), st.sampled_from(("e
 @example(_piece("k4", {(-2, 0, 0, 0): 1, (-2, 0, 1, 0): -1}, ((1, 0, 1, 0),)), ("b", "odd"))
 def test_realized_multiplicity_counts_drawn_pieces(piece, parity):
     """With a drawn parity, the parity coordinate of every generator is doubled
-    first, so that the rule's precondition holds; the count is then the brute
-    count restricted to the parity class.  The compiled kernel and the table
-    interpreter both give it."""
+    first, so that the rule's precondition holds, and the case keeps the bases
+    in the parity class: a base outside it is refused.  The count is then the
+    brute count of the drawn piece restricted to the parity class.  The
+    compiled kernel and the table interpreter both give it."""
+    counted = piece
     if parity is not None:
-        coord = K4_COORDS.index(parity[0])
-        piece = _piece("k4", piece.numerator.terms, tuple(
+        coord, residue = K4_COORDS.index(parity[0]), parity[1] == "odd"
+        counted = _piece("k4", piece.numerator.terms, tuple(
             g[:coord] + (2 * g[coord],) + g[coord + 1:] for g in piece.denominator
         ))
+        kept = {b: c for b, c in counted.numerator.terms.items() if b[coord] % 2 == residue}
+        piece = _piece("k4", kept, counted.denominator)
+        if kept != counted.numerator.terms:
+            with pytest.raises(InternalInvariantError, match="^drawn: a base is not"):
+                _coverage([CaseSpec("drawn", "k4", (), counted, parity)])
     spec = CaseSpec("drawn", "k4", (), piece, parity)
     if minor_gcd(piece.denominator) == 0:
         with pytest.raises(InternalInvariantError):
-            realized_multiplicity(spec, (0, 0, 0, 0))
+            realized(spec)((0, 0, 0, 0))
         return
-    counts = brute_piece_count(piece)
-    table = _coverage([(1, spec)])
+    counts = brute_piece_count(counted)
+    table, covers = _coverage([spec]), realized(spec)
     for point in itertools.product(range(-BOX, BOX + 1), repeat=4):
         expected = counts.get(point, 0)
-        if parity is not None and point[coord] % 2 != (parity[1] == "odd"):
+        if parity is not None and point[coord] % 2 != residue:
             expected = 0
-        assert realized_multiplicity(spec, point) == expected, point
+        assert covers(point) == expected, point
         assert lattice_oracle._multiplicity(table, point) == expected, point
 
 
 def test_a_parity_case_with_an_odd_generator_is_an_invariant_error():
-    """Dropping the bases of the other parity class is exact only when every
-    generator, corrections' included, is even in the parity coordinate."""
+    """Every point of a piece is in its bases' parity classes only when every
+    generator is even in the parity coordinate, a summed correction's included."""
     p2c1 = K4_HAND["k4.P2C1"]
     odd_in_b = (1, 1, 1, 0)
-    cone = HalfOpenCone(4, (0,) * 4, (odd_in_b,) + p2c1.realization.generators[1:])
+    zctx = FAMILIES["k4"].zctx
+    generators = (odd_in_b,) + p2c1.piece.denominator[1:]
     correction = _piece("k4", {(0, 0, 0, 1): -1}, (odd_in_b,))
     for spec in (
-        p2c1._replace(realization=cone),
-        p2c1._replace(corrections=(correction,)),
+        p2c1._replace(piece=RationalGF(zctx, p2c1.piece.numerator, generators)),
+        p2c1._replace(piece=gf_sum([p2c1.piece, correction])),
     ):
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(InternalInvariantError, match="^k4.P2C1: a generator is odd in b$"):
             assemble_case(spec)
-        with pytest.raises(InternalInvariantError):
-            realized_multiplicity(spec, (1, 0, 0, 1))
+        with pytest.raises(InternalInvariantError, match="^k4.P2C1: a generator is odd in b$"):
+            realized(spec)((1, 0, 0, 1))
+
+
+def test_a_parity_case_with_a_base_outside_its_class_is_an_invariant_error(monkeypatch):
+    """Such a base used to be dropped silently.  It is refused, naming the case,
+    by the case's assembly and by building its family's coverage."""
+    kaaa = list(case_catalog("kaaa"))
+    i = [spec.case_id for spec in kaaa].index("kaaa.P3C1")
+    piece = kaaa[i].piece
+    odd = _piece("kaaa", {**piece.numerator.terms, (2, 0, 0, 3, 1): 1}, piece.denominator)
+    kaaa[i] = kaaa[i]._replace(piece=odd)
+    refusal = "^kaaa.P3C1: a base is not even in b$"
+    with pytest.raises(InternalInvariantError, match=refusal):
+        assemble_case(kaaa[i])
+    monkeypatch.setattr(catalog, "case_catalog", lambda name: tuple(kaaa))
+    with pytest.raises(InternalInvariantError, match=refusal):
+        catalog._family_kernel.__wrapped__("kaaa")
+    with pytest.raises(InternalInvariantError, match=refusal):
+        assemble_theorem("kaaa")
 
 
 def test_a_piece_base_that_is_not_integer_is_refused_before_any_kernel_is_compiled(monkeypatch):
-    """A piece built around ``_piece`` may hold a base exponent of 1.5; as a
-    realization or as a correction it is a DomainError from ``_source``, and
-    no kernel source is ever run."""
+    """A piece built around ``_piece`` may hold a base exponent of 1.5; alone
+    or beside integer bases it is a DomainError from ``_source``, and no
+    kernel source is ever run."""
     compiled = []
     monkeypatch.setattr(catalog, "exec", lambda *args: compiled.append(args), raising=False)
     p1c1a = K4_HAND["k4.P1C1A"]
     zctx = FAMILIES["k4"].zctx
-    bad = RationalGF(zctx, LaurentPoly(zctx, {(1, 1.5, 0, 0): 1}), p1c1a.realization.generators)
-    for spec in (p1c1a._replace(realization=bad), p1c1a._replace(corrections=(bad,))):
+    generators = p1c1a.piece.denominator
+    bad = {(1, 1.5, 0, 0): 1}
+    for terms in (bad, {**p1c1a.piece.numerator.terms, **bad}):
+        spec = p1c1a._replace(piece=RationalGF(zctx, LaurentPoly(zctx, terms), generators))
         with pytest.raises(DomainError, match="kernel numbers"):
-            realized_multiplicity(spec, (1, 1, 1, 1))
+            realized(spec)((1, 1, 1, 1))
     assert compiled == []
 
 
@@ -949,16 +1019,16 @@ def test_case_series_match_statistics(family):
 
     The signed sum of marked monomials over region points of weight <= 4,
     with statistics from the closed forms, must equal the truncated case
-    series; this ties regions, realizations, and statistics together.
+    series; this ties regions, pieces, and statistics together.
     """
     fam = FAMILIES[family]
     bound = 4
     weights = dict.fromkeys(fam.size_names, 1)
     for spec in case_catalog(family):
         series = series_expand(assemble_case(spec), weights, bound)
-        expected = {}
+        covers, expected = realized(spec), {}
         for point in region_points(family, bound):
-            count = realized_multiplicity(spec, point)
+            count = covers(point)
             if count == 0:
                 continue
             area, bounce = fam.stats(*point)

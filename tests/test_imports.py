@@ -180,6 +180,63 @@ def test_the_root_imports_only_what_it_uses():
     assert unused_imports("__init__") == set()
 
 
+# the code that may name a package definition: the package, the benchmark and the demos
+USERS = (PACKAGE, PACKAGE.parents[1] / "bench", PACKAGE.parents[1] / "demos")
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree: ast.Module):
+    """``(label, name)`` of each top-level function and class of a module and
+    each method of its classes, protocol hooks (``__getattr__``, ``__eq__``) aside."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)) and not _dunder(node.name):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not _dunder(item.name):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def named_in(tree: ast.AST) -> set:
+    """Every name the code reads or writes, every attribute and every imported name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(part for name in (node.name, node.asname) if name for part in name.split("."))
+    return names
+
+
+def test_every_definition_is_named_outside_the_tests():
+    """A definition that no package, benchmark or demo code names, and that the
+    root does not export, is dead: only tests could reach it."""
+    trees = {path: ast.parse(path.read_text()) for folder in USERS for path in sorted(folder.rglob("*.py"))}
+    named = set().union(*map(named_in, trees.values()))
+    root = trees[PACKAGE / "__init__.py"]
+    exported = {
+        name
+        for node in ast.walk(root)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == EXPORT_TABLE for target in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+    dead = [
+        f"{path.stem}.{label}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for label, name in definitions(tree)
+        if name not in named and name not in exported
+    ]
+    assert dead == []
+
+
 def test_the_cli_holds_no_work_limit():
     # the path work limits and predictions live in oracles; the CLI only calls them
     tree = ast.parse((PACKAGE / "cli.py").read_text())

@@ -24,6 +24,7 @@ from qtcatalan.verify import TheoremReport
 
 XY = VariableContext(("x", "y"))
 KQT = VariableContext(("k", "q", "t"))
+KABC = VariableContext(("k", "a", "b", "c"))
 
 
 def _records():
@@ -41,10 +42,12 @@ def _records():
         (lambda: DiagonalForm((2, 3), ((1, 0), (0, 1)), ((1, 0), (0, 1))),
          "DiagonalForm(factors=(2, 3), left=((1, 0), (0, 1)), right=((1, 0), (0, 1)))"),
         (lambda: VariableContext(("x", "y")), "VariableContext(x, y)"),
-        (lambda: CaseSpec("c", "k4", (Constraint((("k", 1),), 0),), HalfOpenCone(1, (0,), ((1,),))),
+        (lambda: CaseSpec("c", "k4", (Constraint((("k", 1),), 0),),
+                          RationalGF(KABC, LaurentPoly(KABC, {(0, 0, 0, 0): -1}), [(1, 0, 2, 0)]),
+                          ("b", "even")),
          "CaseSpec(case_id='c', family='k4', region=(Constraint(coeffs=(('k', 1),), const=0),), "
-         "realization=HalfOpenCone(dim=1, apex=(Fraction(0, 1),), generators=((1,),), open_flags=(False,)), "
-         "parity=None, corrections=(), sign=1)"),
+         "piece=RationalGF(context=VariableContext(k, a, b, c), numerator=LaurentPoly(-1), "
+         "denominator=((1, 0, 2, 0),)), parity=('b', 'even'))"),
         (lambda: Constraint((("a", -2), ("k", 1)), 3), "Constraint(coeffs=(('a', -2), ('k', 1)), const=3)"),
         (lambda: symmetry_report((1, 2, 3, 1)),
          "SymmetryReport(subject=(1, 2, 3, 1), symmetric=False, witness=((3, 4), 1, 2))"),
@@ -109,12 +112,12 @@ def test_different_values_differ_and_only_plain_records_equal_their_tuples():
 
 def test_a_replaced_case_is_checked_again_and_keeps_no_cached_member():
     spec = case_catalog("k4")[0]
-    kernel, pieces = spec.membership_kernel, spec.pieces
-    flipped = spec._replace(sign=-spec.sign)
-    assert flipped.sign == -spec.sign and flipped.case_id == spec.case_id
-    assert flipped != spec and flipped._replace(sign=spec.sign) == spec
+    kernel, piece = spec.membership_kernel, spec.checked_piece
+    flipped = spec._replace(piece=-spec.piece)
+    assert flipped.piece == -spec.piece and flipped.case_id == spec.case_id
+    assert flipped != spec and flipped._replace(piece=spec.piece) == spec
     assert "membership_kernel" not in vars(flipped) and spec.membership_kernel is kernel
-    assert "pieces" not in vars(flipped) and spec.pieces is pieces
+    assert "checked_piece" not in vars(flipped) and spec.checked_piece is piece
     with pytest.raises(TypeError):
         spec._replace(colour="red")
 
