@@ -18,7 +18,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -128,44 +128,37 @@ class RationalGF(Frozen):
         return self + (-other) if isinstance(other, RationalGF) else NotImplemented
 
 
+def _lift(terms: Dict[Exponents, int], factors: Iterable[Exponents]) -> Dict[Exponents, int]:
+    """Multiply ``terms`` in place by each ``(1 - z^m)``, a shift by ``m`` subtracted; return them."""
+    for m in factors:
+        add_terms(terms, [(tuple(map(add, exps, m)), -coef) for exps, coef in terms.items()])
+    return terms
+
+
 def gf_sum(gfs: Iterable[RationalGF]) -> RationalGF:
     """Sum over the least common multiset of the denominators.
 
-    Each numerator is multiplied by the factors its denominator lacks, each
-    ``(1 - z^m)`` as a shift by ``m`` subtracted from the terms.  Numerators
-    that lack the same multiset are added up first, as one group.  Then one
-    factor at a time, the one lacking from the fewest groups (ties to the least
-    exponent tuple), multiplies each group that lacks it, and groups whose
-    remaining lack agrees merge: a factor many lack multiplies their sum once.
+    A running sum over the multiset ``common`` takes each GF in turn: the
+    running terms are lifted by the factors the GF's denominator has beyond
+    ``common``, a copy of the GF's numerator, lifted by the factors ``common``
+    has beyond its denominator, is added in, and ``common`` becomes the union
+    of the two multisets.
     """
     gfs = list(gfs)
     if len(gfs) == 1:  # a value is immutable, so the sum of one is the one
         return gfs[0]
     context = gfs[0].context
     common: Counter = Counter()
+    terms: Dict[Exponents, int] = {}
     for g in gfs:
         if g.context != context:
             raise UsageError("context mismatch between generating functions")
-        common |= Counter(g.denominator)
-    groups: Dict[Tuple[Exponents, ...], Dict[Exponents, int]] = {}
-    for g in gfs:
-        lack = tuple((common - Counter(g.denominator)).elements())  # equal lacks list common's order
-        add_terms(groups.setdefault(lack, {}), g.numerator.terms.items())
-    while any(groups):  # some group still lacks a factor
-        counts = Counter(chain.from_iterable(map(set, groups)))
-        _, m = min(zip(counts.values(), counts))
-        lifted: Dict[Tuple[Exponents, ...], Dict[Exponents, int]] = {}
-        for lack, part in groups.items():
-            if m in lack:
-                i = lack.index(m)
-                lack = lack[:i] + lack[i + 1:]
-                shifted = ((tuple(map(add, exps, m)), -coef) for exps, coef in part.items())
-                part = add_terms(dict(part), shifted)
-            if lifted.setdefault(lack, part) is not part:
-                add_terms(lifted[lack], part.items())
-        groups = lifted
+        own = Counter(g.denominator)
+        _lift(terms, (own - common).elements())
+        add_terms(terms, _lift(dict(g.numerator.terms), (common - own).elements()).items())
+        common |= own
     # the terms are the numerators' own, shifted by factors of their context, zeros dropped
-    return RationalGF(context, LaurentPoly._trusted(context, groups[()]), common.elements())
+    return RationalGF(context, LaurentPoly._trusted(context, terms), common.elements())
 
 
 def integer_point_transform(cone: HalfOpenCone, context: VariableContext) -> RationalGF:

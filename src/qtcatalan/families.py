@@ -14,7 +14,6 @@ path oracles in :mod:`.oracles` can read family data without the cones.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Dict, Iterable, NamedTuple, Tuple
 
@@ -31,8 +30,8 @@ class FamilyInfo(NamedTuple):
     out_ctx: VariableContext  # marking variables, then q and t
     theorem_ctx: VariableContext  # size variables, then q and t
     stats: Callable[..., Tuple[int, int]]  # (area, bounce) of a coordinate point
-    sizes: Callable[[int], Iterable[Point]]  # sizes of the members checked up to a bound
-    size_count: Callable[[int], int]  # how many of those sizes sum to at most the bound
+    sizes: Callable[[int], Iterable[Point]]  # sizes summing to at most the bound
+    size_count: Callable[[int], int]  # how many sizes(bound) yields
     kvector: Callable[[Point], Point]  # run lengths of the member with these sizes
     coords_of: Callable[[DyckPath], Point]  # coordinates of a member's path
 
@@ -180,7 +179,12 @@ FAMILIES: Dict[str, FamilyInfo] = {
         out_ctx=THREE_OUT,
         theorem_ctx=THREE_OUT,
         stats=stats_three,
-        sizes=lambda bound: itertools.product(range(1, bound + 1), repeat=3),
+        sizes=lambda bound: (
+            (k1, k2, k3)
+            for k1 in range(1, bound + 1)
+            for k2 in range(1, bound - k1 + 1)
+            for k3 in range(1, bound - k1 - k2 + 1)
+        ),
         size_count=lambda bound: math.comb(bound, 3),
         kvector=tuple,
         coords_of=lambda path: path.kvec.parts + path.ranks[1:],

@@ -82,10 +82,12 @@ def _require_same_context(a: "LaurentPoly", b: "LaurentPoly") -> None:
         raise UsageError(f"context mismatch: {a.context} vs {b.context}")
 
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Immutable Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = _fields = ("context", "terms")
+    context: VariableContext
+    terms: Dict[Exponents, int]
 
     def __init__(self, context: VariableContext, terms: Mapping[Exponents, int]):
         clean: Dict[Exponents, int] = {}
@@ -99,8 +101,7 @@ class LaurentPoly:
                 raise DomainError(f"coefficient must be an integer, got {coef!r}") from None
             if coef:
                 clean[tuple(exps)] = coef
-        self.context = context
-        self.terms = clean
+        self._set(context, clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -113,8 +114,7 @@ class LaurentPoly:
         not copied.
         """
         poly = object.__new__(cls)
-        poly.context = context
-        poly.terms = terms
+        poly._set(context, terms)
         return poly
 
     @classmethod

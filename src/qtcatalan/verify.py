@@ -57,7 +57,7 @@ def series_matches_paths(gf: RationalGF, name: str, bound: int) -> bool:
     fam = family(name)
     expansion = series_expand(gf, dict.fromkeys(fam.size_names, 1), bound)
     groups = expansion.group_terms(fam.size_names)
-    members = [sizes for sizes in fam.sizes(bound) if sum(sizes) <= bound]
+    members = list(fam.sizes(bound))
     legs = LegTable(fam.kvector(sizes) for sizes in members)
     for sizes in members:
         part = expansion.restrict(groups.get(sizes, ()))

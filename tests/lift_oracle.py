@@ -3,7 +3,8 @@ kept as a test oracle.
 
 Each numerator is multiplied by every factor its denominator lacks, one
 ``(1 - z^m)`` after another, and only then are the products added up.  The
-code is unchanged; the tests compare the grouped lift with it.
+code is unchanged; ``cones.gf_sum`` now folds each GF into one running sum,
+and the tests compare that fold with it.
 """
 
 from __future__ import annotations

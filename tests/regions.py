@@ -12,6 +12,12 @@ from qtcatalan.polynomial import LaurentPoly
 
 
 def region_points(family, bound):
+    """The family's region points up to ``bound``, written out by hand.
+
+    The bound caps each size for three (each of k1, k2, k3) and for k4 (k),
+    but the size sum k + m for kaaa; so three's points reach size sums of
+    three times the bound.
+    """
     if family == "three":
         for k1, k2, k3 in itertools.product(range(bound + 1), repeat=3):
             for r2 in range(k1 + 1):

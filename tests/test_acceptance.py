@@ -133,7 +133,7 @@ def test_criterion_06_parallelepiped_goldens():
 def test_criterion_07_bounce_agreement():
     with _Budget(10.0) as budget:
         ok = (
-            check_bounce_agreement("three", 4)
+            check_bounce_agreement("three", 12)
             and check_bounce_agreement("k4", 4)
             and check_bounce_agreement("kaaa", 4)
         )

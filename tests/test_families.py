@@ -25,7 +25,7 @@ def test_member_vectors_up_to_a_bound():
         fam = family(name)
         return [fam.kvector(sizes) for sizes in fam.sizes(bound)]
 
-    assert members("three", 3) == list(itertools.product(range(1, 4), repeat=3))
+    assert members("three", 3) == [(1, 1, 1)]
     assert members("k4", 3) == [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3)]
     assert members("kaaa", 3) == [
         (1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 3), (2, 2, 2, 2), (2, 3, 3, 3), (3, 3, 3, 3),
@@ -51,6 +51,15 @@ def test_size_count_is_the_number_of_sizes_within_the_bound(name):
     fam = family(name)
     for bound in range(0, 16):
         assert fam.size_count(bound) == sum(1 for s in fam.sizes(bound) if sum(s) <= bound), bound
+
+
+@pytest.mark.parametrize("name", ["three", "k4", "kaaa"])
+def test_sizes_are_exactly_those_summing_to_at_most_the_bound(name):
+    fam = family(name)
+    for bound in range(0, 16):
+        sizes = list(fam.sizes(bound))
+        assert len(sizes) == fam.size_count(bound), bound
+        assert all(sum(s) <= bound for s in sizes), bound
 
 
 def test_specialization_drops_only_the_marks():

@@ -1,7 +1,8 @@
 """The package's records behave as frozen values.
 
-Plain records are ``NamedTuple``s; validated value types, ``lattice.DiagonalForm``
-and ``polynomial.VariableContext`` among them, share ``errors.Frozen``.
+Plain records are ``NamedTuple``s; validated value types, ``lattice.DiagonalForm``,
+``polynomial.VariableContext`` and ``polynomial.LaurentPoly`` among them, share
+``errors.Frozen``.
 Each compares and hashes by its fields, keeps the repr text below, refuses
 assignment, and the validated ones refuse invalid input with the errors below.
 """
@@ -39,6 +40,7 @@ def _records():
          "open_flags=(True, False))"),
         (lambda: RationalGF(XY, LaurentPoly(XY, {(1, 0): 2}), [(0, 1)]),
          "RationalGF(context=VariableContext(x, y), numerator=LaurentPoly(2*x), denominator=((0, 1),))"),
+        (lambda: LaurentPoly(XY, {(1, 0): 2}), "LaurentPoly(2*x)"),
         (lambda: DiagonalForm((2, 3), ((1, 0), (0, 1)), ((1, 0), (0, 1))),
          "DiagonalForm(factors=(2, 3), left=((1, 0), (0, 1)), right=((1, 0), (0, 1)))"),
         (lambda: VariableContext(("x", "y")), "VariableContext(x, y)"),
