@@ -5,18 +5,26 @@ short run followed by three equal longer runs) comes with a fixed list of
 :class:`CaseSpec` entries.  A case's five fields record, as literal data:
 
 * ``case_id`` and ``family``,
-* the ``region`` of path coordinates it covers (its own integer inequalities,
-  then the family's base rows from ``families.UPPER_BOUNDS``) and an optional
-  ``parity`` test,
+* the ``region`` of path coordinates it covers, as integer rows
+  ``(const, coefficients)`` over the family's coordinates, each meaning
+  ``const + row . x >= 0``: the case's own rows, written by coordinate name
+  with ``_ge``, ``_gt`` and ``_eq``, before the family's base rows from
+  ``families.UPPER_BOUNDS``, which cannot tell one case from another, so
+  :func:`case_membership` mostly stops at a case's own rows; and an optional
+  ``parity`` test ``(coordinate index, residue mod 2)``,
 * its lattice points as one ``piece`` ``sum c z^b / prod (1 - z^v)``, a
   :class:`~.cones.RationalGF` in the family's coordinate variables: signed
   base points over a free generator set, the case's sign in the coefficients.
-  Under a parity test every generator is even in its coordinate and every base
-  in its class, or the case's first assembly or coverage raises.
+
+``CaseSpec.__init__`` checks a case once, when it is built: a known family,
+integer rows of the family's width, a parity test in range, a piece in the
+family's coordinate variables and, under a parity test, every generator even
+in its coordinate and every base in its class, so each point the piece covers
+passes the test.
 
 The four-equal-runs family k4 is the short-run family kaaa at m = 0, so its
 cases are derived: each kaaa case with a base at m = 0 gives one k4 case, its
-rows and its piece restricted to that face.
+rows and its piece restricted to that face by one slice that drops column m.
 
 Lattice points map to generating-function monomials pointwise, through the
 family's closed-form statistics.
@@ -26,16 +34,16 @@ which the verification layer compares against the transcribed product
 formulas from :func:`printed_theorem`.
 
 The partition checks :func:`signed_multiplicity` and :func:`case_membership`
-run compiled kernels: each family's coverage table, and each distinct dense
-region with its parity test, becomes one Python function of straight-line
-integer code, built once; cases with the same region share one membership
-kernel.  The source of such a function is safe to compile.  It is assembled
-only from literal templates in this module, the synthetic names
-``x0, x1, ...`` and ``v0, v1, ...``, and numbers, a base's row values among
-them, written with ``%d`` after one ``operator.index`` pass over each row or
-line of them (``_integers``, in ``_linear``, ``_source`` and
-``CaseSpec.membership_kernel``); ``_piece`` reads bases as ints.  No outside
-text reaches it: a point is the function's argument, which its first line
+run compiled kernels: each family's coverage table, and each distinct region
+with its parity test, becomes one Python function of straight-line integer
+code, built once; cases with the same region share one membership kernel.
+The source of such a function is safe to compile.  It is assembled only from
+literal templates in this module, the synthetic names ``x0, x1, ...`` and
+``v0, v1, ...``, and numbers, a base's row values among them, written with
+``%d`` after an ``operator.index`` pass over each row or line of them
+(``CaseSpec.__init__`` reads a case's rows and parity test as ints, ``_piece``
+its bases, and ``_integers`` in ``_linear`` and ``_source`` each line).  No
+outside text reaches it: a point is the function's argument, which its first line
 validates, ``x0, ..., xn, = map(index, point)``, with only ``map`` and
 ``operator.index`` in its namespace.  Both entry points call ``_run_kernel``:
 a tuple goes straight to the kernel, which reads it once; any other point, or
@@ -47,110 +55,88 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from operator import index, mul
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cones import RationalGF, gf_substitute, gf_sum
-from .errors import Frozen, InternalInvariantError, UsageError, _integers
-from .families import FAMILIES, UPPER_BOUNDS, FamilyInfo, Point, family
+from .errors import Frozen, InternalInvariantError, UsageError, _integer, _integers
+from .families import FAMILIES, UPPER_BOUNDS, FamilyInfo, Point, family as family_info
 from .lattice import diagonal_form
 from .polynomial import Exponents, LaurentPoly, add_terms
 
 
-class Constraint(NamedTuple):
-    """Integer inequality ``const + sum coeff * coordinate >= 0``."""
-
-    coeffs: Tuple[Tuple[str, int], ...]
-    const: int
+Row = Tuple[int, Point]  # (const, one coefficient per family coordinate): const + row . x >= 0
 
 
-def _ge(const=0, **coeffs) -> Constraint:
-    """``const + sum coeff * coordinate >= 0``, times the lcm of its denominators."""
-    if all(type(c) is int for c in (const, *coeffs.values())):  # the lcm is 1
-        return Constraint(tuple(sorted((name, c) for name, c in coeffs.items() if c)), const)
-    const = Fraction(const)
-    coeffs = {name: Fraction(c) for name, c in coeffs.items() if c}
-    scale = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
-    return Constraint(
-        tuple(sorted((name, int(c * scale)) for name, c in coeffs.items())), int(const * scale)
-    )
+def _ge(fam: str, /, const=0, **coeffs) -> Row:
+    """``const + sum coeff * coordinate >= 0`` as a row over the family's coordinates,
+    times the lcm of its denominators; a name that is not a coordinate is a UsageError."""
+    coords = family_info(fam).coords
+    if not all(type(c) is int for c in (const, *coeffs.values())):  # scale by the lcm
+        const, coeffs = Fraction(const), {name: Fraction(c) for name, c in coeffs.items()}
+        scale = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+        const, coeffs = int(const * scale), {name: int(c * scale) for name, c in coeffs.items()}
+    row = tuple(coeffs.pop(name, 0) for name in coords)
+    if coeffs:  # the names left are no coordinates
+        raise UsageError(f"{sorted(coeffs)} are not coordinates of {fam}")
+    return const, row
 
 
-def _gt(const=0, **coeffs) -> Constraint:
+def _gt(fam: str, /, const=0, **coeffs) -> Row:
     """``... > 0``: the scaled value is an integer on integer points, so ``>= 1``."""
-    ge = _ge(const, **coeffs)
-    return Constraint(ge.coeffs, ge.const - 1)
+    const, row = _ge(fam, const, **coeffs)
+    return const - 1, row
 
 
-def _eq(const=0, **coeffs) -> Tuple[Constraint, Constraint]:
+def _eq(fam: str, /, const=0, **coeffs) -> Tuple[Row, Row]:
     """``... == 0`` as the two opposite inequalities."""
-    return _ge(const, **coeffs), _ge(-const, **{name: -c for name, c in coeffs.items()})
+    return _ge(fam, const, **coeffs), _ge(fam, -const, **{name: -c for name, c in coeffs.items()})
 
 
 class CaseSpec(Frozen):
-    # no __slots__: the cached members below keep their values in the instance dict
+    """One case of a family's catalog, checked once when it is built (see the module docstring)."""
+
+    # no __slots__: membership_kernel keeps its value in the instance dict
     _fields = ("case_id", "family", "region", "piece", "parity")
 
-    def __init__(
-        self,
-        case_id: str,
-        family: str,
-        region: Tuple[Constraint, ...],
-        piece: RationalGF,
-        parity: Optional[Tuple[str, str]] = None,  # (coordinate, "even"|"odd")
-    ):
+    def __init__(self, case_id: str, family: str, region: Sequence[Row], piece: RationalGF,
+                 parity: Optional[Tuple[int, int]] = None):
+        fam = family_info(family)
+        width = len(fam.coords)
+        region = tuple(region)
+        if not all(isinstance(row, tuple) and len(row) == 2 for row in region):
+            raise UsageError(f"{case_id}: a region row is not a pair (const, coefficients)")
+        region = tuple((_integer(c, "region constants"), _integers(row, "region rows")) for c, row in region)
+        if any(len(row) != width for _, row in region):
+            raise UsageError(f"{case_id}: a region row does not have {width} coefficients")
+        if not isinstance(piece, RationalGF) or piece.context != fam.zctx:
+            raise UsageError(f"{case_id}: the piece is not in the variables {fam.zctx}")
+        if parity is not None:
+            parity = _integers(parity, "parity test")
+            if len(parity) != 2 or not 0 <= parity[0] < width or parity[1] not in (0, 1):
+                raise UsageError(f"{case_id}: parity test {parity} is not (coordinate index, 0 or 1)")
+            (coord, residue), name = parity, fam.coords[parity[0]]
+            if any(g[coord] % 2 for g in piece.denominator):
+                raise InternalInvariantError(f"{case_id}: a generator is odd in {name}")
+            if any(b[coord] % 2 != residue for b in piece.numerator.terms):
+                raise InternalInvariantError(f"{case_id}: a base is not {('even', 'odd')[residue]} in {name}")
         self._set(case_id, family, region, piece, parity)
-
-    @cached_property
-    def dense_region(self) -> Tuple[Tuple[int, Point], ...]:
-        """The region as ``(const, coefficient per family coordinate)`` rows.
-
-        The rows keep the region's order.  Each case lists its own rows before
-        its family's shared base rows, which cannot tell one case from another,
-        so :func:`case_membership` mostly stops at a case's own rows.
-        """
-        coords = FAMILIES[self.family].coords
-        return tuple(
-            (c.const, tuple(dict(c.coeffs).get(name, 0) for name in coords)) for c in self.region
-        )
-
-    @cached_property
-    def parity_test(self) -> Optional[Tuple[int, int]]:
-        """``(coordinate index, residue mod 2)`` of the parity constraint, if any."""
-        if self.parity is None:
-            return None
-        coord, parity = self.parity
-        return FAMILIES[self.family].coords.index(coord), int(parity == "odd")
 
     @cached_property
     def membership_kernel(self) -> Callable[..., bool]:
         """:func:`case_membership` as straight-line code, shared by every case
-        with the same family, dense rows and parity test."""
-        rows = tuple(_integers((const, *row), "kernel numbers") for const, row in self.dense_region)
-        return _membership_kernel(self.family, rows, self.parity_test)
-
-    @cached_property
-    def checked_piece(self) -> RationalGF:
-        """The piece, checked once for assembly and coverage alike: under a parity
-        test every generator is even in its coordinate and every base in its class,
-        so each point the piece covers passes the test.  Else it is a catalog bug."""
-        if self.parity is not None:
-            (coord, residue), (name, parity) = self.parity_test, self.parity
-            if any(g[coord] % 2 for g in self.piece.denominator):
-                raise InternalInvariantError(f"{self.case_id}: a generator is odd in {name}")
-            if any(b[coord] % 2 != residue for b in self.piece.numerator.terms):
-                raise InternalInvariantError(f"{self.case_id}: a base is not {parity} in {name}")
-        return self.piece
+        with the same family, rows and parity test."""
+        return _membership_kernel(self.family, self.region, self.parity)
 
 
-def _base(name: str) -> Tuple[Constraint, ...]:
+def _base(name: str) -> Tuple[Row, ...]:
     """The region's rows that a family's cases share: ``x >= 0``, then ``U - x >= 0`` if ``x <= U``."""
     rows = []
     for x in FAMILIES[name].coords:
-        rows.append(_ge(**{x: 1}))
+        rows.append(_ge(name, **{x: 1}))
         if x in UPPER_BOUNDS[name]:
-            rows.append(_ge(**UPPER_BOUNDS[name][x], **{x: -1}))
+            rows.append(_ge(name, **UPPER_BOUNDS[name][x], **{x: -1}))
     return tuple(rows)
 
 
@@ -175,37 +161,38 @@ _H = (0, 1, 0, 0, 1)
 
 def _three_cases() -> Tuple[CaseSpec, ...]:
     base = _base("three")
+    ge, gt, eq = (partial(f, "three") for f in (_ge, _gt, _eq))
     c3_gens = (_E1, _E3, _G, _S, _H)
     return (
         CaseSpec(
             case_id="three.C1",
             family="three",
-            region=(_ge(r2=1, k2=-1, r3=-1), _ge(r2=1, k2=-1)) + base,
+            region=(ge(r2=1, k2=-1, r3=-1), ge(r2=1, k2=-1)) + base,
             piece=_piece("three", {(0,) * 5: 1}, (_E1, _E3, _U, _S, _G)),
         ),
         CaseSpec(
             case_id="three.C2",
             family="three",
             # gap condition relative to r2, the smaller side here
-            region=(_ge(k2=1, r2=-1, r3=-1), _ge(k2=1, r2=-1)) + base,
+            region=(ge(k2=1, r2=-1, r3=-1), ge(k2=1, r2=-1)) + base,
             piece=_piece("three", {(0,) * 5: 1}, (_E1, _E2, _E3, _G, _H)),
         ),
         CaseSpec(
             case_id="three.C3A",
             family="three",
-            region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + base,
+            region=(gt(k2=1, r2=-1, r3=1), gt(r2=1, k2=-1, r3=1)) + base,
             piece=_piece("three", {(1, 1, 0, 1, 2): 1}, c3_gens),
         ),
         CaseSpec(
             case_id="three.C3B",
             family="three",
-            region=(_gt(k2=1, r2=-1, r3=1), _gt(r2=1, k2=-1, r3=1)) + base,
+            region=(gt(k2=1, r2=-1, r3=1), gt(r2=1, k2=-1, r3=1)) + base,
             piece=_piece("three", {(1, 1, 0, 1, 1): 1}, c3_gens),
         ),
         CaseSpec(
             case_id="three.overlap",
             family="three",
-            region=_eq(r2=1, k2=-1) + _eq(r3=1) + base,
+            region=eq(r2=1, k2=-1) + eq(r3=1) + base,
             piece=_piece("three", {(0,) * 5: -1}, (_E1, _E3, _G)),
         ),
     )
@@ -229,33 +216,35 @@ _W_MB = (0, 1, 0, 1, 0)
 _W_AB = (1, 0, 1, 1, 0)
 _W_MBC = (0, 1, 0, 1, 1)
 _W_ABC = (1, 0, 1, 1, 1)
+_B_EVEN, _B_ODD = (3, 0), (3, 1)  # parity tests on b, coordinate 3
 
 
 def _kaaa_cases() -> Tuple[CaseSpec, ...]:
     base = _base("kaaa")
-    in_band = (_gt(b=1), _ge(k=2, a=-2, b=-1))  # 0 < b <= 2(k - a)
-    above_band = _gt(b=1, k=-2, a=2)  # b > 2(k - a)
-    p1c1 = _eq(b=1) + _eq(c=1)
-    p1c2 = _eq(b=1) + (_gt(c=1), _ge(k=3, a=-3, c=-1))
-    p1c3 = _eq(b=1) + (_gt(c=1, k=-3, a=3),)
-    p2 = in_band + _eq(c=1)
-    p3c1 = in_band + (_gt(c=1), _ge(k=3, a=-3, b=Fraction(-3, 2), c=-1))
+    ge, gt, eq = (partial(f, "kaaa") for f in (_ge, _gt, _eq))
+    in_band = (gt(b=1), ge(k=2, a=-2, b=-1))  # 0 < b <= 2(k - a)
+    above_band = gt(b=1, k=-2, a=2)  # b > 2(k - a)
+    p1c1 = eq(b=1) + eq(c=1)
+    p1c2 = eq(b=1) + (gt(c=1), ge(k=3, a=-3, c=-1))
+    p1c3 = eq(b=1) + (gt(c=1, k=-3, a=3),)
+    p2 = in_band + eq(c=1)
+    p3c1 = in_band + (gt(c=1), ge(k=3, a=-3, b=Fraction(-3, 2), c=-1))
     p3c2 = in_band + (
-        _gt(c=1, k=-3, a=3, b=Fraction(3, 2)),
-        _ge(k=3, m=2, a=-1, b=Fraction(-3, 2), c=-1),
+        gt(c=1, k=-3, a=3, b=Fraction(3, 2)),
+        ge(k=3, m=2, a=-1, b=Fraction(-3, 2), c=-1),
     )
-    p3c3 = in_band + (_gt(c=1, k=-3, m=-2, a=1, b=Fraction(3, 2)),)
+    p3c3 = in_band + (gt(c=1, k=-3, m=-2, a=1, b=Fraction(3, 2)),)
     p4c1 = in_band + (
-        _ge(const=-1, c=1),
-        _ge(const=Fraction(-1, 2), k=3, a=-3, b=Fraction(-3, 2), c=-1),
+        ge(const=-1, c=1),
+        ge(const=Fraction(-1, 2), k=3, a=-3, b=Fraction(-3, 2), c=-1),
     )
     p4c2 = in_band + (
-        _gt(const=Fraction(1, 2), c=1, k=-3, a=3, b=Fraction(3, 2)),
-        _ge(const=Fraction(-1, 2), k=3, m=2, a=-1, b=Fraction(-3, 2), c=-1),
+        gt(const=Fraction(1, 2), c=1, k=-3, a=3, b=Fraction(3, 2)),
+        ge(const=Fraction(-1, 2), k=3, m=2, a=-1, b=Fraction(-3, 2), c=-1),
     )
-    p4c3 = in_band + (_gt(const=Fraction(1, 2), c=1, k=-3, m=-2, a=1, b=Fraction(3, 2)),)
-    p5c1 = (above_band, _ge(k=4, m=2, a=-2, b=-2, c=-1))
-    p5c2 = (above_band, _gt(c=1, k=-4, m=-2, a=2, b=2))
+    p4c3 = in_band + (gt(const=Fraction(1, 2), c=1, k=-3, m=-2, a=1, b=Fraction(3, 2)),)
+    p5c1 = (above_band, ge(k=4, m=2, a=-2, b=-2, c=-1))
+    p5c2 = (above_band, gt(c=1, k=-4, m=-2, a=2, b=2))
 
     entries = [
         ("kaaa.P1C1", p1c1, None, [(0, 0, 0, 0, 0)], [_W_KA, _W_M, _W_K]),
@@ -290,56 +279,56 @@ def _kaaa_cases() -> Tuple[CaseSpec, ...]:
         (
             "kaaa.P3C1",
             p3c1,
-            ("b", "even"),
+            _B_EVEN,
             [(2, 0, 0, 2, 1), (2, 0, 0, 2, 2), (2, 0, 0, 2, 3)],
             [_W_M, _W_B2, _W_KA, _W_C3, _W_K],
         ),
         (
             "kaaa.P3C2a",
             p3c2,
-            ("b", "even"),
+            _B_EVEN,
             [(1, 1, 0, 2, 1), (1, 1, 0, 2, 2)],
             [_W_M, _W_MC2, _W_C3, _W_B2, _W_KA],
         ),
         (
             "kaaa.P3C2b",
             p3c2,
-            ("b", "even"),
+            _B_EVEN,
             [(2, 0, 1, 2, 1), (2, 0, 1, 2, 2)],
             [_W_MC2, _W_C3, _W_B2, _W_KA, _W_AC2],
         ),
         (
             "kaaa.P3C3",
             p3c3,
-            ("b", "even"),
+            _B_EVEN,
             [(1, 0, 0, 2, 1)],
             [_W_C3, _W_MC2, _W_AC2, _W_B2, _W_B2C],
         ),
         (
             "kaaa.P4C1",
             p4c1,
-            ("b", "odd"),
+            _B_ODD,
             [(1, 0, 0, 1, 1), (2, 0, 0, 1, 2), (2, 0, 0, 1, 3)],
             [_W_M, _W_B2, _W_KA, _W_C3, _W_K],
         ),
         (
             "kaaa.P4C2a",
             p4c2,
-            ("b", "odd"),
+            _B_ODD,
             [(1, 1, 0, 1, 2), (1, 1, 0, 1, 3)],
             [_W_C3, _W_B2, _W_MC2, _W_KA, _W_M],
         ),
         (
             "kaaa.P4C2b",
             p4c2,
-            ("b", "odd"),
+            _B_ODD,
             [(2, 0, 1, 1, 2), (2, 0, 1, 1, 3)],
             [_W_C3, _W_B2, _W_MC2, _W_KA, _W_AC2],
         ),
         (
             "kaaa.P4C3",
             p4c3,
-            ("b", "odd"),
+            _B_ODD,
             [(1, 0, 0, 1, 2)],
             [_W_C3, _W_MC2, _W_AC2, _W_B2, _W_B2C],
         ),
@@ -424,19 +413,21 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
     and the kaaa base rows at m = 0 are k4's (``families.UPPER_BOUNDS``).
     """
     shared, base = len(_base("kaaa")), _base("k4")
+    m = 1  # the column that kaaa's (k, m, a, b, c) has and k4's (k, a, b, c) lacks
+    cut = lambda v: v[:m] + v[m + 1:]  # one slice for rows, bases and generators
     cases = []
     for spec in case_catalog("kaaa"):
         piece = spec.piece
-        if any(v[1] < 0 for v in (*piece.numerator.terms, *piece.denominator)):
+        if any(v[m] < 0 for v in (*piece.numerator.terms, *piece.denominator)):
             raise InternalInvariantError(f"{spec.case_id}: a base or generator has m < 0")
-        bases = {v[:1] + v[2:]: coef for v, coef in piece.numerator.terms.items() if v[1] == 0}
+        bases = {cut(v): coef for v, coef in piece.numerator.terms.items() if v[m] == 0}
         if not bases:
             continue
-        rows = tuple(Constraint(tuple(p for p in row.coeffs if p[0] != "m"), row.const)
-                     for row in spec.region[:-shared])
-        face = _piece("k4", bases, tuple(g[:1] + g[2:] for g in piece.denominator if g[1] == 0))
+        rows = tuple((const, cut(row)) for const, row in spec.region[:-shared])
+        face = _piece("k4", bases, tuple(cut(g) for g in piece.denominator if g[m] == 0))
+        parity = spec.parity and (spec.parity[0] - (spec.parity[0] > m), spec.parity[1])
         cases.append(spec._replace(case_id="k4" + spec.case_id[4:], family="k4",
-                                   region=rows + base, piece=face))
+                                   region=rows + base, piece=face, parity=parity))
     return tuple(cases)
 
 
@@ -446,7 +437,7 @@ _CASES = {"three": _three_cases, "k4": _k4_cases, "kaaa": _kaaa_cases}
 @lru_cache(maxsize=None)
 def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
     """The fixed, ordered case list of a family."""
-    return _CASES[family(name).name]()
+    return _CASES[family_info(name).name]()
 
 
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
@@ -482,7 +473,7 @@ def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
 
 def assemble_case(spec: CaseSpec) -> RationalGF:
     """Signed generating function of one case, in the family's marked output variables."""
-    return _pointwise_map(spec.checked_piece, FAMILIES[spec.family])
+    return _pointwise_map(spec.piece, FAMILIES[spec.family])
 
 
 def assemble_theorem(name: str) -> RationalGF:
@@ -491,7 +482,7 @@ def assemble_theorem(name: str) -> RationalGF:
     The substitution is a ring homomorphism, so each case is specialized
     first and the cases are added over one common denominator.
     """
-    fam = family(name)
+    fam = family_info(name)
     images = fam.specialize
     return gf_sum(gf_substitute(assemble_case(spec), fam.theorem_ctx, images) for spec in case_catalog(name))
 
@@ -556,7 +547,7 @@ _FORMULAS = {
 @lru_cache(maxsize=None)
 def printed_theorem(name: str) -> RationalGF:
     """The closed product form that the family's assembled series must equal."""
-    ctx = family(name).theorem_ctx
+    ctx = family_info(name).theorem_ctx
     groups, denominator = _FORMULAS[name]
     numerator = sum(
         (sign * LaurentPoly.parse(ctx, stem) * LaurentPoly.parse(ctx, body)
@@ -601,7 +592,7 @@ def _coverage(specs: Iterable[CaseSpec]) -> Coverage:
         return tuple((rows.setdefault(row, len(rows)), sum(map(mul, row, base))) for row in matrix)
 
     for spec in specs:
-        piece = spec.checked_piece
+        piece = spec.piece
         generators = piece.denominator
         form = diagonal_form(generators)
         if form.rank != len(generators):
@@ -658,19 +649,20 @@ def _linear(row: Sequence[int], const: int = 0) -> str:
 
 
 @lru_cache(maxsize=None)
-def _row_test(row: Point) -> str:
-    """``row . x >= -const`` for a row ``(const, *coefficients)``."""
-    return _linear(row[1:]) + _source(" >= %d", (-row[0],))
+def _row_test(row: Row) -> str:
+    """``row . x >= -const`` for a row ``(const, coefficients)``."""
+    const, coeffs = row
+    return _linear(coeffs) + _source(" >= %d", (-const,))
 
 
 @lru_cache(maxsize=None)
 def _membership_kernel(
-    family: str, rows: Tuple[Point, ...], parity_test: Optional[Tuple[int, int]]
+    family: str, rows: Tuple[Row, ...], parity: Optional[Tuple[int, int]]
 ) -> Callable[..., bool]:
-    """One ``and`` chain over checked dense rows, ending in the parity test."""
+    """One ``and`` chain over a case's rows, ending in its parity test."""
     tests = [_row_test(row) for row in rows]
-    if parity_test is not None:
-        tests.append(_source("x%d %% 2 == %d", parity_test))
+    if parity is not None:
+        tests.append(_source("x%d %% 2 == %d", parity))
     return _kernel(family, [], " and ".join(tests) or "True")
 
 

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import defaultdict
 from operator import add, mul
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
 
-from .errors import DomainError, Frozen, UsageError, _integer
+from .errors import Frozen, UsageError, _integer, _integers
 
 Exponents = Tuple[int, ...]
+
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")  # a variable name, as the parser reads it
 
 
 class VariableContext(Frozen):
@@ -28,6 +31,8 @@ class VariableContext(Frozen):
         names = tuple(names)
         if not names:
             raise UsageError("variable context needs at least one name")
+        if not all(isinstance(name, str) and _NAME.fullmatch(name) for name in names):
+            raise UsageError(f"variable names must be a letter, then letters and digits: {names}")
         if len(set(names)) != len(names):
             raise UsageError(f"duplicate variable names in {names}")
         self._set(names)
@@ -93,14 +98,12 @@ class LaurentPoly(Frozen):
         clean: Dict[Exponents, int] = {}
         width = len(context)
         for exps, coef in terms.items():
+            exps = _integers(exps, "exponents")
             if len(exps) != width:
                 raise UsageError(f"exponent vector {exps} has wrong length for {context}")
-            try:
-                coef = operator.index(coef)
-            except TypeError:
-                raise DomainError(f"coefficient must be an integer, got {coef!r}") from None
+            coef = _integer(coef, "coefficient")
             if coef:
-                clean[tuple(exps)] = coef
+                clean[exps] = coef
         self._set(context, clean)
 
     # -- constructors ------------------------------------------------------
@@ -130,15 +133,19 @@ class LaurentPoly(Frozen):
         return cls(context, {tuple(exps): coef})
 
     # -- ring structure ----------------------------------------------------
+    #
+    # Sums, negations and products of checked terms pass the constructor's
+    # checks, so they are built trusted; a product by an int may make zero
+    # coefficients, so it goes through the checks.
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         _require_same_context(self, other)
-        return LaurentPoly(self.context, add_terms(dict(self.terms), other.terms.items()))
+        return LaurentPoly._trusted(self.context, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.context, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.context, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other) if isinstance(other, LaurentPoly) else NotImplemented
@@ -154,7 +161,7 @@ class LaurentPoly(Frozen):
             for e1, c1 in self.terms.items()
             for e2, c2 in other.terms.items()
         )
-        return LaurentPoly(self.context, add_terms({}, products))
+        return LaurentPoly._trusted(self.context, add_terms({}, products))
 
     __rmul__ = __mul__  # reached only by an int or a foreign operand
 
@@ -173,21 +180,14 @@ class LaurentPoly(Frozen):
 
     # -- queries -----------------------------------------------------------
 
-    def group_terms(self, names: Sequence[str]) -> Dict[Exponents, List[Exponents]]:
-        """The exponent tuples of the terms, keyed by their exponents of `names`.
-
-        One pass over the terms; the groups hold the polynomial's own tuples,
-        so :meth:`restrict` can rebuild any one group when it is needed.
-        """
+    def group_terms(self, names: Sequence[str]) -> Dict[Exponents, "LaurentPoly"]:
+        """The polynomial split by its exponents of `names`: each key's part is
+        the sum of the terms with those exponents, all built in one pass."""
         key = _picker([self.context.index(name) for name in names])
-        groups: Dict[Exponents, List[Exponents]] = {}
-        for exps in self.terms:
-            groups.setdefault(key(exps), []).append(exps)
-        return groups
-
-    def restrict(self, keys: Iterable[Exponents]) -> "LaurentPoly":
-        """The sum of this polynomial's terms at the given exponent tuples."""
-        return LaurentPoly._trusted(self.context, {exps: self.terms[exps] for exps in keys})
+        groups: Dict[Exponents, Dict[Exponents, int]] = defaultdict(dict)
+        for exps, coef in self.terms.items():
+            groups[key(exps)][exps] = coef
+        return {k: LaurentPoly._trusted(self.context, terms) for k, terms in groups.items()}
 
     def extract_coefficient(
         self, assignment: Mapping[str, int], target: VariableContext
@@ -255,7 +255,7 @@ class LaurentPoly(Frozen):
 
     # -- parsing -------------------------------------------------------------
 
-    _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
+    _FACTOR_RE = re.compile(rf"^({_NAME.pattern})(?:\^(-?\d+))?$")
 
     @classmethod
     def parse(cls, context: VariableContext, text: str) -> "LaurentPoly":

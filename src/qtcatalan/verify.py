@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .families import family
 from .oracles import check_verify_work, refined_catalan
 from .paths import LegTable
-from .polynomial import QT_CONTEXT, qt_images
+from .polynomial import QT_CONTEXT, LaurentPoly, qt_images
 
 if TYPE_CHECKING:
     from .cones import RationalGF
@@ -56,11 +56,11 @@ def series_matches_paths(gf: RationalGF, name: str, bound: int) -> bool:
 
     fam = family(name)
     expansion = series_expand(gf, dict.fromkeys(fam.size_names, 1), bound)
-    groups = expansion.group_terms(fam.size_names)
+    groups, zero = expansion.group_terms(fam.size_names), LaurentPoly.zero(expansion.context)
     members = list(fam.sizes(bound))
     legs = LegTable(fam.kvector(sizes) for sizes in members)
     for sizes in members:
-        part = expansion.restrict(groups.get(sizes, ()))
+        part = groups.get(sizes, zero)
         coefficient = part.extract_coefficient(dict(zip(fam.size_names, sizes)), QT_CONTEXT)
         if coefficient != refined_catalan(fam.kvector(sizes), legs):
             return False

@@ -1,16 +1,25 @@
 """The constraint builders of ``catalog`` as they were before their integer
 fast path, kept as a test oracle: every input goes through ``Fraction``.
 
-The code is unchanged; the tests compare the fast path with it.
+The three functions are unchanged and make named constraints, as the catalog
+once stored them; :func:`densified` gives each the catalog's signature, family
+first and dense rows out, so the tests can compare the fast path with it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
-from qtcatalan.catalog import Constraint
+from qtcatalan.families import FAMILIES
+
+
+class Constraint(NamedTuple):
+    """Integer inequality ``const + sum coeff * coordinate >= 0``."""
+
+    coeffs: Tuple[Tuple[str, int], ...]
+    const: int
 
 
 def _ge(const=0, **coeffs) -> Constraint:
@@ -32,3 +41,18 @@ def _gt(const=0, **coeffs) -> Constraint:
 def _eq(const=0, **coeffs) -> Tuple[Constraint, Constraint]:
     """``... == 0`` as the two opposite inequalities."""
     return _ge(const, **coeffs), _ge(-const, **{name: -c for name, c in coeffs.items()})
+
+
+def dense(family: str, built):
+    """A constraint, or a tuple of them, as rows ``(const, coefficient per coordinate)``."""
+    if isinstance(built, Constraint):
+        coeffs = dict(built.coeffs)
+        return built.const, tuple(coeffs.get(name, 0) for name in FAMILIES[family].coords)
+    return tuple(dense(family, c) for c in built)
+
+
+def densified(name: str):
+    """The function ``name`` (``"_ge"``, ``"_gt"`` or ``"_eq"``) with the catalog's
+    signature: the family first, dense rows out."""
+    build = globals()[name]
+    return lambda family, /, *args, **coeffs: dense(family, build(*args, **coeffs))

@@ -13,11 +13,13 @@ formula and covers the same points as the derived one.
 """
 
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Tuple
 
 from qtcatalan.catalog import CaseSpec, _base, _ge, _gt, _piece
 from qtcatalan.cones import HalfOpenCone, RationalGF, gf_sum, integer_point_transform
 from qtcatalan.families import FAMILIES
+from qtcatalan.polynomial import LaurentPoly
 
 # three: coordinates (k1, k2, k3, r2, r3)
 _E1 = (1, 0, 0, 0, 0)
@@ -38,8 +40,11 @@ _V6 = (1, 0, 2, 1)
 _V7 = (1, 0, 0, 3)
 _V8 = (1, 1, 0, 2)
 
-_K4_PART1 = _ge(b=1, k=-2, a=2)  # b >= 2k - 2a
-_K4_PART23 = _gt(k=2, a=-2, b=-1)  # b < 2k - 2a
+ge, gt = partial(_ge, "k4"), partial(_gt, "k4")  # rows over k4's coordinates
+_B_EVEN, _B_ODD = (2, 0), (2, 1)  # parity tests on b, coordinate 2
+
+_K4_PART1 = ge(b=1, k=-2, a=2)  # b >= 2k - 2a
+_K4_PART23 = gt(k=2, a=-2, b=-1)  # b < 2k - 2a
 _HALF = Fraction(1, 2)
 
 CONES = {
@@ -63,7 +68,7 @@ CONES = {
 
 
 def _case(
-    case_id: str, region: tuple, parity: Optional[Tuple[str, str]] = None,
+    case_id: str, region: tuple, parity: Optional[Tuple[int, int]] = None,
     correction: Optional[RationalGF] = None,
 ) -> CaseSpec:
     """The hand k4 case: its cone's integer-point transform, with the bases
@@ -71,47 +76,47 @@ def _case(
     zctx = FAMILIES["k4"].zctx
     piece = integer_point_transform(CONES[case_id], zctx)
     if parity is not None:
-        coord, residue = FAMILIES["k4"].coords.index(parity[0]), parity[1] == "odd"
-        kept = (b for b in piece.numerator.terms if b[coord] % 2 == residue)
-        piece = RationalGF(zctx, piece.numerator.restrict(kept), piece.denominator)
+        coord, residue = parity
+        kept = {b: c for b, c in piece.numerator.terms.items() if b[coord] % 2 == residue}
+        piece = RationalGF(zctx, LaurentPoly(zctx, kept), piece.denominator)
     if correction is not None:
         piece = gf_sum([piece, correction])
     return CaseSpec(case_id, "k4", region + _base("k4"), piece, parity)
 
 
 CASES = (
-    _case("k4.P1C1A", (_K4_PART1, _ge(c=1, k=-4, a=2, b=2))),
-    _case("k4.P1C1B", (_K4_PART1, _ge(c=1, k=-4, a=2, b=2))),
-    _case("k4.P1C2", (_K4_PART1, _gt(k=4, a=-2, b=-2, c=-1))),
-    _case("k4.P2C1", (_K4_PART23, _ge(c=1, k=-3, a=1, b=Fraction(3, 2))), ("b", "even")),
+    _case("k4.P1C1A", (_K4_PART1, ge(c=1, k=-4, a=2, b=2))),
+    _case("k4.P1C1B", (_K4_PART1, ge(c=1, k=-4, a=2, b=2))),
+    _case("k4.P1C2", (_K4_PART1, gt(k=4, a=-2, b=-2, c=-1))),
+    _case("k4.P2C1", (_K4_PART23, ge(c=1, k=-3, a=1, b=Fraction(3, 2))), _B_EVEN),
     _case(
         "k4.P2C2",
         (
             _K4_PART23,
-            _ge(c=1, k=-3, a=3, b=Fraction(3, 2)),
-            _gt(k=3, a=-1, b=Fraction(-3, 2), c=-1),
+            ge(c=1, k=-3, a=3, b=Fraction(3, 2)),
+            gt(k=3, a=-1, b=Fraction(-3, 2), c=-1),
         ),
-        ("b", "even"),
+        _B_EVEN,
     ),
-    _case("k4.P2C3", (_K4_PART23, _gt(k=3, a=-3, b=Fraction(-3, 2), c=-1)), ("b", "even")),
+    _case("k4.P2C3", (_K4_PART23, gt(k=3, a=-3, b=Fraction(-3, 2), c=-1)), _B_EVEN),
     _case(
         "k4.P3C1",
-        (_K4_PART23, _ge(const=_HALF, c=1, k=-3, a=1, b=Fraction(3, 2))),
-        ("b", "odd"),
+        (_K4_PART23, ge(const=_HALF, c=1, k=-3, a=1, b=Fraction(3, 2))),
+        _B_ODD,
         _piece("k4", {(0, 0, -1, 1): -1}, (_V7, _V8)),
     ),
     _case(
         "k4.P3C2",
         (
             _K4_PART23,
-            _ge(const=_HALF, c=1, k=-3, a=3, b=Fraction(3, 2)),
-            _gt(const=-_HALF, k=3, a=-1, b=Fraction(-3, 2), c=-1),
+            ge(const=_HALF, c=1, k=-3, a=3, b=Fraction(3, 2)),
+            gt(const=-_HALF, k=3, a=-1, b=Fraction(-3, 2), c=-1),
         ),
-        ("b", "odd"),
+        _B_ODD,
     ),
     _case(
         "k4.P3C3",
-        (_K4_PART23, _gt(const=-_HALF, k=3, a=-3, b=Fraction(-3, 2), c=-1)),
-        ("b", "odd"),
+        (_K4_PART23, gt(const=-_HALF, k=3, a=-3, b=Fraction(-3, 2), c=-1)),
+        _B_ODD,
     ),
 )

@@ -8,11 +8,10 @@ a ``(bases, generators)`` pair of this file's own, read off a case's piece as
 the numerator's terms and the denominator; otherwise the code is unchanged.
 The tests compare the package's integer versions with them.  ``minor_gcd`` is an
 independent index and rank check by cofactor expansion.  ``case_membership``
-evaluates each region constraint by coordinate name, as the package did
-before it kept each case's region as dense rows.  ``_multiplicity`` is the
-interpreter that read a coverage table row by row before the table was
-compiled into straight-line code; it is a second reference beside the
-per-base solve.
+evaluates each region row by a plain sum, not through a compiled kernel.
+``_multiplicity`` is the interpreter that read a coverage table row by row
+before the table was compiled into straight-line code; it is a second
+reference beside the per-base solve.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from qtcatalan.catalog import CaseSpec, Coverage, case_catalog
 from qtcatalan.cones import HalfOpenCone, RationalGF
 from qtcatalan.errors import InternalInvariantError
-from qtcatalan.families import FAMILIES
 from qtcatalan.lattice import DiagonalForm, diagonal_form
 
 Vector = Tuple[int, ...]
@@ -132,15 +130,14 @@ def _parity_holds(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point meets the case's parity constraint, if it has one."""
     if spec.parity is None:
         return True
-    coord, parity = spec.parity
-    return point[FAMILIES[spec.family].coords.index(coord)] % 2 == (parity == "odd")
+    coord, residue = spec.parity
+    return point[coord] % 2 == residue
 
 
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point satisfies the case's region and parity constraints."""
-    values = dict(zip(FAMILIES[spec.family].coords, point))
     return all(
-        c.const + sum(coef * values[name] for name, coef in c.coeffs) >= 0 for c in spec.region
+        const + sum(c * x for c, x in zip(row, point)) >= 0 for const, row in spec.region
     ) and _parity_holds(spec, point)
 
 

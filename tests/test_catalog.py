@@ -31,7 +31,6 @@ from regions import region_gf, region_points
 from qtcatalan import catalog
 from qtcatalan.catalog import (
     CaseSpec,
-    Constraint,
     _coordinates,
     _coverage,
     _coverage_kernel,
@@ -304,6 +303,11 @@ def test_the_kaaa_region_at_m_0_is_the_k4_region():
     assert at_zero == UPPER_BOUNDS["k4"]
 
 
+def _named_parity(spec):
+    """The case's parity test with its coordinate by name."""
+    return spec.parity and (FAMILIES[spec.family].coords[spec.parity[0]], spec.parity[1])
+
+
 def test_each_k4_case_is_its_kaaa_case_at_m_0():
     """At every point of [-1, 3]^4, outside the region too, a k4 case's
     membership and coverage are its kaaa case's at the point with m = 0, and
@@ -314,7 +318,8 @@ def test_each_k4_case_is_its_kaaa_case_at_m_0():
         covers = realized(kaaa)
         if spec is not None:
             face = [coef for base, coef in kaaa.piece.numerator.terms.items() if base[1] == 0]
-            assert (sorted(spec.piece.numerator.terms.values()), spec.parity) == (sorted(face), kaaa.parity)
+            assert sorted(spec.piece.numerator.terms.values()) == sorted(face)
+            assert _named_parity(spec) == _named_parity(kaaa), kaaa.case_id
             face_covers = realized(spec)
         for k, a, b, c in itertools.product(range(-1, 4), repeat=4):
             lifted = (k, 0, a, b, c)
@@ -329,8 +334,8 @@ def test_each_k4_case_is_its_kaaa_case_at_m_0():
 
 def test_the_derived_k4_pieces_sum_to_the_hand_catalog_s():
     """In coordinate space, signed case by case, before any statistics."""
-    derived = gf_sum(map(_case_gf, case_catalog("k4")))
-    assert gf_equals(derived, gf_sum(map(_case_gf, k4_cones.CASES)))
+    derived = gf_sum(spec.piece for spec in case_catalog("k4"))
+    assert gf_equals(derived, gf_sum(spec.piece for spec in k4_cones.CASES))
 
 
 def test_the_hand_k4_catalog_assembles_to_the_printed_formula():
@@ -497,11 +502,11 @@ def test_scaled_constraints_agree_with_rational_evaluation(coeffs, const, point,
         const -= sum(Fraction(c) * x for c, x in zip(coeffs, point))
     named = dict(zip(K4_COORDS, coeffs))
     value = Fraction(const) + sum(Fraction(c) * x for c, x in zip(coeffs, point))
-    for built in (_ge(const, **named), _gt(const, **named), *_eq(const, **named)):
-        assert type(built.const) is int and all(type(c) is int for _, c in built.coeffs)
-    assert _holds([_ge(const, **named)], point) == (value >= 0)
-    assert _holds([_gt(const, **named)], point) == (value > 0)
-    assert _holds(_eq(const, **named), point) == (value == 0)
+    for built in (_ge("k4", const, **named), _gt("k4", const, **named), *_eq("k4", const, **named)):
+        assert type(built[0]) is int and all(type(c) is int for c in built[1])
+    assert _holds([_ge("k4", const, **named)], point) == (value >= 0)
+    assert _holds([_gt("k4", const, **named)], point) == (value > 0)
+    assert _holds(_eq("k4", const, **named), point) == (value == 0)
 
 
 SCALARS = RATIONALS | st.booleans() | st.integers(-(10**20), 10**20)
@@ -512,9 +517,9 @@ SCALARS = RATIONALS | st.booleans() | st.integers(-(10**20), 10**20)
 def test_integer_constraints_are_the_fraction_constraints(const, coeffs):
     """The int fast path of ``_ge``, ``_gt`` and ``_eq`` builds exactly what
     the Fraction-only builders build, down to the types of the numbers."""
-    for built, oracle in ((_ge, constraint_oracle._ge), (_gt, constraint_oracle._gt)):
-        assert repr(built(const, **coeffs)) == repr(oracle(const, **coeffs))
-    assert repr(_eq(const, **coeffs)) == repr(constraint_oracle._eq(const, **coeffs))
+    for built, name in ((_ge, "_ge"), (_gt, "_gt"), (_eq, "_eq")):
+        oracle = constraint_oracle.densified(name)
+        assert repr(built("k4", const, **coeffs)) == repr(oracle("k4", const, **coeffs))
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
@@ -526,7 +531,7 @@ def test_every_catalog_constraint_is_the_fraction_constraint(monkeypatch, family
     monkeypatch.setattr(catalog, "case_catalog", lambda name: catalog._CASES[name]())
 
     def checked(name):
-        built, oracle = getattr(catalog, name), getattr(constraint_oracle, name)
+        built, oracle = getattr(catalog, name), constraint_oracle.densified(name)
 
         def build(*args, **kwargs):
             calls.append(name)
@@ -542,10 +547,10 @@ def test_every_catalog_constraint_is_the_fraction_constraint(monkeypatch, family
         assert catalog._CASES[family]() == case_catalog(family)
     assert calls
     for name in ("_ge", "_gt", "_eq"):
-        monkeypatch.setattr(catalog, name, getattr(constraint_oracle, name))
+        monkeypatch.setattr(catalog, name, constraint_oracle.densified(name))
     assert catalog._CASES[family]() == case_catalog(family)
-    assert k4_cones._K4_PART1 == constraint_oracle._ge(b=1, k=-2, a=2)
-    assert k4_cones._K4_PART23 == constraint_oracle._gt(k=2, a=-2, b=-1)
+    assert k4_cones._K4_PART1 == constraint_oracle.dense("k4", constraint_oracle._ge(b=1, k=-2, a=2))
+    assert k4_cones._K4_PART23 == constraint_oracle.dense("k4", constraint_oracle._gt(k=2, a=-2, b=-1))
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
@@ -553,12 +558,6 @@ def test_partition_property(family):
     for point in region_points(family, 3):
         assert signed_multiplicity(family, point) == 1, point
         assert any(case_membership(s, point) for s in case_catalog(family)), point
-
-
-def _case_gf(spec):
-    """The case's signed piece in the coordinate variables, once it is checked
-    against the case's parity test."""
-    return spec.checked_piece
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
@@ -581,19 +580,18 @@ def test_the_cases_partition_the_whole_region_exactly(family):
     # every point of the region, not only the small ones: the signed sum of
     # the pieces is the region's own generating function, which the pieces
     # do not read
-    assert gf_equals(gf_sum(map(_case_gf, case_catalog(family))), region_gf(family))
+    assert gf_equals(gf_sum(spec.piece for spec in case_catalog(family)), region_gf(family))
 
 
 def _mutants(cases):
-    """``(name, cases)`` with one case dropped, its sign flipped or its parity flipped."""
-    flip = {"even": "odd", "odd": "even"}
+    """``(name, i, changes)``: case ``i`` dropped (no changes), its sign flipped
+    or its parity flipped."""
     for i, spec in enumerate(cases):
-        mutated = [("dropped", ()), ("sign flipped", (spec._replace(piece=-spec.piece),))]
+        yield f"{spec.case_id} dropped", i, None
+        yield f"{spec.case_id} sign flipped", i, {"piece": -spec.piece}
         if spec.parity is not None:
-            coord, parity = spec.parity
-            mutated.append(("parity flipped", (spec._replace(parity=(coord, flip[parity])),)))
-        for change, replaced in mutated:
-            yield f"{spec.case_id} {change}", [*cases[:i], *replaced, *cases[i + 1:]]
+            coord, residue = spec.parity
+            yield f"{spec.case_id} parity flipped", i, {"parity": (coord, 1 - residue)}
 
 
 @pytest.mark.parametrize(
@@ -602,20 +600,20 @@ def _mutants(cases):
 def test_every_mutated_catalog_breaks_the_partition(family, count):
     cases = k4_cones.CASES if family == "k4_cones" else case_catalog(family)
     region = region_gf(cases[0].family)
-    gfs = {spec: _case_gf(spec) for spec in cases}
     mutants = list(_mutants(cases))
     assert len(mutants) == count
     survivors, refused = [], []
-    for name, cases in mutants:
+    for name, i, changes in mutants:
         try:
-            total = gf_sum(gfs[s] if s in gfs else _case_gf(s) for s in cases)
+            replaced = () if changes is None else (cases[i]._replace(**changes),)
         except InternalInvariantError:  # its bases are all outside the flipped class
             refused.append(name)
             continue
+        total = gf_sum(spec.piece for spec in [*cases[:i], *replaced, *cases[i + 1:]])
         if gf_equals(total, region):
             survivors.append(name)
     assert survivors == []
-    assert refused == [name for name, _ in mutants if name.endswith("parity flipped")]
+    assert refused == [name for name, _, _ in mutants if name.endswith("parity flipped")]
 
 
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
@@ -629,13 +627,13 @@ def test_realized_points_stay_in_region(family):
 
 @pytest.mark.parametrize("family, regions", [("three", 4), ("k4", 12), ("kaaa", 12)])
 def test_each_region_is_covered_once_by_the_cases_that_share_it(family, regions):
-    """The cases that share a dense region and parity test cover each small
+    """The cases that share a region and parity test cover each small
     point of the family's region once, with one sign, if the point is in their
     region, and not at all if it is not: each case's own rows match its piece.
     The sign is -1 for the three-run overlap alone."""
     shared = {}
     for spec in case_catalog(family):
-        shared.setdefault((spec.dense_region, spec.parity_test), []).append(spec)
+        shared.setdefault((spec.region, spec.parity), []).append(spec)
     assert len(shared) == regions
     wrong = []
     for cases in shared.values():
@@ -655,8 +653,8 @@ def _family_table(family):
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
 def test_coverage_agrees_with_the_per_base_solve(family):
     """Every point of [-1, 3]^n, outside the region too, against the oracle
-    and the table interpreter; case membership against the named evaluation
-    of each constraint."""
+    and the table interpreter; case membership against the plain sum of each
+    row."""
     specs = [(spec, realized(spec)) for spec in case_catalog(family)]
     table = _family_table(family)
     for point in itertools.product(range(-1, 4), repeat=len(FAMILIES[family].coords)):
@@ -757,11 +755,11 @@ def test_every_kernel_is_compiled_from_the_module_s_alphabet(monkeypatch, family
         kernels.append(_coverage_kernel(_coverage([spec]), family))
         memberships.setdefault(spec.membership_kernel, []).append(spec)
     kernels += memberships
-    regions = {"three": 4, "k4": 12, "kaaa": 12}[family]  # distinct (dense_region, parity_test)
+    regions = {"three": 4, "k4": 12, "kaaa": 12}[family]  # distinct (region, parity)
     assert len(memberships) == regions
     assert len(sources) == len(kernels) == 1 + len(cases) + regions
     for a, b in itertools.combinations(cases, 2):
-        same_region = (a.dense_region, a.parity_test) == (b.dense_region, b.parity_test)
+        same_region = (a.region, a.parity) == (b.region, b.parity)
         assert (a.membership_kernel is b.membership_kernel) == same_region, (a.case_id, b.case_id)
     for kernel in kernels:
         assert kernel.__globals__ == {"__builtins__": {}, "map": map, "index": operator.index}
@@ -802,9 +800,56 @@ def test_lattice_piece_refuses_non_integers(bases, generators):
 
 
 def test_a_region_row_that_is_not_integer_is_a_domain_error():
-    spec = CaseSpec("drawn", "k4", (Constraint((("a", 0.5),), 0),), _piece("k4", {}, ()))
     with pytest.raises(DomainError):
-        case_membership(spec, (1, 1, 1, 1))
+        CaseSpec("drawn", "k4", ((0, (0, 0.5, 0, 0)),), _piece("k4", {}, ()))
+
+
+K4_PIECE = _piece("k4", {(0, 0, 0, 0): 1}, ((1, 0, 2, 0),))
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        pytest.param(lambda: _ge("k4", const=-5, kk=1), UsageError, "['kk'] are not coordinates of k4",
+                     id="row naming no coordinate"),
+        pytest.param(lambda: _gt("k4", m=1), UsageError, "['m'] are not coordinates of k4",
+                     id="row naming m in k4"),
+        pytest.param(lambda: _eq("k4", b=1, zz=2), UsageError, "['zz'] are not coordinates of k4",
+                     id="equation naming no coordinate"),
+        pytest.param(lambda: _ge("nope", b=1), UsageError,
+                     "unknown family 'nope'; expected one of three, k4, kaaa", id="row of no family"),
+        pytest.param(lambda: CaseSpec("c", "k4", (), K4_PIECE, (2, "Odd")), DomainError,
+                     "parity test must be a sequence of integers, got (2, 'Odd')", id="residue 'Odd'"),
+        pytest.param(lambda: CaseSpec("c", "k4", (), K4_PIECE, (2, 2)), UsageError,
+                     "c: parity test (2, 2) is not (coordinate index, 0 or 1)", id="residue 2"),
+        pytest.param(lambda: CaseSpec("c", "k4", (), K4_PIECE, ("zz", 1)), DomainError,
+                     "parity test must be a sequence of integers, got ('zz', 1)", id="parity on 'zz'"),
+        pytest.param(lambda: CaseSpec("c", "k4", (), K4_PIECE, (4, 1)), UsageError,
+                     "c: parity test (4, 1) is not (coordinate index, 0 or 1)", id="parity index 4"),
+        pytest.param(lambda: CaseSpec("c", "nope", (), K4_PIECE), UsageError,
+                     "unknown family 'nope'; expected one of three, k4, kaaa", id="case of no family"),
+        pytest.param(lambda: CaseSpec("c", "kaaa", (), K4_PIECE), UsageError,
+                     "c: the piece is not in the variables VariableContext(k, m, a, b, c)",
+                     id="k4 piece in a kaaa case"),
+        pytest.param(lambda: CaseSpec("c", "k4", ((0, (1, 0, 0, 0, 0)),), K4_PIECE), UsageError,
+                     "c: a region row does not have 4 coefficients", id="row of the wrong width"),
+        pytest.param(lambda: CaseSpec("c", "k4", (5,), K4_PIECE), UsageError,
+                     "c: a region row is not a pair (const, coefficients)", id="row that is no pair"),
+        pytest.param(lambda: CaseSpec("c", "k4", ((0, 5),), K4_PIECE), DomainError,
+                     "region rows must be a sequence of integers, got 5", id="row of no coefficients"),
+        pytest.param(lambda: CaseSpec("c", "k4", ((0.5, (1, 0, 0, 0)),), K4_PIECE), DomainError,
+                     "region constants must be an integer, got 0.5", id="row constant 0.5"),
+    ],
+)
+def test_a_case_is_refused_when_it_is_built(make, error, message):
+    """A row naming no coordinate of its family (k4 has no m), a parity test
+    that is not an index and a residue of 0 or 1, an unknown family and a piece
+    in another family's variables are each the package's own error, raised
+    when the literal or the case is written and not at its first use."""
+    with pytest.raises(Exception) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 class K4Point(NamedTuple):
@@ -916,14 +961,14 @@ def brute_piece_count(piece):
     return counts
 
 
-PARITIES = st.none() | st.tuples(st.sampled_from(K4_COORDS), st.sampled_from(("even", "odd")))
+PARITIES = st.none() | st.tuples(st.integers(0, len(K4_COORDS) - 1), st.integers(0, 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(lattice_pieces(), PARITIES)
 @example(_piece("k4", {(0, 0, 0, 0): 1}, ((1, 0, 0, 0), (2, 0, 0, 0))), None)
 @example(_piece("k4", {(-2, 0, 1, 0): 1}, ((1, 2, 0, 0), (1, 0, 2, 0))), None)
-@example(_piece("k4", {(-2, 0, 0, 0): 1, (-2, 0, 1, 0): -1}, ((1, 0, 1, 0),)), ("b", "odd"))
+@example(_piece("k4", {(-2, 0, 0, 0): 1, (-2, 0, 1, 0): -1}, ((1, 0, 1, 0),)), (2, 1))
 def test_realized_multiplicity_counts_drawn_pieces(piece, parity):
     """With a drawn parity, the parity coordinate of every generator is doubled
     first, so that the rule's precondition holds, and the case keeps the bases
@@ -932,7 +977,7 @@ def test_realized_multiplicity_counts_drawn_pieces(piece, parity):
     compiled kernel and the table interpreter both give it."""
     counted = piece
     if parity is not None:
-        coord, residue = K4_COORDS.index(parity[0]), parity[1] == "odd"
+        coord, residue = parity
         counted = _piece("k4", piece.numerator.terms, tuple(
             g[:coord] + (2 * g[coord],) + g[coord + 1:] for g in piece.denominator
         ))
@@ -940,7 +985,7 @@ def test_realized_multiplicity_counts_drawn_pieces(piece, parity):
         piece = _piece("k4", kept, counted.denominator)
         if kept != counted.numerator.terms:
             with pytest.raises(InternalInvariantError, match="^drawn: a base is not"):
-                _coverage([CaseSpec("drawn", "k4", (), counted, parity)])
+                CaseSpec("drawn", "k4", (), counted, parity)
     spec = CaseSpec("drawn", "k4", (), piece, parity)
     if minor_gcd(piece.denominator) == 0:
         with pytest.raises(InternalInvariantError):
@@ -964,38 +1009,30 @@ def test_a_parity_case_with_an_odd_generator_is_an_invariant_error():
     zctx = FAMILIES["k4"].zctx
     generators = (odd_in_b,) + p2c1.piece.denominator[1:]
     correction = _piece("k4", {(0, 0, 0, 1): -1}, (odd_in_b,))
-    for spec in (
-        p2c1._replace(piece=RationalGF(zctx, p2c1.piece.numerator, generators)),
-        p2c1._replace(piece=gf_sum([p2c1.piece, correction])),
-    ):
+    for piece in (RationalGF(zctx, p2c1.piece.numerator, generators), gf_sum([p2c1.piece, correction])):
         with pytest.raises(InternalInvariantError, match="^k4.P2C1: a generator is odd in b$"):
-            assemble_case(spec)
+            p2c1._replace(piece=piece)
         with pytest.raises(InternalInvariantError, match="^k4.P2C1: a generator is odd in b$"):
-            realized(spec)((1, 0, 0, 1))
+            CaseSpec(p2c1.case_id, "k4", p2c1.region, piece, p2c1.parity)
 
 
-def test_a_parity_case_with_a_base_outside_its_class_is_an_invariant_error(monkeypatch):
+def test_a_parity_case_with_a_base_outside_its_class_is_an_invariant_error():
     """Such a base used to be dropped silently.  It is refused, naming the case,
-    by the case's assembly and by building its family's coverage."""
-    kaaa = list(case_catalog("kaaa"))
-    i = [spec.case_id for spec in kaaa].index("kaaa.P3C1")
-    piece = kaaa[i].piece
+    when the case is built, so no assembly or coverage ever reads it."""
+    spec = by_id("kaaa")["kaaa.P3C1"]
+    piece = spec.piece
     odd = _piece("kaaa", {**piece.numerator.terms, (2, 0, 0, 3, 1): 1}, piece.denominator)
-    kaaa[i] = kaaa[i]._replace(piece=odd)
     refusal = "^kaaa.P3C1: a base is not even in b$"
     with pytest.raises(InternalInvariantError, match=refusal):
-        assemble_case(kaaa[i])
-    monkeypatch.setattr(catalog, "case_catalog", lambda name: tuple(kaaa))
+        spec._replace(piece=odd)
     with pytest.raises(InternalInvariantError, match=refusal):
-        catalog._family_kernel.__wrapped__("kaaa")
-    with pytest.raises(InternalInvariantError, match=refusal):
-        assemble_theorem("kaaa")
+        CaseSpec(spec.case_id, "kaaa", spec.region, odd, spec.parity)
 
 
 def test_a_piece_base_that_is_not_integer_is_refused_before_any_kernel_is_compiled(monkeypatch):
-    """A piece built around ``_piece`` may hold a base exponent of 1.5; alone
-    or beside integer bases it is a DomainError from ``_source``, and no
-    kernel source is ever run."""
+    """``LaurentPoly`` refuses a base exponent of 1.5.  A piece built around
+    both it and ``_piece`` may hold one; alone or beside integer bases it is a
+    DomainError from ``_source``, and no kernel source is ever run."""
     compiled = []
     monkeypatch.setattr(catalog, "exec", lambda *args: compiled.append(args), raising=False)
     p1c1a = K4_HAND["k4.P1C1A"]
@@ -1003,7 +1040,10 @@ def test_a_piece_base_that_is_not_integer_is_refused_before_any_kernel_is_compil
     generators = p1c1a.piece.denominator
     bad = {(1, 1.5, 0, 0): 1}
     for terms in (bad, {**p1c1a.piece.numerator.terms, **bad}):
-        spec = p1c1a._replace(piece=RationalGF(zctx, LaurentPoly(zctx, terms), generators))
+        with pytest.raises(DomainError, match="exponents"):
+            LaurentPoly(zctx, terms)
+        numerator = LaurentPoly._trusted(zctx, terms)
+        spec = p1c1a._replace(piece=RationalGF(zctx, numerator, generators))
         with pytest.raises(DomainError, match="kernel numbers"):
             realized(spec)((1, 1, 1, 1))
     assert compiled == []

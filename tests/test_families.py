@@ -34,7 +34,7 @@ def test_member_vectors_up_to_a_bound():
 
 def test_series_cases_are_the_members_of_total_size_at_most_the_bound():
     fam = family("three")
-    cases = [s for s in fam.sizes(5) if sum(s) <= 5]
+    cases = list(fam.sizes(5))
     assert cases == [
         (k1, k2, k3)
         for k1 in range(1, 6)
@@ -50,7 +50,7 @@ def test_series_cases_are_the_members_of_total_size_at_most_the_bound():
 def test_size_count_is_the_number_of_sizes_within_the_bound(name):
     fam = family(name)
     for bound in range(0, 16):
-        assert fam.size_count(bound) == sum(1 for s in fam.sizes(bound) if sum(s) <= bound), bound
+        assert fam.size_count(bound) == sum(1 for _ in fam.sizes(bound)), bound
 
 
 @pytest.mark.parametrize("name", ["three", "k4", "kaaa"])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,26 @@ def test_coefficients_and_exponents_refuse_non_integers(entry):
         QT.monomial(q=entry)
 
 
+@pytest.mark.parametrize("exps", [(0.5, 0), ("a", 1), (Fraction(1, 2), 1), None, 1])
+def test_exponents_refuse_non_integers(exps):
+    """An exponent that is not an integer used to be kept (``q^0.5``) or to
+    fail later with a bare TypeError."""
+    with pytest.raises(DomainError, match="^exponents must be a sequence of integers"):
+        LaurentPoly(QT, {exps: 1})
+
+
+def test_exponents_are_read_as_ints():
+    poly = LaurentPoly(QT, {(True, 1): 1})
+    assert [type(e) for exps in poly.terms for e in exps] == [int, int]
+    assert poly == P("q*t") and str(poly + P("1")) == "1 + q*t"
+
+
+@pytest.mark.parametrize("names", [[1, 2], ["q", 0.5], ["q", "x y"], ["2q"], ["q^2"], [""], ["é"]])
+def test_variable_names_are_names_the_parser_reads(names):
+    with pytest.raises(UsageError, match="^variable names must be a letter, then letters and digits"):
+        VariableContext(names)
+
+
 V5 = VariableContext(("a", "b", "c", "d", "e"))
 
 
@@ -254,12 +275,12 @@ def test_group_terms_matches_the_full_scan(poly, names):
     target = VariableContext(name for name in V5.names if name not in names)
     groups = poly.group_terms(names)
 
-    members = [exps for keys in groups.values() for exps in keys]
-    assert sorted(members) == sorted(poly.terms)
-    for key, keys in groups.items():
-        assert all(tuple(exps[pos] for pos in positions) == key for exps in keys)
+    members = [item for part in groups.values() for item in part.terms.items()]
+    assert sorted(members) == sorted(poly.terms.items())
+    for key, part in groups.items():
+        assert part and all(tuple(exps[pos] for pos in positions) == key for exps in part.terms)
         assignment = dict(zip(names, key))
-        assert poly.restrict(keys).extract_coefficient(assignment, target) == (
+        assert part.extract_coefficient(assignment, target) == (
             poly.extract_coefficient(assignment, target)
         )
 
@@ -274,19 +295,25 @@ def checked(poly: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(poly.context, poly.terms)
 
 
-# restrict, extract_coefficient and refined_catalan build their results
+# group_terms, extract_coefficient and refined_catalan build their results
 # without the constructor's checks; each must be what the checks would pass
 @settings(max_examples=100, deadline=None)
 @given(laurent_polys(V5), grouped_names)
 def test_trusted_restrictions_and_coefficients_pass_the_checks(poly, names):
     target = VariableContext(name for name in V5.names if name not in names)
-    for key, keys in poly.group_terms(names).items():
-        part = poly.restrict(keys)
+    for key, part in poly.group_terms(names).items():
         assert part == checked(part)
         coefficient = part.extract_coefficient(dict(zip(names, key)), target)
         assert coefficient == checked(coefficient)
     whole = poly.extract_coefficient({}, V5)
     assert whole == checked(whole) == poly
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys(V5), laurent_polys(V5))
+def test_trusted_sums_negations_and_products_pass_the_checks(p, q):
+    for result in (p + q, -p, p - q, p * q, p - p, p * 0):
+        assert result == checked(result)
 
 
 @settings(max_examples=100, deadline=None)

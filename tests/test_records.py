@@ -8,14 +8,19 @@ assignment, and the validated ones refuse invalid input with the errors below.
 """
 
 import copy
+import importlib
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtcatalan.catalog import CaseSpec, Constraint, case_catalog
+import qtcatalan
+from qtcatalan.catalog import CaseSpec, _piece, case_catalog
 from qtcatalan.cones import HalfOpenCone, RationalGF
-from qtcatalan.errors import DomainError, UsageError
+from qtcatalan.errors import DomainError, Frozen, InternalInvariantError, UsageError
 from qtcatalan.families import FamilyInfo
 from qtcatalan.lattice import DiagonalForm, diagonal_form
 from qtcatalan.oracles import symmetry_report
@@ -44,13 +49,12 @@ def _records():
         (lambda: DiagonalForm((2, 3), ((1, 0), (0, 1)), ((1, 0), (0, 1))),
          "DiagonalForm(factors=(2, 3), left=((1, 0), (0, 1)), right=((1, 0), (0, 1)))"),
         (lambda: VariableContext(("x", "y")), "VariableContext(x, y)"),
-        (lambda: CaseSpec("c", "k4", (Constraint((("k", 1),), 0),),
+        (lambda: CaseSpec("c", "k4", ((0, (1, 0, 0, 0)),),
                           RationalGF(KABC, LaurentPoly(KABC, {(0, 0, 0, 0): -1}), [(1, 0, 2, 0)]),
-                          ("b", "even")),
-         "CaseSpec(case_id='c', family='k4', region=(Constraint(coeffs=(('k', 1),), const=0),), "
+                          (2, 0)),
+         "CaseSpec(case_id='c', family='k4', region=((0, (1, 0, 0, 0)),), "
          "piece=RationalGF(context=VariableContext(k, a, b, c), numerator=LaurentPoly(-1), "
-         "denominator=((1, 0, 2, 0),)), parity=('b', 'even'))"),
-        (lambda: Constraint((("a", -2), ("k", 1)), 3), "Constraint(coeffs=(('a', -2), ('k', 1)), const=3)"),
+         "denominator=((1, 0, 2, 0),)), parity=(2, 0))"),
         (lambda: symmetry_report((1, 2, 3, 1)),
          "SymmetryReport(subject=(1, 2, 3, 1), symmetric=False, witness=((3, 4), 1, 2))"),
         (lambda: TheoremReport("three", 3, True, True, False),
@@ -106,20 +110,34 @@ def test_different_values_differ_and_only_plain_records_equal_their_tuples():
     assert DyckPath((1, 2), (0, 0)) != DyckPath((1, 2), (0, 1))
     # a named tuple is a tuple; a value type equals no other type
     assert TheoremReport("three", 3, True, True, False) == ("three", 3, True, True, False)
-    assert Constraint((("k", 1),), 0) == ((("k", 1),), 0)
     assert KVector((1, 2)) != (1, 2) and KVector((1, 2)) != ((1, 2),)
     form = diagonal_form(((2, 0), (0, 3)))
     assert form != (form.factors, form.left, form.right)
 
 
+def test_every_frozen_value_class_has_a_record():
+    """So that no value class skips the equality, repr, assignment and pickle tests."""
+    for path in Path(qtcatalan.__file__).parent.glob("*.py"):
+        importlib.import_module(f"qtcatalan.{path.stem}" if path.stem != "__init__" else "qtcatalan")
+    classes, todo = set(), [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("qtcatalan."):
+                classes.add(cls)
+                todo.append(cls)
+    assert len(classes) >= 8  # the search sees at least the eight value classes of today
+    assert classes <= {type(make()) for make, _ in RECORDS}
+
+
 def test_a_replaced_case_is_checked_again_and_keeps_no_cached_member():
     spec = case_catalog("k4")[0]
-    kernel, piece = spec.membership_kernel, spec.checked_piece
+    kernel = spec.membership_kernel
     flipped = spec._replace(piece=-spec.piece)
     assert flipped.piece == -spec.piece and flipped.case_id == spec.case_id
     assert flipped != spec and flipped._replace(piece=spec.piece) == spec
     assert "membership_kernel" not in vars(flipped) and spec.membership_kernel is kernel
-    assert "checked_piece" not in vars(flipped) and spec.checked_piece is piece
+    with pytest.raises(UsageError):
+        spec._replace(family="kaaa")
     with pytest.raises(TypeError):
         spec._replace(colour="red")
 
@@ -175,3 +193,65 @@ def test_value_types_refuse_invalid_input_as_before(make, error, message):
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+WRONG = (0.5, Fraction(1, 2), "1", "b", None)  # each is no integer
+
+
+def _spoil(values, i, value):
+    return (*values[:i], value, *values[i + 1:])
+
+
+@st.composite
+def spoiled_values(draw):
+    """``(constructor, arguments)``: valid arguments of a validated value type
+    with one number or name replaced by a wrong one, or one row or exponent
+    vector of the wrong width."""
+    kind = draw(st.sampled_from(["context", "poly", "case"]))
+    if kind == "context":
+        names = ("q", "t", "x1")
+        wrong = draw(st.sampled_from((0.5, Fraction(1, 2), 1, None, "x y", "1x", "", "q^2", "é")))
+        return VariableContext, (_spoil(names, draw(st.integers(0, 2)), wrong),)
+    if kind == "poly":
+        exps, coef = draw(st.tuples(*[st.integers(-3, 3)] * 3)), draw(st.integers(1, 5))
+        where = draw(st.sampled_from(["exponent", "coefficient", "width"]))
+        if where == "exponent":
+            exps = _spoil(exps, draw(st.integers(0, 2)), draw(st.sampled_from(WRONG)))
+        elif where == "coefficient":
+            coef = draw(st.sampled_from(WRONG))
+        else:
+            exps = exps[:-1] if draw(st.booleans()) else (*exps, 0)
+        return LaurentPoly, (KQT, {(0, 0, 0): 1, exps: coef})
+    region = [draw(st.tuples(st.integers(-3, 3), st.tuples(*[st.integers(-3, 3)] * 4))) for _ in range(2)]
+    args = ["c", "k4", region, _piece("k4", {(0, 0, 0, 0): -1}, [(1, 0, 2, 0)]), (2, 0)]
+    where = draw(st.sampled_from(["family", "const", "coefficient", "width", "parity", "piece"]))
+    i = draw(st.integers(0, 1))
+    if where == "family":
+        args[1] = draw(st.sampled_from((*WRONG, "nope", "K4")))
+    elif where == "const":
+        region[i] = (draw(st.sampled_from(WRONG)), region[i][1])
+    elif where == "coefficient":
+        region[i] = (region[i][0], _spoil(region[i][1], draw(st.integers(0, 3)), draw(st.sampled_from(WRONG))))
+    elif where == "width":
+        coeffs = region[i][1]
+        region[i] = (region[i][0], coeffs[:-1] if draw(st.booleans()) else (*coeffs, 0))
+    elif where == "parity":
+        out_of_range = (-1, 4) if i == 0 else (-1, 2)  # a coordinate index, then a residue
+        args[4] = _spoil(args[4], i, draw(st.sampled_from((*WRONG, *out_of_range))))
+    else:
+        args[3] = draw(st.sampled_from((
+            _piece("kaaa", {(0,) * 5: 1}, [(1, 0, 0, 0, 0)]),  # another family's variables
+            _piece("k4", {(0, 0, 1, 0): 1}, [(1, 0, 2, 0)]),  # a base odd in b
+            _piece("k4", {(0, 0, 0, 0): 1}, [(1, 0, 1, 0)]),  # a generator odd in b
+            LaurentPoly(KABC, {(0, 0, 0, 0): 1}),  # no generating function
+        )))
+    return CaseSpec, tuple(args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spoiled_values())
+def test_a_wrong_number_or_name_is_refused_with_the_package_s_errors(drawn):
+    """Any other exception fails the test, and so does building the value."""
+    make, args = drawn
+    with pytest.raises((UsageError, DomainError, InternalInvariantError)):
+        make(*args)
