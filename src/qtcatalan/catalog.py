@@ -97,8 +97,9 @@ def _eq(fam: str, /, const=0, **coeffs) -> Tuple[Row, Row]:
 class CaseSpec(Frozen):
     """One case of a family's catalog, checked once when it is built (see the module docstring)."""
 
-    # no __slots__: membership_kernel keeps its value in the instance dict
+    # membership_kernel keeps its value in the instance dict
     _fields = ("case_id", "family", "region", "piece", "parity")
+    __slots__ = _fields + ("__dict__",)
 
     def __init__(self, case_id: str, family: str, region: Sequence[Row], piece: RationalGF,
                  parity: Optional[Tuple[int, int]] = None):

@@ -10,7 +10,7 @@ leaf module holds so that the path route needs nothing else.
 """
 
 import operator
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 
 class UsageError(ValueError):
@@ -50,16 +50,24 @@ def _integers(values: Sequence[int], what: str) -> Tuple[int, ...]:
 
 
 class Frozen:
-    """An immutable value: ``__init__`` sets the fields named in ``_fields`` through
-    :meth:`_set`, and equality, hash and repr read them in order."""
+    """An immutable value: ``__init__`` sets the fields named in ``_fields``, each a
+    slot, through :meth:`_set`, and equality, hash and repr read them in order."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
+    _setters: Tuple[Callable[[object, object], None], ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # each field's slot setter, found once, past the refusing __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def _set(self, *values: object) -> None:
         """Set the fields to ``values`` in ``_fields`` order, past the refusing ``__setattr__``."""
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
+        if len(values) != len(self._setters):
+            raise ValueError(f"{type(self).__name__} has {len(self._setters)} fields, got {len(values)} values")
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

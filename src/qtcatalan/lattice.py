@@ -52,8 +52,9 @@ class DiagonalForm(Frozen):
     """``left @ V @ right = diag(factors)`` with unimodular ``left`` and ``right``;
     a frozen value of those three, whose ``inverse`` is cached in its dict."""
 
-    # no __slots__: the cached inverse keeps its value in the instance dict
+    # the cached inverse keeps its value in the instance dict
     _fields = ("factors", "left", "right")
+    __slots__ = _fields + ("__dict__",)
 
     def __init__(self, factors: Vector, left: Matrix, right: Matrix):
         self._set(factors, left, right)

@@ -16,8 +16,11 @@ for the bounce so far, so the legs' absolute index is not part of the state.
 Both look each leg up in a :class:`LegTable` before running it: the legs
 depend only on the runs they climb past and the state they start from, so
 the vectors of one command share one table, which drops a segment's legs
-after the last vector that holds it.  The test suite checks the routes
-against each other exhaustively on small inputs.
+after the last vector that holds it.  The table keeps the states after a
+prefix of runs in the same way, for the vectors of the same length that
+share it; the last run moves no weight, so it only checks each state's end.
+The test suite checks the routes against each other exhaustively on small
+inputs.
 """
 
 from __future__ import annotations
@@ -205,17 +208,12 @@ def _check_end(parts: Sequence[int], gap: int, filled: int) -> None:
 
 # (gap, active, expiring, steps): the state after the legs and how many ran
 _Leg = Tuple[int, int, _Expiring, int]
-
-
-def _segments(parts: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    """Each nonempty ``parts[filled:run + 1]`` that legs after run ``run`` may climb past."""
-    for run in range(len(parts)):
-        for filled in range(run + 1):
-            yield parts[filled:run + 1]
+# (rank, gap, filled, active, expiring) -> {potential * span + area: count}
+_Layer = Dict[tuple, Dict[int, int]]
 
 
 class LegTable:
-    """The bounce legs of one command's vectors, each distinct leg run once.
+    """The bounce legs and layers of one command's vectors, each distinct one run once.
 
     The legs that :func:`_legs` runs after run ``run`` depend only on the
     segment ``parts[filled:run + 1]`` they climb past and on ``(gap, active,
@@ -231,30 +229,68 @@ class LegTable:
     :func:`_legs`.  A kept leg whose ``steps`` pass a vector's limit raises
     for that vector, as :func:`_legs` would have.
 
+    The layer of :func:`area_bounce_counts` after runs ``parts[:j]`` depends
+    only on that prefix, on ``m``, which the potential charges, and on the
+    span of its weights, the table's ``span`` (its vectors' largest).  So it
+    is kept under ``(m, span, prefix)`` with the most steps that one move's
+    legs ran after each run, which raise past a later vector's limit as a
+    kept leg does.  A kept layer is never changed.
+
     A command makes one table for the vectors it will count and passes it to
     every count.  :meth:`release` marks one vector done, and a segment's legs
-    are dropped once no vector still to count holds it, so vectors that
-    share nothing keep about one vector's legs at a time.  A table lives
-    only as long as the command that made it.
+    and a prefix's layer are dropped once no vector still to count holds
+    them, so vectors that share nothing keep about one vector's legs at a
+    time.  A table lives only as long as the command that made it.
     """
 
     def __init__(self, vectors: Iterable[Sequence[int]] = ()):
+        vectors = [tuple(parts) for parts in vectors]
+        self.span = max((sum(parts) * len(parts) + 1 for parts in vectors), default=0)
         # segment -> {(active, expiring): {gap: leg}}
         self._legs: Dict[Tuple[int, ...], Dict[Tuple[int, _Expiring], Dict[int, _Leg]]] = {}
-        # segment -> its (vector, run) uses by the vectors not yet released
-        self._uses: Dict[Tuple[int, ...], int] = {}
+        # (m, span, prefix) -> (the layer after it, the most steps of each run's legs)
+        self._layers: Dict[tuple, Tuple[_Layer, Tuple[int, ...]]] = {}
+        # segment or layer key -> its uses by the vectors not yet released
+        self._uses: Dict[tuple, int] = {}
         for parts in vectors:
-            for segment in _segments(tuple(parts)):
-                self._uses[segment] = self._uses.get(segment, 0) + 1
+            for key in self._keys(parts):
+                self._uses[key] = self._uses.get(key, 0) + 1
+
+    def _keys(self, parts: Tuple[int, ...]) -> Iterator[tuple]:
+        """Each nonempty segment ``parts[filled:run + 1]``, then each prefix's layer key."""
+        for run in range(len(parts)):
+            for filled in range(run + 1):
+                yield parts[filled:run + 1]
+        for filled in range(1, len(parts)):
+            yield len(parts), self.span, parts[:filled]
 
     def release(self, parts: Sequence[int]) -> None:
-        """Mark one count of ``parts`` done; drop the legs that no vector left can meet."""
-        for segment in _segments(tuple(parts)):
-            uses = self._uses.pop(segment, 0) - 1
+        """Mark one count of ``parts`` done; drop what no vector left can meet."""
+        for key in self._keys(tuple(parts)):
+            uses = self._uses.pop(key, 0) - 1
             if uses > 0:
-                self._uses[segment] = uses
+                self._uses[key] = uses
             else:
-                self._legs.pop(segment, None)
+                self._legs.pop(key, None)
+                self._layers.pop(key, None)
+
+    def layer(self, parts: Tuple[int, ...], span: int, limit: int) -> Tuple[_Layer, List[int]]:
+        """The deepest kept layer after a prefix of ``parts`` and its legs' most steps
+        by run, which raise past ``limit``; without one, the layer before run 0."""
+        for filled in range(len(parts) - 1, 0, -1):
+            layer, peaks = self._layers.get((len(parts), span, parts[:filled]), (None, ()))
+            for run, steps in enumerate(peaks):
+                if steps > limit:
+                    raise _stalled(parts, limit, run)
+            if layer is not None:
+                return layer, list(peaks)
+        return {(0, 0, 0, 0, ()): {0: 1}}, []
+
+    def keep(self, parts: Tuple[int, ...], span: int, layer: _Layer, peaks: List[int]) -> None:
+        """Keep the layer after ``parts[:len(peaks)]`` if a vector besides this one holds it."""
+        key = (len(parts), span, parts[:len(peaks)])
+        if self._uses.get(key, 0) > 1:
+            self._layers[key] = layer, tuple(peaks)
 
     def known(
         self, parts: Tuple[int, ...], run: int, filled: int, active: int, expiring: _Expiring
@@ -341,12 +377,19 @@ def area_bounce_counts(kvec: KVector, legs: Optional[LegTable] = None) -> Dict[T
     rank ``r_{i+1}`` adds ``r_{i+1}`` to the area and, when it runs ``s``
     legs, ``s * (m - filled)`` to the potential: the legs' own bounce,
     counted from leg 0, is 0 (see :func:`_legs`).  After the last run every
-    run is consumed, so the potential is the bounce.  Only two layers are
-    alive at a time.
+    run is consumed, so the potential is the bounce.
 
-    The legs come from ``legs``, a :class:`LegTable` shared by the vectors of
-    one command, which this count then releases; without one, the count makes
-    its own.
+    The last run moves no weight: its move goes to rank 0, which adds no
+    area, and its legs charge the ``m - m = 0`` runs left.  So the last run
+    length cannot move the counts (as Xin and Zhang's lemma says), only the
+    check that the bounce ends at x = n.  The run before it adds every move
+    into one total, which all the last states share, and the last run only
+    checks each state's end.
+
+    The legs, and the layers after prefixes of ``kvec`` that later vectors
+    hold, come from ``legs``, a :class:`LegTable` shared by the vectors of
+    one command, which this count then releases; without one, the count
+    makes its own.  Past the kept layer, two layers are alive at a time.
     """
     if not isinstance(kvec, KVector):
         kvec = KVector(kvec)
@@ -357,37 +400,48 @@ def area_bounce_counts(kvec: KVector, legs: Optional[LegTable] = None) -> Dict[T
     limit = kvec.n + m + 1
     # (area, potential) is kept as the one int potential * span + area, so a
     # move adds one int to it; the area, a sum of m ranks below n, is < span
-    span = kvec.n * m + 1
-    # (rank, gap, filled, active, expiring) -> {potential * span + area: count}
-    layer: Dict[tuple, Dict[int, int]] = {(0, 0, 0, 0, ()): {0: 1}}
-    total: Dict[int, int] = {}
-    for run, k in enumerate(parts):
-        final = run == m - 1
+    span = max(kvec.n * m + 1, legs.span)
+    # peaks[run] is the most legs that one move ran after that run
+    layer, peaks = legs.layer(parts, span, limit)
+    for run in range(len(peaks), m - 1):
+        k = parts[run]
         # legs after this run consume through it, and charge each run left
         after = run + 1
         charge = (m - after) * span
-        following: Dict[tuple, Dict[int, int]] = {}
+        # the last run charges nothing, so before it every move adds into one total
+        total = {} if after == m - 1 else None
+        following: _Layer = {}
+        peak = 0
         for (rank, gap, filled, active, expiring), weights in layer.items():
             top = rank + k
             known = legs.known(parts, run, filled, active, expiring)
-            for nxt in (0,) if final else range(top, -1, -1):
+            for nxt in range(top, -1, -1):
                 rest, fl, act, exp, shift = gap - (top - nxt), filled, active, expiring, nxt
                 if rest < 0:
                     rest, act, exp, steps = _fetch_leg(known, parts, limit, run, rest, filled, active, expiring)
                     fl = after
                     shift += steps * charge
-                if final:
-                    _check_end(parts, rest, fl)
-                    into = total
-                else:
-                    into = following.setdefault((nxt, rest, fl, act, exp), {})
+                    if steps > peak:
+                        peak = steps
+                into = following.setdefault((nxt, rest, fl, act, exp), {} if total is None else total)
                 for key, c in weights.items():
                     key += shift
                     into[key] = into.get(key, 0) + c
         layer = following
+        peaks.append(peak)
+        legs.keep(parts, span, layer, peaks)
+    # every last state holds the one total; the last run only checks each state's end
+    run = m - 1
+    for rank, gap, filled, active, expiring in layer:
+        rest = gap - rank - parts[run]
+        if rest < 0:
+            known = legs.known(parts, run, filled, active, expiring)
+            rest = _fetch_leg(known, parts, limit, run, rest, filled, active, expiring)[0]
+            filled = m
+        _check_end(parts, rest, filled)
     legs.release(parts)
     counts: Dict[Tuple[int, int], int] = {}
-    for key, c in total.items():
+    for key, c in next(iter(layer.values())).items():
         bounce, area = divmod(key, span)
         counts[(area, bounce)] = c
     return counts

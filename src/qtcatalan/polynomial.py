@@ -225,10 +225,10 @@ class LaurentPoly(Frozen):
 
     def canonical_terms(self) -> Iterable[Tuple[Exponents, int]]:
         """Terms ordered by ascending total degree, then descending lex."""
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (sum(item[0]), tuple(-e for e in item[0])),
-        )
+        # two sorts in C: the keys are distinct and of one width, and the second is stable
+        keys = sorted(self.terms, reverse=True)
+        keys.sort(key=sum)
+        return [(exps, self.terms[exps]) for exps in keys]
 
     def __str__(self) -> str:
         if not self.terms:

@@ -210,8 +210,8 @@ def _shared_counts_agree(vectors):
         assert area_bounce_counts(KVector(parts), legs) == forward_transfer.area_bounce_counts(
             KVector(parts)
         ), parts
-    # each segment's legs were dropped after the last vector that holds it
-    assert legs._legs == {} and legs._uses == {}
+    # each segment's legs and each prefix's layer were dropped after the last vector that holds it
+    assert legs._legs == {} and legs._layers == {} and legs._uses == {}
 
 
 def test_shared_counts_agree_with_the_forward_transfer_on_every_small_vector():
@@ -234,11 +234,82 @@ def _members(name, bound):
 
 @pytest.mark.parametrize(
     "vectors",
-    [[(1,) * 14], _members("three", 12), _members("kaaa", 16)],
-    ids=["fourteen unit runs", "three 12", "kaaa 16"],
+    [
+        [(1,) * 14],
+        _members("three", 12),
+        _members("kaaa", 16),
+        sorted(set(itertools.permutations((3, 2, 2, 1, 1, 1, 1)))),
+        list(itertools.product(range(1, 4), repeat=5)),
+    ],
+    ids=["fourteen unit runs", "three 12", "kaaa 16", "lambda 3221111", "length 5 up to 3"],
 )
 def test_shared_counts_agree_with_the_forward_transfer_on_large_commands(vectors):
     _shared_counts_agree(vectors)
+
+
+@st.composite
+def shared_prefix_vectors(draw):
+    """Several tails of equal and unequal lengths on a few prefixes, in a drawn order."""
+    runs = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+    prefixes = draw(st.lists(runs, min_size=1, max_size=3))
+    tails = draw(st.lists(st.tuples(st.sampled_from(prefixes), runs), min_size=2, max_size=8))
+    return draw(st.permutations([prefix + tail for prefix, tail in tails]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_prefix_vectors())
+def test_vectors_that_share_prefixes_count_as_the_forward_transfer(vectors):
+    _shared_counts_agree(vectors)
+
+
+def test_a_layer_is_kept_only_while_another_vector_holds_its_prefix():
+    legs = LegTable([(1, 2, 1), (1, 2, 3), (1, 1), (2, 2, 2)])
+    area_bounce_counts(KVector((1, 2, 1)), legs)
+    # (1, 2, 3) holds both prefixes; (1, 1) has another length, so m keys them apart
+    assert set(legs._layers) == {(3, legs.span, (1,)), (3, legs.span, (1, 2))}
+    area_bounce_counts(KVector((1, 2, 3)), legs)
+    assert legs._layers == {}
+    area_bounce_counts(KVector((2, 2, 2)), legs)
+    area_bounce_counts(KVector((1, 1)), legs)
+    assert legs._legs == {} and legs._layers == {} and legs._uses == {}
+
+
+def test_a_vector_the_table_was_not_made_for_counts_correctly():
+    legs = LegTable([(1, 1, 1), (1, 1, 2), (1, 1, 2)])
+    for parts in [(1, 1, 2), (1, 1, 5), (1, 1, 1), (1, 1, 2)]:
+        # (1, 1, 5) has the larger span 7 * 3 + 1, so it keys its layers apart; (1, 1, 1) reuses
+        assert area_bounce_counts(KVector(parts), legs) == forward_transfer.area_bounce_counts(
+            KVector(parts)
+        ), parts
+
+
+def test_a_reused_layer_whose_legs_passed_the_limit_raises():
+    legs = LegTable([(1, 1, 5), (1, 1, 1)])
+    # the first legs, after run 0 from gap -1, run 1 leg; kept as if they had run 8,
+    # within the limit 11 of (1, 1, 5) but past the limit 7 of (1, 1, 1)
+    legs.known((1, 1, 5), 0, 0, 0, ())[-1] = (0, 1, ((0, 1),), 8)
+    area_bounce_counts(KVector((1, 1, 5)), legs)
+    layer, peaks = legs._layers[3, legs.span, (1, 1)]
+    assert peaks[0] == 8
+    with pytest.raises(InternalInvariantError, match=r"no progress within 7 legs after run 0 on runs \(1, 1, 1\)"):
+        area_bounce_counts(KVector((1, 1, 1)), legs)
+    # the layer itself was not changed by the count that read it
+    assert legs._layers[3, legs.span, (1, 1)] == (layer, peaks)
+
+
+def test_verify_builds_each_shared_layer_once(monkeypatch):
+    # three at bound 12 counts 220 members (k1, k2, k3), but only 55 distinct (k1, k2)
+    builds = Counter()
+    keep = LegTable.keep
+
+    def counted(self, parts, span, layer, peaks):
+        builds[len(peaks)] += 1
+        keep(self, parts, span, layer, peaks)
+
+    monkeypatch.setattr(LegTable, "keep", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--theorem", "three", "--bound", "12"]) == 0
+    assert builds == {1: 10, 2: 55}
 
 
 def test_a_table_keeps_legs_only_for_the_vectors_still_to_count():

@@ -262,6 +262,14 @@ def test_parse_inverts_str(poly):
     assert LaurentPoly.parse(V5, str(poly)) == poly
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda width: laurent_polys(VariableContext("abcde"[:width]))))
+def test_canonical_terms_keep_the_order_of_the_one_sort_key(poly):
+    # the order before two sorts in C replaced it: ascending degree, then descending lex
+    old = sorted(poly.terms.items(), key=lambda item: (sum(item[0]), tuple(-e for e in item[0])))
+    assert list(poly.canonical_terms()) == old
+
+
 # up to four of the five names, in any order; the rest stay live in the target
 grouped_names = st.tuples(st.permutations(V5.names), st.integers(0, 4)).map(
     lambda drawn: tuple(drawn[0][: drawn[1]])

@@ -142,6 +142,15 @@ def test_a_replaced_case_is_checked_again_and_keeps_no_cached_member():
         spec._replace(colour="red")
 
 
+@pytest.mark.parametrize("make", [make for make, _ in RECORDS if isinstance(make(), Frozen)])
+def test_setting_the_wrong_number_of_fields_raises(make):
+    value = make()
+    fields = value._values()
+    for wrong in (fields[:-1], fields + (None,)):
+        with pytest.raises(ValueError, match=f"has {len(fields)} fields, got {len(wrong)} values"):
+            object.__new__(type(value))._set(*wrong)
+
+
 def test_the_cached_inverse_is_not_a_field():
     form = diagonal_form(((2, 0), (0, 3)))
     fresh = DiagonalForm(form.factors, form.left, form.right)
