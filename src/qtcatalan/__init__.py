@@ -39,13 +39,8 @@ _EXPORTS = {
     "stats_kaaa": "families",
     "stats_three": "families",
     "SymmetryReport": "oracles",
-    "carlitz_riordan": "oracles",
-    "check_bounce_agreement": "oracles",
     "check_last_param": "oracles",
-    "check_q_specializations": "oracles",
     "lambda_catalan": "oracles",
-    "macmahon_q_catalan": "oracles",
-    "q_binomial": "oracles",
     "refined_catalan": "oracles",
     "symmetry_report": "oracles",
     "DyckPath": "paths",

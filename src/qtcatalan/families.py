@@ -4,12 +4,12 @@ A family fixes the shape of the run-length vector: three free runs
 ``(k1, k2, k3)``, four equal runs ``(k, k, k, k)``, or one short run followed
 by three equal longer runs ``(k, k+m, k+m, k+m)``.  :class:`FamilyInfo`
 records all a caller needs to know about a shape: the sizes that index its
-members and their run lengths, the coordinates of a path, their region (stated
-once, in :data:`UPPER_BOUNDS`) and the closed-form statistics on them, and the
-variables of the family's generating functions.
+members and their run lengths, the coordinates of its points, their region
+(stated once, in :data:`UPPER_BOUNDS`) and the closed-form statistics on
+them, and the variables of the family's generating functions.
 
-This module imports only the path route and the polynomial layer, so the
-path oracles in :mod:`.oracles` can read family data without the cones.
+This module imports only the errors and the polynomial layer, so the path
+oracles in :mod:`.oracles` can read family data without the cones.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, NamedTuple, Tuple
 
-from .errors import DomainError, UsageError
-from .paths import DyckPath
+from .errors import DomainError, UsageError, _integers
 from .polynomial import Exponents, VariableContext
 
 Point = Tuple[int, ...]
@@ -33,7 +32,6 @@ class FamilyInfo(NamedTuple):
     sizes: Callable[[int], Iterable[Point]]  # sizes summing to at most the bound
     size_count: Callable[[int], int]  # how many sizes(bound) yields
     kvector: Callable[[Point], Point]  # run lengths of the member with these sizes
-    coords_of: Callable[[DyckPath], Point]  # coordinates of a member's path
 
     def out_exponents(self, point: Point) -> Exponents:
         """Image of a lattice point: marks, then q^area t^bounce."""
@@ -71,7 +69,9 @@ UPPER_BOUNDS: Dict[str, Dict[str, Dict[str, int]]] = {
 
 
 def _check_region(name: str, point: Point) -> None:
-    """Refuse a point outside the family's region, naming the first bound it breaks."""
+    """Refuse a point that is not integers, or is outside the family's region,
+    naming the first bound it breaks."""
+    point = _integers(point, f"{name} point")
     for i, x, upper in _REGION_ROWS[name]:
         bound = 0
         for j, c in upper:
@@ -152,20 +152,6 @@ def _kaaa_stats(k: int, m: int, a: int, b: int, c: int) -> Tuple[int, int]:
     return area, bounce
 
 
-def _kaaa_coords(path: DyckPath) -> Point:
-    parts, (_, r2, r3, r4) = path.kvec.parts, path.ranks
-    k, m = parts[0], parts[1] - parts[0]
-    a = k - r2
-    b = 2 * k + m - a - r3
-    c = 3 * k + 2 * m - a - b - r4
-    return (k, m, a, b, c)
-
-
-def _k4_coords(path: DyckPath) -> Point:
-    k, _, a, b, c = _kaaa_coords(path)
-    return (k, a, b, c)
-
-
 THREE_OUT = VariableContext(("x1", "x2", "x3", "q", "t"))
 K4_OUT = VariableContext(("x", "y1", "y2", "y3", "q", "t"))
 K4_THEOREM = VariableContext(("x", "q", "t"))
@@ -187,7 +173,6 @@ FAMILIES: Dict[str, FamilyInfo] = {
         ),
         size_count=lambda bound: math.comb(bound, 3),
         kvector=tuple,
-        coords_of=lambda path: path.kvec.parts + path.ranks[1:],
     ),
     "k4": FamilyInfo(
         name="k4",
@@ -198,7 +183,6 @@ FAMILIES: Dict[str, FamilyInfo] = {
         sizes=lambda bound: ((k,) for k in range(1, bound + 1)),
         size_count=lambda bound: bound,
         kvector=lambda sizes: tuple(sizes) * 4,
-        coords_of=_k4_coords,
     ),
     "kaaa": FamilyInfo(
         name="kaaa",
@@ -209,7 +193,6 @@ FAMILIES: Dict[str, FamilyInfo] = {
         sizes=lambda bound: ((k, m) for k in range(1, bound + 1) for m in range(bound - k + 1)),
         size_count=lambda bound: bound * (bound + 1) // 2,
         kvector=lambda sizes: (sizes[0],) + (sizes[0] + sizes[1],) * 3,
-        coords_of=_kaaa_coords,
     ),
 }
 

@@ -1,25 +1,22 @@
 """The path route's oracles: polynomials, scans and checks built from paths alone.
 
 Every polynomial here comes from the (area, bounce) counts over merged
-bounce states (:func:`~qtcatalan.paths.area_bounce_counts`), and the
-closed-form statistics of :mod:`.families` are checked path by path against
-the bounce pass :func:`~qtcatalan.paths.path_stats`.  This module imports
-nothing from the cone route, so it can arbitrate both the closed-form
-statistics and the assembled series; :mod:`.verify` joins the two.
+bounce states (:func:`~qtcatalan.paths.area_bounce_counts`), and the path
+work limits refuse, before any path is listed, the vectors and series
+bounds whose paths are too many.  This module imports nothing from the cone
+route, so it can arbitrate the assembled series; :mod:`.verify` joins the two.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, prod
+from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DomainError, InternalInvariantError, UsageError, _integer, _integers
+from .errors import DomainError, UsageError, _integer, _integers
 from .families import family
-from .paths import KVector, LegTable, area_bounce_counts, count_paths, enumerate_paths, path_stats
-from .polynomial import QT_CONTEXT, LaurentPoly, VariableContext, add_terms, qt_swap, substitute_monomials
-
-Q_CONTEXT = VariableContext(("q",))
+from .paths import KVector, LegTable, area_bounce_counts, count_paths
+from .polynomial import QT_CONTEXT, LaurentPoly, add_terms, qt_swap
 
 # Largest path work, the number of paths times the total run length n summed
 # over the vectors, that a call on run-length vectors lists paths for.
@@ -61,11 +58,14 @@ def check_verify_work(name: str, bound: int) -> None:
     times the product of ``k_1 + ... + k_i + 1`` over all runs but the last,
     since each rank is at most the runs before it; only when the count times
     that bound for ``top`` passes the limit are the paths counted exactly.
-    A bound below 1 has no members; one that is not an integer is a DomainError.
+    A bound below 1, which has no members to compare, or one that is not an
+    integer is a DomainError.
     """
     bound = _integer(bound, "series bound")
     fam = family(name)
-    count = fam.size_count(max(bound, 0))
+    if bound < 1:
+        raise DomainError(f"series bound must be at least 1, got {bound}")
+    count = fam.size_count(bound)
     if count > MAX_VERIFY_WORK:
         raise UsageError(
             f"bound {bound} gives {count} sizes, beyond the path work limit {MAX_VERIFY_WORK}"
@@ -193,84 +193,3 @@ def check_last_param(prefix: Sequence[int], m: int, l: int) -> bool:
     check_path_work(vectors)
     legs = LegTable(vectors)
     return refined_catalan(vectors[0], legs) == refined_catalan(vectors[1], legs)
-
-
-# -- closed-form vs algorithm agreement ---------------------------------------
-
-
-def check_bounce_agreement(name: str, bound: int) -> bool:
-    """Exhaustively compare the bounce pass :func:`path_stats` against the closed form.
-
-    Raises :class:`InternalInvariantError` describing the first disagreement;
-    a disagreement means one of the two implementations is wrong.
-    """
-    fam = family(name)
-    vectors = [fam.kvector(sizes) for sizes in fam.sizes(bound)]
-    legs = LegTable(vectors)
-    for parts in vectors:
-        for path in enumerate_paths(KVector(parts)):
-            got = path_stats(path, legs)
-            expected = fam.stats(*fam.coords_of(path))
-            if (got.area, got.bounce) != expected:
-                raise InternalInvariantError(
-                    f"stats disagree on runs {parts} ranks {path.ranks}: "
-                    f"algorithm gives {(got.area, got.bounce)}, closed form {expected}"
-                )
-        legs.release(parts)
-    return True
-
-
-# -- one-variable specializations ----------------------------------------------
-
-
-def q_binomial(n: int, k: int) -> LaurentPoly:
-    """Gaussian binomial coefficient, by the q-Pascal recurrence.
-
-    ``[i, j] = [i-1, j-1] + q^j [i-1, j]``, one row of ``[i, 0..k]`` at a time.
-    """
-    if not 0 <= k <= n:
-        return LaurentPoly.zero(Q_CONTEXT)
-    one = LaurentPoly.constant(Q_CONTEXT, 1)
-    row = [one] + [LaurentPoly.zero(Q_CONTEXT)] * k
-    for _ in range(n):
-        row = [one] + [
-            row[j - 1] + LaurentPoly.monomial(Q_CONTEXT, (j,)) * row[j] for j in range(1, k + 1)
-        ]
-    return row[k]
-
-
-def carlitz_riordan(n: int) -> LaurentPoly:
-    """q-Catalan polynomial from the weighted recurrence."""
-    polys = [LaurentPoly.constant(Q_CONTEXT, 1)]
-    for size in range(1, n + 1):
-        total = LaurentPoly.zero(Q_CONTEXT)
-        for k in range(1, size + 1):
-            term = polys[k - 1] * polys[size - k]
-            total = total + LaurentPoly.monomial(Q_CONTEXT, (k - 1,)) * term
-        polys.append(total)
-    return polys[n]
-
-
-def macmahon_q_catalan(n: int) -> LaurentPoly:
-    """``[2n, n] / [n + 1]``, as ``[2n, n] - q [2n, n + 1]`` (Fürlinger and Hofbauer)."""
-    return q_binomial(2 * n, n) - LaurentPoly.monomial(Q_CONTEXT, (1,)) * q_binomial(2 * n, n + 1)
-
-
-def _specialize_qt(poly: LaurentPoly, q_image: Tuple[int], t_image: Tuple[int]) -> LaurentPoly:
-    return substitute_monomials(poly, Q_CONTEXT, {"q": q_image, "t": t_image})
-
-
-def check_q_specializations(n: int) -> bool:
-    """Classical one-variable identities for runs (1, 1, ..., 1) of length n."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    cn = refined_catalan((1,) * n)
-    at_t1 = _specialize_qt(cn, (1,), (0,))
-    at_q1 = _specialize_qt(cn, (0,), (1,))
-    if at_t1 != carlitz_riordan(n):
-        return False
-    if at_t1 != at_q1:
-        return False
-    inverted = _specialize_qt(cn, (1,), (-1,))
-    shifted = LaurentPoly.monomial(Q_CONTEXT, (comb(n, 2),)) * inverted
-    return shifted == macmahon_q_catalan(n)

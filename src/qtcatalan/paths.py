@@ -240,7 +240,10 @@ class LegTable:
     every count.  :meth:`release` marks one vector done, and a segment's legs
     and a prefix's layer are dropped once no vector still to count holds
     them, so vectors that share nothing keep about one vector's legs at a
-    time.  A table lives only as long as the command that made it.
+    time.  Releasing a vector the table was not made for, or one released
+    more often than it was given, lowers no use of the table's own vectors:
+    it only drops what none of them holds.  A table lives only as long as
+    the command that made it.
     """
 
     def __init__(self, vectors: Iterable[Sequence[int]] = ()):
@@ -252,7 +255,10 @@ class LegTable:
         self._layers: Dict[tuple, Tuple[_Layer, Tuple[int, ...]]] = {}
         # segment or layer key -> its uses by the vectors not yet released
         self._uses: Dict[tuple, int] = {}
+        # vector -> its counts not yet released
+        self._pending: Dict[Tuple[int, ...], int] = {}
         for parts in vectors:
+            self._pending[parts] = self._pending.get(parts, 0) + 1
             for key in self._keys(parts):
                 self._uses[key] = self._uses.get(key, 0) + 1
 
@@ -266,8 +272,12 @@ class LegTable:
 
     def release(self, parts: Sequence[int]) -> None:
         """Mark one count of ``parts`` done; drop what no vector left can meet."""
-        for key in self._keys(tuple(parts)):
-            uses = self._uses.pop(key, 0) - 1
+        parts = tuple(parts)
+        pending = self._pending.pop(parts, 0)
+        if pending > 1:
+            self._pending[parts] = pending - 1
+        for key in self._keys(parts):
+            uses = self._uses.pop(key, 0) - (pending > 0)
             if uses > 0:
                 self._uses[key] = uses
             else:

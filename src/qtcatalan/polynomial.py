@@ -125,10 +125,6 @@ class LaurentPoly(Frozen):
         return cls(context, {})
 
     @classmethod
-    def constant(cls, context: VariableContext, value: int) -> "LaurentPoly":
-        return cls(context, {(0,) * len(context): value})
-
-    @classmethod
     def monomial(cls, context: VariableContext, exps: Sequence[int], coef: int = 1) -> "LaurentPoly":
         return cls(context, {tuple(exps): coef})
 

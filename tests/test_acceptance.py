@@ -8,6 +8,7 @@ import itertools
 import time
 
 import k4_cones
+from classical import check_bounce_agreement, check_q_specializations
 from regions import region_points
 
 from qtcatalan.catalog import (
@@ -24,8 +25,6 @@ from qtcatalan.cones import (
     parallelepiped_points,
 )
 from qtcatalan.oracles import (
-    check_bounce_agreement,
-    check_q_specializations,
     lambda_catalan,
     refined_catalan,
     repeated_tail_vectors,

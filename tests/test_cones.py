@@ -86,7 +86,7 @@ def test_constructors_refuse_non_integer_entries(entry):
     with pytest.raises(DomainError):
         HalfOpenCone(2, (0, 0), ((entry, 0), (0, 1)))
     with pytest.raises(DomainError):
-        RationalGF(VariableContext(("z",)), LaurentPoly.constant(VariableContext(("z",)), 1), [(entry,)])
+        RationalGF(VariableContext(("z",)), LaurentPoly.monomial(VariableContext(("z",)), (0,)), [(entry,)])
     if not isinstance(entry, Fraction):  # an apex entry is an integer or a Fraction
         with pytest.raises(DomainError):
             HalfOpenCone(2, (entry, 0), ((1, 0), (0, 1)))

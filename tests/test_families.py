@@ -1,8 +1,11 @@
 """The family table: its derived data and its lookup."""
 
 import itertools
+import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qtcatalan import families
 from qtcatalan.catalog import (
@@ -13,9 +16,9 @@ from qtcatalan.catalog import (
 )
 from qtcatalan.errors import DomainError, UsageError
 from qtcatalan.families import FAMILIES, UPPER_BOUNDS, family
-from qtcatalan.oracles import check_bounce_agreement
 from qtcatalan.verify import series_matches_paths
 
+from classical import check_bounce_agreement
 from regions import region_points
 from test_imports import package_imports
 
@@ -118,6 +121,28 @@ def test_the_closed_forms_refuse_exactly_the_points_outside_the_region(name):
         else:
             with pytest.raises(DomainError):
                 fam.stats(*point)
+
+
+@st.composite
+def points_with_a_non_integer(draw):
+    """A family and a point of its arity with one coordinate that is not an int."""
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    point = draw(st.lists(st.integers(-1, 4), min_size=len(FAMILIES[name].coords),
+                          max_size=len(FAMILIES[name].coords)))
+    odd = st.one_of(st.floats(), st.fractions(), st.text(max_size=2), st.none())
+    point[draw(st.integers(0, len(point) - 1))] = draw(odd)
+    return name, tuple(point)
+
+
+@given(points_with_a_non_integer())
+# each was read as it came: (0.5, 2.0), (4.5, 1.5), and a TypeError from "1" < 0
+@example(("three", (1, 1, 1, 0.5, 0)))
+@example(("kaaa", (1, 0, 0.5, 0, 0)))
+@example(("kaaa", ("1", 0, 0, 0, 0)))
+def test_the_closed_forms_refuse_a_point_that_is_not_integers(drawn):
+    name, point = drawn
+    with pytest.raises(DomainError, match=re.escape(f"{name} point must be a sequence of integers, got {point!r}")):
+        FAMILIES[name].stats(*point)
 
 
 def test_a_refused_point_is_named_in_its_own_family(monkeypatch):

@@ -30,7 +30,7 @@ ALLOWED = {
     "lattice": {"errors"},
     "paths": {"errors"},
     "polynomial": {"errors"},
-    "families": {"errors", "paths", "polynomial"},
+    "families": {"errors", "polynomial"},
     "oracles": PATH_ROUTE,
     "cones": {"errors", "lattice", "polynomial"},
     "catalog": {"errors", "lattice", "polynomial", "families", "cones"},

@@ -28,6 +28,7 @@ from qtcatalan.paths import (
 
 import forward_transfer
 import prefix_walk
+from classical import COORDS_OF
 from closed_k4 import stats_k4
 from tableau import tableau_stats
 
@@ -274,13 +275,26 @@ def test_a_layer_is_kept_only_while_another_vector_holds_its_prefix():
     assert legs._legs == {} and legs._layers == {} and legs._uses == {}
 
 
-def test_a_vector_the_table_was_not_made_for_counts_correctly():
+def test_a_vector_the_table_was_not_made_for_counts_correctly(monkeypatch):
+    depths = []
+    layer = LegTable.layer
+
+    def spied(self, parts, span, limit):
+        kept, peaks = layer(self, parts, span, limit)
+        depths.append(len(peaks))
+        return kept, peaks
+
+    monkeypatch.setattr(LegTable, "layer", spied)
     legs = LegTable([(1, 1, 1), (1, 1, 2), (1, 1, 2)])
     for parts in [(1, 1, 2), (1, 1, 5), (1, 1, 1), (1, 1, 2)]:
         # (1, 1, 5) has the larger span 7 * 3 + 1, so it keys its layers apart; (1, 1, 1) reuses
         assert area_bounce_counts(KVector(parts), legs) == forward_transfer.area_bounce_counts(
             KVector(parts)
         ), parts
+    # releasing (1, 1, 5) lowers no use of the table's own vectors, so the last
+    # (1, 1, 2) still finds the layer after (1, 1), and the store ends empty
+    assert depths == [0, 0, 2, 2]
+    assert legs._legs == {} and legs._layers == {} and legs._uses == {}
 
 
 def test_a_reused_layer_whose_legs_passed_the_limit_raises():
@@ -420,7 +434,7 @@ def family_paths(draw):
 def test_closed_forms_agree_with_bounce_beyond_the_sweep(drawn):
     fam, path = drawn
     stats = path_stats(path)
-    assert fam.stats(*fam.coords_of(path)) == (stats.area, stats.bounce)
+    assert fam.stats(*COORDS_OF[fam.name](path)) == (stats.area, stats.bounce)
     assert _agrees_with_tableau(path)
 
 
@@ -456,14 +470,6 @@ def test_closed_three_agrees_with_algorithm():
             assert got == (stats.area, stats.bounce), (k1, k2, k3, path.ranks)
 
 
-def _k4_coords(path):
-    k = path.kvec.parts[0]
-    a = k - path.ranks[1]
-    b = 2 * k - a - path.ranks[2]
-    c = 3 * k - a - b - path.ranks[3]
-    return k, a, b, c
-
-
 def test_closed_k4_examples():
     assert stats_k4(1, 0, 0, 0) == (6, 0)
     assert stats_k4(1, 1, 1, 1) == (0, 6)
@@ -477,7 +483,7 @@ def test_closed_k4_agrees_with_algorithm():
     for k in range(1, 4):
         for path in enumerate_paths(KVector((k,) * 4)):
             stats = path_stats(path)
-            assert stats_k4(*_k4_coords(path)) == (stats.area, stats.bounce)
+            assert stats_k4(*COORDS_OF["k4"](path)) == (stats.area, stats.bounce)
 
 
 def test_closed_kaaa_examples():
@@ -502,7 +508,4 @@ def test_closed_kaaa_agrees_with_algorithm():
             parts = (k,) + (k + m,) * 3
             for path in enumerate_paths(KVector(parts)):
                 stats = path_stats(path)
-                a = k - path.ranks[1]
-                b = 2 * k + m - a - path.ranks[2]
-                c = 3 * k + 2 * m - a - b - path.ranks[3]
-                assert stats_kaaa(k, m, a, b, c) == (stats.area, stats.bounce)
+                assert stats_kaaa(*COORDS_OF["kaaa"](path)) == (stats.area, stats.bounce)

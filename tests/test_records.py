@@ -59,10 +59,10 @@ def _records():
          "SymmetryReport(subject=(1, 2, 3, 1), symmetric=False, witness=((3, 4), 1, 2))"),
         (lambda: TheoremReport("three", 3, True, True, False),
          "TheoremReport(family='three', bound=3, formula_match=True, series_match=True, symmetric=False)"),
-        (lambda: FamilyInfo("f", ("k",), KQT, KQT, max, range, len, tuple, list),
+        (lambda: FamilyInfo("f", ("k",), KQT, KQT, max, range, len, tuple),
          "FamilyInfo(name='f', coords=('k',), out_ctx=VariableContext(k, q, t), "
          "theorem_ctx=VariableContext(k, q, t), stats=<built-in function max>, sizes=<class 'range'>, "
-         "size_count=<built-in function len>, kvector=<class 'tuple'>, coords_of=<class 'list'>)"),
+         "size_count=<built-in function len>, kvector=<class 'tuple'>)"),
     ]
 
 

@@ -3,6 +3,14 @@ import re
 
 import grid_witness
 import pytest
+from classical import (
+    Q_CONTEXT,
+    carlitz_riordan,
+    check_bounce_agreement,
+    check_q_specializations,
+    macmahon_q_catalan,
+    q_binomial,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,14 +18,9 @@ from qtcatalan.catalog import printed_theorem
 from qtcatalan.cones import RationalGF
 from qtcatalan.errors import DomainError, UsageError
 from qtcatalan.oracles import (
-    carlitz_riordan,
-    check_bounce_agreement,
     check_last_param,
-    check_q_specializations,
     kvectors_of_length,
     lambda_catalan,
-    macmahon_q_catalan,
-    q_binomial,
     refined_catalan,
     rearrangements,
     repeated_tail_vectors,
@@ -258,25 +261,23 @@ def test_verify_theorem_small(family, bound):
 @pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
 @pytest.mark.parametrize("bound", [0, -1, 1.5, "3"])
 def test_verify_theorem_reads_odd_bounds_before_predicting_work(family, bound):
-    # a bound below 1 has no members to compare, and one that is not an integer is
-    # refused as the series expansion refuses it; math.comb(-1, 3) would raise
-    # ValueError, and 1.5 or "3" a TypeError
+    # a bound below 1 has no members to compare, so a report on it would pass
+    # vacuously, and one that is not an integer is refused as the series
+    # expansion refuses it; math.comb(-1, 3) would raise ValueError, and 1.5 or
+    # "3" a TypeError
     if isinstance(bound, int):
-        assert verify_theorem(family, bound).all_ok
+        with pytest.raises(DomainError, match=re.escape(f"series bound must be at least 1, got {bound}")):
+            verify_theorem(family, bound)
     else:
         with pytest.raises(DomainError, match=re.escape(f"series bound must be an integer, got {bound!r}")):
             verify_theorem(family, bound)
 
 
 def test_q_binomial_golden():
-    from qtcatalan.oracles import Q_CONTEXT
-
     assert q_binomial(4, 2) == LaurentPoly.parse(Q_CONTEXT, "1 + q + 2*q^2 + q^3 + q^4")
 
 
 def test_carlitz_riordan_golden():
-    from qtcatalan.oracles import Q_CONTEXT
-
     assert carlitz_riordan(3) == LaurentPoly.parse(Q_CONTEXT, "1 + 2*q + q^2 + q^3")
     assert macmahon_q_catalan(2) == LaurentPoly.parse(Q_CONTEXT, "1 + q^2")
 
