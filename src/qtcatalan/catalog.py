@@ -217,7 +217,7 @@ _W_MB = (0, 1, 0, 1, 0)
 _W_AB = (1, 0, 1, 1, 0)
 _W_MBC = (0, 1, 0, 1, 1)
 _W_ABC = (1, 0, 1, 1, 1)
-_B_EVEN, _B_ODD = (3, 0), (3, 1)  # parity tests on b, coordinate 3
+_B_EVEN, _B_ODD = ((FAMILIES["kaaa"].coords.index("b"), r) for r in (0, 1))  # parity tests on b
 
 
 def _kaaa_cases() -> Tuple[CaseSpec, ...]:
@@ -414,7 +414,7 @@ def _k4_cases() -> Tuple[CaseSpec, ...]:
     and the kaaa base rows at m = 0 are k4's (``families.UPPER_BOUNDS``).
     """
     shared, base = len(_base("kaaa")), _base("k4")
-    m = 1  # the column that kaaa's (k, m, a, b, c) has and k4's (k, a, b, c) lacks
+    m = FAMILIES["kaaa"].coords.index("m")  # the column that kaaa has and k4 lacks
     cut = lambda v: v[:m] + v[m + 1:]  # one slice for rows, bases and generators
     cases = []
     for spec in case_catalog("kaaa"):

@@ -19,6 +19,8 @@ the vectors of one command share one table, which drops a segment's legs
 after the last vector that holds it.  The table keeps the states after a
 prefix of runs in the same way, for the vectors of the same length that
 share it; the last run moves no weight, so it only checks each state's end.
+Each kept leg or layer is a function of its key alone: a leg that would
+never stop raises when it runs, so nothing is checked again on reuse.
 The test suite checks the routes against each other exhaustively on small
 inputs.
 """
@@ -149,17 +151,14 @@ def count_paths(kvec: KVector) -> int:
 # the consumed runs that stop counting at each later leg.  Offsets count from
 # the next leg, which is leg 0.
 _Expiring = Tuple[Tuple[int, int], ...]
+# (gap, active, expiring, steps): the state after the legs, shifted to the
+# next leg, and how many legs ran; the legs consume through the run they follow
+_Leg = Tuple[int, int, _Expiring, int]
 
 
 def _legs(
-    parts: Sequence[int],
-    limit: int,
-    run: int,
-    gap: int,
-    filled: int,
-    active: int,
-    expiring: _Expiring,
-) -> Tuple[int, int, int, _Expiring, int]:
+    parts: Sequence[int], run: int, gap: int, filled: int, active: int, expiring: _Expiring
+) -> _Leg:
     """Run the bounce legs that stop at the east steps after run ``run``.
 
     ``gap`` is the next leg's x minus the number of known east steps, and is
@@ -169,6 +168,11 @@ def _legs(
     ``s + k_j``.  Leg 0 consumes every run it climbs past and the later legs
     consume none, so the legs add no bounce counted from leg 0.  Returns the
     state after the legs, shifted to the next leg, and the number of legs run.
+
+    A leg at which no run counts raises: expiries only lower ``active``, so
+    from there ``gap`` would never reach 0.  While some run counts, each leg
+    raises ``gap`` by at least 1, so from ``-n <= gap < 0`` the legs end
+    within ``n`` steps.  The check reads only the legs' own state.
     """
     climb = run + 1 - filled
     if climb < 0:
@@ -182,19 +186,16 @@ def _legs(
     active += climb
     step = 0
     while gap < 0:
-        if step >= limit:
-            raise _stalled(parts, limit, run)
         active -= ends.pop(step, 0)
+        if active <= 0:
+            raise InternalInvariantError(
+                f"bounce made no progress at leg {step} after run {run} on runs {tuple(parts)}: "
+                f"no run counts"
+            )
         gap += active
         step += 1
     expiring = tuple(sorted([(end - step, c) for end, c in ends.items()]))
-    return gap, run + 1, active, expiring, step
-
-
-def _stalled(parts: Sequence[int], limit: int, run: int) -> InternalInvariantError:
-    return InternalInvariantError(
-        f"bounce made no progress within {limit} legs after run {run} on runs {tuple(parts)}"
-    )
+    return gap, active, expiring, step
 
 
 def _check_end(parts: Sequence[int], gap: int, filled: int) -> None:
@@ -206,8 +207,6 @@ def _check_end(parts: Sequence[int], gap: int, filled: int) -> None:
         )
 
 
-# (gap, active, expiring, steps): the state after the legs and how many ran
-_Leg = Tuple[int, int, _Expiring, int]
 # (rank, gap, filled, active, expiring) -> {potential * span + area: count}
 _Layer = Dict[tuple, Dict[int, int]]
 
@@ -217,24 +216,23 @@ class LegTable:
 
     The legs that :func:`_legs` runs after run ``run`` depend only on the
     segment ``parts[filled:run + 1]`` they climb past and on ``(gap, active,
-    expiring)``: ``run + 1`` is where the segment ends, and the limit only
-    bounds them.  So the table maps ``(segment, gap, active, expiring)`` to a
-    :data:`_Leg`, for every vector and run that meets the same key.  A
-    caller fetches a leg through :func:`_fetch_leg` from the dict that
-    :meth:`known` returns, which runs the leg only when it is not there.
+    expiring)``: ``run + 1`` is where the segment ends.  So the table maps
+    ``(segment, gap, active, expiring)`` to a :data:`_Leg`, for every vector
+    and run that meets the same key.  A caller fetches a leg through
+    :func:`_fetch_leg` from the dict that :meth:`known` returns, which runs
+    the leg only when it is not there.
 
-    Two guards keep every check of :func:`_legs`.  Only a nonempty segment
-    is kept, so a key's climb is its segment's length, and legs that climb
-    no run, or would stop below the runs already consumed, always reach
-    :func:`_legs`.  A kept leg whose ``steps`` pass a vector's limit raises
-    for that vector, as :func:`_legs` would have.
+    Only a nonempty segment is kept, so a key's climb is its segment's
+    length, and legs that climb no run, or would stop below the runs already
+    consumed, always reach :func:`_legs` and its checks.  Legs that raise
+    are not kept, so they raise again when fetched again.
 
     The layer of :func:`area_bounce_counts` after runs ``parts[:j]`` depends
     only on that prefix, on ``m``, which the potential charges, and on the
     span of its weights, the table's ``span`` (its vectors' largest).  So it
-    is kept under ``(m, span, prefix)`` with the most steps that one move's
-    legs ran after each run, which raise past a later vector's limit as a
-    kept leg does.  A kept layer is never changed.
+    is kept under ``(m, span, prefix)``.  A kept leg or layer is a function
+    of its key, so a later vector reuses it as it is, and it is never
+    changed.
 
     A command makes one table for the vectors it will count and passes it to
     every count.  :meth:`release` marks one vector done, and a segment's legs
@@ -251,8 +249,8 @@ class LegTable:
         self.span = max((sum(parts) * len(parts) + 1 for parts in vectors), default=0)
         # segment -> {(active, expiring): {gap: leg}}
         self._legs: Dict[Tuple[int, ...], Dict[Tuple[int, _Expiring], Dict[int, _Leg]]] = {}
-        # (m, span, prefix) -> (the layer after it, the most steps of each run's legs)
-        self._layers: Dict[tuple, Tuple[_Layer, Tuple[int, ...]]] = {}
+        # (m, span, prefix) -> the layer after it
+        self._layers: Dict[tuple, _Layer] = {}
         # segment or layer key -> its uses by the vectors not yet released
         self._uses: Dict[tuple, int] = {}
         # vector -> its counts not yet released
@@ -284,23 +282,20 @@ class LegTable:
                 self._legs.pop(key, None)
                 self._layers.pop(key, None)
 
-    def layer(self, parts: Tuple[int, ...], span: int, limit: int) -> Tuple[_Layer, List[int]]:
-        """The deepest kept layer after a prefix of ``parts`` and its legs' most steps
-        by run, which raise past ``limit``; without one, the layer before run 0."""
+    def layer(self, parts: Tuple[int, ...], span: int) -> Tuple[_Layer, int]:
+        """The deepest kept layer after a prefix of ``parts`` and the prefix's
+        length; without one, the layer before run 0."""
         for filled in range(len(parts) - 1, 0, -1):
-            layer, peaks = self._layers.get((len(parts), span, parts[:filled]), (None, ()))
-            for run, steps in enumerate(peaks):
-                if steps > limit:
-                    raise _stalled(parts, limit, run)
+            layer = self._layers.get((len(parts), span, parts[:filled]))
             if layer is not None:
-                return layer, list(peaks)
-        return {(0, 0, 0, 0, ()): {0: 1}}, []
+                return layer, filled
+        return {(0, 0, 0, 0, ()): {0: 1}}, 0
 
-    def keep(self, parts: Tuple[int, ...], span: int, layer: _Layer, peaks: List[int]) -> None:
-        """Keep the layer after ``parts[:len(peaks)]`` if a vector besides this one holds it."""
-        key = (len(parts), span, parts[:len(peaks)])
+    def keep(self, parts: Tuple[int, ...], span: int, layer: _Layer, filled: int) -> None:
+        """Keep the layer after ``parts[:filled]`` if a vector besides this one holds it."""
+        key = (len(parts), span, parts[:filled])
         if self._uses.get(key, 0) > 1:
-            self._layers[key] = layer, tuple(peaks)
+            self._layers[key] = layer
 
     def known(
         self, parts: Tuple[int, ...], run: int, filled: int, active: int, expiring: _Expiring
@@ -321,7 +316,6 @@ class LegTable:
 def _fetch_leg(
     known: Dict[int, _Leg],
     parts: Tuple[int, ...],
-    limit: int,
     run: int,
     gap: int,
     filled: int,
@@ -329,16 +323,10 @@ def _fetch_leg(
     expiring: _Expiring,
 ) -> _Leg:
     """The legs from ``gap`` after run ``run``: kept in ``known``, or run by
-    :func:`_legs` and kept there.
-
-    A kept leg whose ``steps`` pass ``limit`` raises as :func:`_legs` would have.
-    """
+    :func:`_legs` and kept there."""
     leg = known.get(gap)
     if leg is None:
-        after, _, active, expiring, steps = _legs(parts, limit, run, gap, filled, active, expiring)
-        leg = known[gap] = (after, active, expiring, steps)
-    elif leg[3] > limit:
-        raise _stalled(parts, limit, run)
+        leg = known[gap] = _legs(parts, run, gap, filled, active, expiring)
     return leg
 
 
@@ -355,7 +343,6 @@ def path_stats(path: DyckPath, legs: Optional[LegTable] = None) -> PathStats:
     command share; a call without one keeps no legs.
     """
     parts = path.kvec.parts
-    limit = path.kvec.n + path.kvec.m + 1
     gap = filled = active = 0
     expiring: _Expiring = ()
     consumed: List[int] = []
@@ -363,7 +350,7 @@ def path_stats(path: DyckPath, legs: Optional[LegTable] = None) -> PathStats:
         gap -= east
         if gap < 0:
             known = {} if legs is None else legs.known(parts, run, filled, active, expiring)
-            gap, active, expiring, steps = _fetch_leg(known, parts, limit, run, gap, filled, active, expiring)
+            gap, active, expiring, steps = _fetch_leg(known, parts, run, gap, filled, active, expiring)
             consumed += [run + 1 - filled] + [0] * (steps - 1)
             filled = run + 1
     _check_end(parts, gap, filled)
@@ -407,13 +394,11 @@ def area_bounce_counts(kvec: KVector, legs: Optional[LegTable] = None) -> Dict[T
         legs = LegTable()
     parts = kvec.parts
     m = kvec.m
-    limit = kvec.n + m + 1
     # (area, potential) is kept as the one int potential * span + area, so a
     # move adds one int to it; the area, a sum of m ranks below n, is < span
     span = max(kvec.n * m + 1, legs.span)
-    # peaks[run] is the most legs that one move ran after that run
-    layer, peaks = legs.layer(parts, span, limit)
-    for run in range(len(peaks), m - 1):
+    layer, depth = legs.layer(parts, span)
+    for run in range(depth, m - 1):
         k = parts[run]
         # legs after this run consume through it, and charge each run left
         after = run + 1
@@ -421,32 +406,28 @@ def area_bounce_counts(kvec: KVector, legs: Optional[LegTable] = None) -> Dict[T
         # the last run charges nothing, so before it every move adds into one total
         total = {} if after == m - 1 else None
         following: _Layer = {}
-        peak = 0
         for (rank, gap, filled, active, expiring), weights in layer.items():
             top = rank + k
             known = legs.known(parts, run, filled, active, expiring)
             for nxt in range(top, -1, -1):
                 rest, fl, act, exp, shift = gap - (top - nxt), filled, active, expiring, nxt
                 if rest < 0:
-                    rest, act, exp, steps = _fetch_leg(known, parts, limit, run, rest, filled, active, expiring)
+                    rest, act, exp, steps = _fetch_leg(known, parts, run, rest, filled, active, expiring)
                     fl = after
                     shift += steps * charge
-                    if steps > peak:
-                        peak = steps
                 into = following.setdefault((nxt, rest, fl, act, exp), {} if total is None else total)
                 for key, c in weights.items():
                     key += shift
                     into[key] = into.get(key, 0) + c
         layer = following
-        peaks.append(peak)
-        legs.keep(parts, span, layer, peaks)
+        legs.keep(parts, span, layer, after)
     # every last state holds the one total; the last run only checks each state's end
     run = m - 1
     for rank, gap, filled, active, expiring in layer:
         rest = gap - rank - parts[run]
         if rest < 0:
             known = legs.known(parts, run, filled, active, expiring)
-            rest = _fetch_leg(known, parts, limit, run, rest, filled, active, expiring)[0]
+            rest = _fetch_leg(known, parts, run, rest, filled, active, expiring)[0]
             filled = m
         _check_end(parts, rest, filled)
     legs.release(parts)

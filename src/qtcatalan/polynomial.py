@@ -192,10 +192,11 @@ class LaurentPoly(Frozen):
 
         Keeps the terms whose exponents match `assignment` exactly and maps
         each surviving term onto `target` by variable name; every variable
-        neither assigned nor present in `target` must have exponent zero.
+        neither assigned nor present in `target` must have exponent zero.  An
+        assigned exponent that is not an integer is a DomainError.
         """
         ctx = self.context
-        fixed = {ctx.index(name): e for name, e in assignment.items()}
+        fixed = {ctx.index(name): _integer(e, f"exponent of {name}") for name, e in assignment.items()}
         # worked out once per call: the positions that must hold a set
         # exponent (the assigned ones, and every one `target` lacks, at 0),
         # and the source position each target position reads; position

@@ -3,15 +3,60 @@
 This is how ``area_bounce_counts`` counted before its legs were shared: the
 same forward pass over merged bounce states, which runs every leg through
 ``_legs`` afresh, even one that another state, run or vector has run with
-the same inputs.  The code is unchanged; the tests compare its counts with
-the counts through a shared ``LegTable``.
+the same inputs.  ``_legs`` is its own copy of the leg loop as it was then,
+which bounds the legs of a vector by ``n + m + 1`` steps instead of testing
+for a stall, so the tests that compare these counts with the counts through
+a shared ``LegTable``, and the stall rule with the bound, do not compare the
+library's loop with itself.  The code is unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
-from qtcatalan.paths import KVector, _check_end, _legs
+from qtcatalan.errors import InternalInvariantError
+from qtcatalan.paths import KVector, _check_end, _Expiring
+
+
+def _legs(
+    parts: Sequence[int],
+    limit: int,
+    run: int,
+    gap: int,
+    filled: int,
+    active: int,
+    expiring: _Expiring,
+) -> Tuple[int, int, int, _Expiring, int]:
+    """Run the bounce legs that stop at the east steps after run ``run``.
+
+    ``gap`` is the next leg's x minus the number of known east steps, and is
+    negative here: the leg stops at an east step after run ``run`` and climbs
+    to ``run + 1`` runs.  Run ``j`` consumed at leg ``s`` counts towards the
+    horizontal moves of legs ``s ... s + k_j - 1``, so it expires at
+    ``s + k_j``.  Returns the state after the legs, shifted to the next leg,
+    and the number of legs run; raises past ``limit`` legs.
+    """
+    climb = run + 1 - filled
+    if climb < 0:
+        raise InternalInvariantError(
+            f"bounce leg after run {run} stops below the {filled} runs already consumed "
+            f"on runs {tuple(parts)}"
+        )
+    ends = dict(expiring)
+    for k in parts[filled:run + 1]:
+        ends[k] = ends.get(k, 0) + 1
+    active += climb
+    step = 0
+    while gap < 0:
+        if step >= limit:
+            raise InternalInvariantError(
+                f"bounce made no progress within {limit} legs after run {run} on runs {tuple(parts)}"
+            )
+        active -= ends.pop(step, 0)
+        gap += active
+        step += 1
+    expiring = tuple(sorted([(end - step, c) for end, c in ends.items()]))
+    return gap, run + 1, active, expiring, step
 
 
 def area_bounce_counts(kvec: KVector) -> Dict[Tuple[int, int], int]:

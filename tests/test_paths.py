@@ -279,10 +279,10 @@ def test_a_vector_the_table_was_not_made_for_counts_correctly(monkeypatch):
     depths = []
     layer = LegTable.layer
 
-    def spied(self, parts, span, limit):
-        kept, peaks = layer(self, parts, span, limit)
-        depths.append(len(peaks))
-        return kept, peaks
+    def spied(self, parts, span):
+        kept, depth = layer(self, parts, span)
+        depths.append(depth)
+        return kept, depth
 
     monkeypatch.setattr(LegTable, "layer", spied)
     legs = LegTable([(1, 1, 1), (1, 1, 2), (1, 1, 2)])
@@ -297,28 +297,14 @@ def test_a_vector_the_table_was_not_made_for_counts_correctly(monkeypatch):
     assert legs._legs == {} and legs._layers == {} and legs._uses == {}
 
 
-def test_a_reused_layer_whose_legs_passed_the_limit_raises():
-    legs = LegTable([(1, 1, 5), (1, 1, 1)])
-    # the first legs, after run 0 from gap -1, run 1 leg; kept as if they had run 8,
-    # within the limit 11 of (1, 1, 5) but past the limit 7 of (1, 1, 1)
-    legs.known((1, 1, 5), 0, 0, 0, ())[-1] = (0, 1, ((0, 1),), 8)
-    area_bounce_counts(KVector((1, 1, 5)), legs)
-    layer, peaks = legs._layers[3, legs.span, (1, 1)]
-    assert peaks[0] == 8
-    with pytest.raises(InternalInvariantError, match=r"no progress within 7 legs after run 0 on runs \(1, 1, 1\)"):
-        area_bounce_counts(KVector((1, 1, 1)), legs)
-    # the layer itself was not changed by the count that read it
-    assert legs._layers[3, legs.span, (1, 1)] == (layer, peaks)
-
-
 def test_verify_builds_each_shared_layer_once(monkeypatch):
     # three at bound 12 counts 220 members (k1, k2, k3), but only 55 distinct (k1, k2)
     builds = Counter()
     keep = LegTable.keep
 
-    def counted(self, parts, span, layer, peaks):
-        builds[len(peaks)] += 1
-        keep(self, parts, span, layer, peaks)
+    def counted(self, parts, span, layer, filled):
+        builds[filled] += 1
+        keep(self, parts, span, layer, filled)
 
     monkeypatch.setattr(LegTable, "keep", counted)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -371,43 +357,72 @@ def test_a_leg_that_climbs_no_run_is_not_kept():
     parts = (1, 1, 1)
     # after run 0 with one run consumed, the legs climb 0 runs and are run, not kept
     climb_zero = legs.known(parts, 0, 1, 1, ())
-    assert _fetch_leg(climb_zero, parts, 7, 0, -1, 1, 1, ()) == (0, 1, (), 1)
+    assert _fetch_leg(climb_zero, parts, 0, -1, 1, 1, ()) == (0, 1, (), 1)
     # with two consumed they would stop below them: the same empty segment and
     # state hold nothing, and the legs raise
     climb_below = legs.known(parts, 0, 2, 1, ())
     assert climb_below == {}
     with pytest.raises(InternalInvariantError, match="below the 2 runs"):
-        _fetch_leg(climb_below, parts, 7, 0, -1, 2, 1, ())
+        _fetch_leg(climb_below, parts, 0, -1, 2, 1, ())
 
 
-def test_a_kept_leg_past_the_limit_raises():
+# expiry schedules for the states below: none, or runs that stop counting at legs 0 to 3
+EXPIRY_SCHEDULES = [(), ((0, 1),), ((1, 1),), ((0, 2),), ((2, 1),), ((0, 1), (1, 1)), ((1, 1), (3, 2))]
+
+
+def _leg_or_raise(legs, *args):
+    try:
+        return legs(*args)
+    except InternalInvariantError:
+        return None
+
+
+def test_the_stall_rule_agrees_with_the_leg_limit_on_every_small_state():
+    # every vector of at most three runs in 1..3, each run, filled up to one
+    # past it, -n <= gap < 0, active from -1 to 4 and each expiry schedule
+    vectors = itertools.chain.from_iterable(
+        itertools.product(range(1, 4), repeat=m) for m in range(1, 4)
+    )
+    states = 0
+    for parts in vectors:
+        n = sum(parts)
+        for run, gap, active, expiring in itertools.product(
+            range(len(parts)), range(-n, 0), range(-1, 5), EXPIRY_SCHEDULES
+        ):
+            for filled in range(run + 2):
+                args = (run, gap, filled, active, expiring)
+                limited = _leg_or_raise(forward_transfer._legs, parts, n + len(parts) + 1, *args)
+                # the bounded loop also returns the runs consumed, run + 1
+                expected = limited and limited[:1] + limited[2:]
+                assert _leg_or_raise(_legs, parts, *args) == expected, (parts, args)
+                states += 1
+    assert states == 69_300
+
+
+def test_a_leg_at_which_no_run_counts_raises_and_is_not_kept():
+    legs = LegTable([(1, 1, 1)])
     parts = (1, 1, 1)
-    path = DyckPath(KVector(parts), (0, 0, 0))
-
-    def table_with_long_first_leg():
-        # the path's first legs, after run 0 from gap -1, run 1 leg; kept as
-        # if they had run 8, past its limit n + m + 1 = 7
-        legs = LegTable([parts])
-        legs.known(parts, 0, 0, 0, ())[-1] = (0, 1, ((0, 1),), 8)
-        return legs
-
-    message = r"no progress within 7 legs after run 0 on runs \(1, 1, 1\)"
-    with pytest.raises(InternalInvariantError, match=message):
-        path_stats(path, table_with_long_first_leg())
-    with pytest.raises(InternalInvariantError, match=message):
-        area_bounce_counts(KVector(parts), table_with_long_first_leg())
-    # the leg as run, with its 1 step, is what the table would have kept
-    assert _legs(parts, 7, 0, -1, 0, 0, ()) == (0, 1, 1, ((0, 1),), 1)
+    # from gap -1 the legs after run 0 end at leg 1, and are kept
+    known = legs.known(parts, 0, 0, 0, ())
+    assert _fetch_leg(known, parts, 0, -1, 0, 0, ()) == (0, 1, ((0, 1),), 1)
+    assert known == {-1: (0, 1, ((0, 1),), 1)}
+    # from gap -2, run 0 counts on leg 0 only: at leg 1 no run counts and the gap is still -1
+    message = r"no progress at leg 1 after run 0 on runs \(1, 1, 1\)"
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match=message):
+            _fetch_leg(legs.known(parts, 0, 0, 0, ()), parts, 0, -2, 0, 0, ())
+        # nothing was kept for gap -2, so the next fetch runs the legs, and raises, again
+        assert legs.known(parts, 0, 0, 0, ()) == {-1: (0, 1, ((0, 1),), 1)}
 
 
 def test_bounce_invariant_checks():
     parts = (1, 1, 1)
     # a leg past the east steps after run 0 cannot stop below 2 consumed runs
     with pytest.raises(InternalInvariantError, match="below the 2 runs"):
-        _legs(parts, 7, 0, -1, 2, 2, ())
+        _legs(parts, 0, -1, 2, 2, ())
     # with no run counted the legs never move right
-    with pytest.raises(InternalInvariantError, match="no progress within 7 legs"):
-        _legs(parts, 7, 0, -1, 1, -1, ())
+    with pytest.raises(InternalInvariantError, match="no progress at leg 0"):
+        _legs(parts, 0, -1, 1, -1, ())
     with pytest.raises(InternalInvariantError, match="after 2 of 3 runs"):
         _check_end(parts, 0, 2)
     with pytest.raises(InternalInvariantError, match="x=n-1"):

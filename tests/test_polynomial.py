@@ -196,6 +196,16 @@ def test_extract_coefficient():
     assert got == LaurentPoly(twq, {(0, 0, 1): 1, (-1, 0, 0): 1})
 
 
+def test_an_assigned_exponent_that_is_not_an_integer_is_a_domain_error():
+    ctx = VariableContext(("x", "q", "t"))
+    p = LaurentPoly.parse(ctx, "x*q + x^2*t")
+    # read as they stand, 1.5 and "1" would match no term and give 0, and 1.0 would match x^1
+    for exponent in [1.5, "1", 1.0, None]:
+        with pytest.raises(DomainError, match="exponent of x"):
+            p.extract_coefficient({"x": exponent}, QT_CONTEXT)
+    assert p.extract_coefficient({"x": True}, QT_CONTEXT) == P("q")
+
+
 def test_context_validation():
     with pytest.raises(UsageError):
         VariableContext(())
