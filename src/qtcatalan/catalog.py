@@ -43,21 +43,21 @@ literal templates in this module, the synthetic names ``x0, x1, ...`` and
 ``%d`` after an ``operator.index`` pass over each row or line of them
 (``CaseSpec.__init__`` reads a case's rows and parity test as ints, ``_piece``
 its bases, and ``_integers`` in ``_linear`` and ``_source`` each line).  No
-outside text reaches it: a point is the function's argument, which its first line
-validates, ``x0, ..., xn, = map(index, point)``, with only ``map`` and
-``operator.index`` in its namespace.  Both entry points call ``_run_kernel``:
-a tuple goes straight to the kernel, which reads it once; any other point, or
-one the kernel refuses, goes through ``_coordinates``, which raises the
-refusal's own error.
+outside text reaches it: a point is the function's argument, which its first
+lines read once.  A plain tuple of ints of the family's width is unpacked; any
+other point goes through ``coordinates``, :func:`_coordinates` bound to the
+family, which raises its own error.  Only ``type``, ``int``, ``tuple``, ``len``
+and ``coordinates`` are in its namespace.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, partial
-from operator import index, mul
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import mul
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cones import RationalGF, gf_substitute, gf_sum
 from .errors import Frozen, InternalInvariantError, UsageError, _integer, _integers
@@ -443,7 +443,7 @@ def case_catalog(name: str) -> Tuple[CaseSpec, ...]:
 
 def case_membership(spec: CaseSpec, point: Sequence[int]) -> bool:
     """Whether the point satisfies the case's region and parity constraints."""
-    return _run_kernel(spec.membership_kernel, spec.family, point)
+    return spec.membership_kernel(point)
 
 
 def _pointwise_map(zgf: RationalGF, fam: FamilyInfo) -> RationalGF:
@@ -576,7 +576,9 @@ Coverage = Tuple[Tuple[Point, ...], Tuple[Group, ...]]  # distinct rows, groups
 
 
 def _coordinates(family: str, point: Sequence[int]) -> Point:
-    """The point as ints, one per coordinate of the family."""
+    """The point as ints, one per coordinate of the family; a set or mapping is a UsageError."""
+    if isinstance(point, (Set, Mapping)):
+        raise UsageError(f"a point must be a sequence, got a {type(point).__name__}")
     point = _integers(point, "point coordinates")
     expected = len(FAMILIES[family].coords)
     if len(point) != expected:
@@ -616,18 +618,7 @@ def _family_kernel(family: str) -> Callable[..., int]:
 
 def signed_multiplicity(family: str, point: Sequence[int]) -> int:
     """Signed number of catalog pieces covering a coordinate point."""
-    return _run_kernel(_family_kernel(family), family, point)
-
-
-def _run_kernel(kernel: Callable[..., int], family: str, point: Sequence[int]) -> int:
-    """The kernel at the point: a tuple goes straight to it, and any other point,
-    or one it refuses, through :func:`_coordinates` (see the module docstring)."""
-    if isinstance(point, tuple):
-        try:
-            return kernel(point)
-        except (TypeError, ValueError):
-            pass
-    return kernel(_coordinates(family, point))
+    return _family_kernel(family)(point)
 
 
 # -- straight-line kernels (see the module docstring for why the source is safe)
@@ -667,16 +658,17 @@ def _membership_kernel(
     return _kernel(family, [], " and ".join(tests) or "True")
 
 
-# family -> the first line of its kernels, the point read as its coordinates
-_UNPACK = {name: "".join("x%d, " % i for i in range(len(fam.coords))) + "= map(index, point)"
-           for name, fam in FAMILIES.items()}
-
-
 def _kernel(family: str, lines: Sequence[str], result: str) -> Callable[..., int]:
     """The function of a point, read as the family's coordinates ``x0, x1, ...``
-    (else a ValueError or TypeError), that runs ``lines`` and returns ``result``."""
-    body = "".join(f"    {line}\n" for line in [_UNPACK[family], *lines, f"return {result}"])
-    namespace: dict = {"__builtins__": {}, "map": map, "index": index}
+    (see the module docstring), that runs ``lines`` and returns ``result``."""
+    width = len(FAMILIES[family].coords)
+    names = "".join("x%d, " % i for i in range(width))
+    ints = " or ".join("type(x%d) is not int" % i for i in range(width))
+    read = ("if type(point) is not tuple or len(point) != %d: point = coordinates(point)" % width,
+            names + "= point", f"if {ints}: {names}= coordinates(point)")
+    body = "".join(f"    {line}\n" for line in [*read, *lines, f"return {result}"])
+    namespace: dict = {"__builtins__": {}, "type": type, "int": int, "tuple": tuple, "len": len,
+                       "coordinates": partial(_coordinates, family)}
     exec(f"def kernel(point):\n{body}", namespace)
     return namespace.pop("kernel")
 

@@ -10,11 +10,10 @@ paper's hand-written cones in ``k4_cones``, kept as an oracle.
 
 import itertools
 import math
-import operator
 import re
 import tokenize
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from io import StringIO
 from typing import NamedTuple
 
@@ -41,7 +40,6 @@ from qtcatalan.catalog import (
     _linear,
     _piece,
     _pointwise_map,
-    _run_kernel,
     assemble_case,
     assemble_theorem,
     case_catalog,
@@ -720,8 +718,9 @@ def test_a_compiled_row_is_the_row(row, const, point):
     assert kernel(point) == const + sum(c * x for c, x in zip(row, point))
 
 
-KERNEL_NAMES = re.compile(r"x\d+|v\d+|t|point|index|map|and|if|return|True")
-KERNEL_OPERATORS = {"=", "==", ">=", "%", "+", "-", "*", "+=", ",", "(", ")", ":"}
+KERNEL_NAMES = re.compile(r"x\d+|v\d+|t|point|type|int|tuple|len|coordinates|is|not|or|and|if|return|True")
+KERNEL_OPERATORS = {"=", "==", "!=", ">=", "%", "+", "-", "*", "+=", ",", "(", ")", ":"}
+KERNEL_BUILTINS = {"type": type, "int": int, "tuple": tuple, "len": len}
 
 
 def _directions(rows):
@@ -735,10 +734,11 @@ def _directions(rows):
 
 @pytest.mark.parametrize("family, directions", [("three", 10), ("k4", 13), ("kaaa", 20)])
 def test_every_kernel_is_compiled_from_the_module_s_alphabet(monkeypatch, family, directions):
-    """Every kernel the family compiles sees only ``map`` and ``index``, and its
-    source holds only the names, integers and operators that the module
-    docstring allows; the family kernel takes one product per row direction,
-    and the cases share one membership kernel per distinct region."""
+    """Every kernel the family compiles sees only ``type``, ``int``, ``tuple``,
+    ``len`` and ``_coordinates`` bound to the family, and its source holds only
+    the names, integers and operators that the module docstring allows; the
+    family kernel takes one product per row direction, and the cases share one
+    membership kernel per distinct region."""
     sources = []
 
     def compile_kernel(source, namespace):
@@ -762,7 +762,10 @@ def test_every_kernel_is_compiled_from_the_module_s_alphabet(monkeypatch, family
         same_region = (a.region, a.parity) == (b.region, b.parity)
         assert (a.membership_kernel is b.membership_kernel) == same_region, (a.case_id, b.case_id)
     for kernel in kernels:
-        assert kernel.__globals__ == {"__builtins__": {}, "map": map, "index": operator.index}
+        namespace = dict(kernel.__globals__)
+        coordinates = namespace.pop("coordinates")
+        assert namespace == {"__builtins__": {}, **KERNEL_BUILTINS}
+        assert (coordinates.func, coordinates.args, coordinates.keywords) == (_coordinates, (family,), {})
     for source in sources:
         header, body = source.split("\n", 1)
         assert header == "def kernel(point):"
@@ -869,7 +872,7 @@ class Long(NamedTuple):
 
 POINT_CHECKS = (
     lambda point: signed_multiplicity("k4", point),
-    lambda point: _run_kernel(realized(K4_CASE), "k4", point),
+    lambda point: realized(K4_CASE)(point),
     lambda point: case_membership(K4_CASE, point),
 )
 
@@ -891,6 +894,10 @@ POINT_CHECKS = (
         pytest.param((1, 1, 1, 1, 1, 1.5), DomainError, id="longer, then not an integer"),
         pytest.param((True, True, True), UsageError, id="short bools"),
         pytest.param((True, 1.5, True, True), DomainError, id="bools and not an integer"),
+        pytest.param({3: 1, 1: 0, 2: 1, 0: 0}, UsageError, id="mapping"),
+        pytest.param({0, 1, 2, 3}, UsageError, id="set"),
+        pytest.param(frozenset({0, 1, 2, 3}), UsageError, id="frozenset"),
+        pytest.param(lambda: {0: 1, 1: 0, 2: 1, 3: 0}.keys(), UsageError, id="mapping keys"),
     ],
 )
 def test_coverage_refuses_malformed_points(point, error):
@@ -920,6 +927,32 @@ def test_any_sequence_of_integers_is_a_point(make):
     """A point that is not a plain tuple of ints is read as ``_coordinates`` reads it."""
     for check in POINT_CHECKS:
         assert check(make()) == check((1, 0, 1, 0))
+
+
+@pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
+def test_a_region_point_is_read_without_coordinates(monkeypatch, family):
+    """Through either entry point, no region point of size <= 4 reaches
+    ``_coordinates``, in the module or in a kernel's namespace; a list does,
+    once per call.  The answers are the oracles'."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return _coordinates(*args)
+
+    monkeypatch.setattr(catalog, "_coordinates", spy)
+    specs = case_catalog(family)
+    for kernel in {catalog._family_kernel(family), *(spec.membership_kernel for spec in specs)}:
+        monkeypatch.setitem(kernel.__globals__, "coordinates", partial(spy, family))
+    for point in region_points(family, 4):
+        assert signed_multiplicity(family, point) == lattice_oracle.signed_multiplicity(family, point), point
+        for spec in specs:
+            assert case_membership(spec, point) == lattice_oracle.case_membership(spec, point), point
+    assert seen == []
+    point = [0] * len(FAMILIES[family].coords)
+    assert signed_multiplicity(family, point) == 1
+    assert case_membership(specs[0], point) == lattice_oracle.case_membership(specs[0], point)
+    assert seen == [(family, point)] * 2
 
 
 BOX = 2  # the drawn pieces are counted on the points of [-BOX, BOX]^4
