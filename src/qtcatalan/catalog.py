@@ -2,7 +2,9 @@
 
 Each supported shape family (three free run lengths; four equal runs; one
 short run followed by three equal longer runs) comes with a fixed list of
-:class:`CaseSpec` entries.  A case's five fields record, as literal data:
+:class:`CaseSpec` cases, declared as entries ``(case_id, own rows, parity,
+{base: coefficient}, generators)`` and built by one builder, :func:`_cases`.
+A case's five fields record, as literal data:
 
 * ``case_id`` and ``family``,
 * the ``region`` of path coordinates it covers, as integer rows
@@ -23,8 +25,9 @@ in its coordinate and every base in its class, so each point the piece covers
 passes the test.
 
 The four-equal-runs family k4 is the short-run family kaaa at m = 0, so its
-cases are derived: each kaaa case with a base at m = 0 gives one k4 case, its
-rows and its piece restricted to that face by one slice that drops column m.
+entries are kaaa's cut to that face: each kaaa entry with a base at m = 0
+gives one k4 entry, its own rows, bases and generators cut by one slice that
+drops column m.
 
 Lattice points map to generating-function monomials pointwise, through the
 family's closed-form statistics.
@@ -67,6 +70,7 @@ from .polynomial import Exponents, LaurentPoly, add_terms
 
 
 Row = Tuple[int, Point]  # (const, one coefficient per family coordinate): const + row . x >= 0
+Entry = Tuple[str, Tuple[Row, ...], Optional[Tuple[int, int]], Mapping[Point, int], Sequence[Point]]
 
 
 def _ge(fam: str, /, const=0, **coeffs) -> Row:
@@ -149,6 +153,16 @@ def _piece(family: str, bases: Mapping[Point, int], generators: Sequence[Point])
     return RationalGF(zctx, LaurentPoly(zctx, terms), generators)
 
 
+def _cases(family: str, entries: Iterable[Entry]) -> Tuple[CaseSpec, ...]:
+    """The family's catalog: one case per entry ``(case_id, own rows, parity test,
+    {base: coefficient}, generators)``, its own rows before the family's base rows."""
+    base = _base(family)
+    return tuple(
+        CaseSpec(case_id, family, rows + base, _piece(family, bases, generators), parity)
+        for case_id, rows, parity, bases, generators in entries
+    )
+
+
 # -- family "three": coordinates (k1, k2, k3, r2, r3) -------------------------
 
 _E1 = (1, 0, 0, 0, 0)
@@ -160,43 +174,18 @@ _G = (1, 1, 0, 1, 0)
 _H = (0, 1, 0, 0, 1)
 
 
-def _three_cases() -> Tuple[CaseSpec, ...]:
-    base = _base("three")
+def _three_entries() -> List[Entry]:
     ge, gt, eq = (partial(f, "three") for f in (_ge, _gt, _eq))
-    c3_gens = (_E1, _E3, _G, _S, _H)
-    return (
-        CaseSpec(
-            case_id="three.C1",
-            family="three",
-            region=(ge(r2=1, k2=-1, r3=-1), ge(r2=1, k2=-1)) + base,
-            piece=_piece("three", {(0,) * 5: 1}, (_E1, _E3, _U, _S, _G)),
-        ),
-        CaseSpec(
-            case_id="three.C2",
-            family="three",
-            # gap condition relative to r2, the smaller side here
-            region=(ge(k2=1, r2=-1, r3=-1), ge(k2=1, r2=-1)) + base,
-            piece=_piece("three", {(0,) * 5: 1}, (_E1, _E2, _E3, _G, _H)),
-        ),
-        CaseSpec(
-            case_id="three.C3A",
-            family="three",
-            region=(gt(k2=1, r2=-1, r3=1), gt(r2=1, k2=-1, r3=1)) + base,
-            piece=_piece("three", {(1, 1, 0, 1, 2): 1}, c3_gens),
-        ),
-        CaseSpec(
-            case_id="three.C3B",
-            family="three",
-            region=(gt(k2=1, r2=-1, r3=1), gt(r2=1, k2=-1, r3=1)) + base,
-            piece=_piece("three", {(1, 1, 0, 1, 1): 1}, c3_gens),
-        ),
-        CaseSpec(
-            case_id="three.overlap",
-            family="three",
-            region=eq(r2=1, k2=-1) + eq(r3=1) + base,
-            piece=_piece("three", {(0,) * 5: -1}, (_E1, _E3, _G)),
-        ),
-    )
+    c3 = (gt(k2=1, r2=-1, r3=1), gt(r2=1, k2=-1, r3=1))
+    c3_gens, origin = (_E1, _E3, _G, _S, _H), (0,) * 5
+    return [
+        ("three.C1", (ge(r2=1, k2=-1, r3=-1), ge(r2=1, k2=-1)), None, {origin: 1}, (_E1, _E3, _U, _S, _G)),
+        # gap condition relative to r2, the smaller side here
+        ("three.C2", (ge(k2=1, r2=-1, r3=-1), ge(k2=1, r2=-1)), None, {origin: 1}, (_E1, _E2, _E3, _G, _H)),
+        ("three.C3A", c3, None, {(1, 1, 0, 1, 2): 1}, c3_gens),
+        ("three.C3B", c3, None, {(1, 1, 0, 1, 1): 1}, c3_gens),
+        ("three.overlap", eq(r2=1, k2=-1) + eq(r3=1), None, {origin: -1}, (_E1, _E3, _G)),
+    ]
 
 
 # -- family "kaaa": coordinates (k, m, a, b, c) --------------------------------
@@ -220,8 +209,7 @@ _W_ABC = (1, 0, 1, 1, 1)
 _B_EVEN, _B_ODD = ((FAMILIES["kaaa"].coords.index("b"), r) for r in (0, 1))  # parity tests on b
 
 
-def _kaaa_cases() -> Tuple[CaseSpec, ...]:
-    base = _base("kaaa")
+def _kaaa_entries() -> List[Entry]:
     ge, gt, eq = (partial(f, "kaaa") for f in (_ge, _gt, _eq))
     in_band = (gt(b=1), ge(k=2, a=-2, b=-1))  # 0 < b <= 2(k - a)
     above_band = gt(b=1, k=-2, a=2)  # b > 2(k - a)
@@ -390,49 +378,40 @@ def _kaaa_cases() -> Tuple[CaseSpec, ...]:
             [_W_MBC, _W_B2C, _W_AC2, _W_AB, _W_ABC],
         ),
     ]
-    return tuple(
-        CaseSpec(
-            case_id=case_id,
-            family="kaaa",
-            region=extra + base,
-            piece=_piece("kaaa", dict.fromkeys(bases, 1), gens),
-            parity=parity,
-        )
-        for case_id, extra, parity, bases, gens in entries
-    )
+    return [(case_id, rows, parity, dict.fromkeys(bases, 1), gens)
+            for case_id, rows, parity, bases, gens in entries]
 
 
 # -- family "k4": coordinates (k, a, b, c), kaaa's face m = 0 -------------------
 
 
-def _k4_cases() -> Tuple[CaseSpec, ...]:
-    """kaaa's cases at m = 0, where runs (k, k+m, k+m, k+m) are (k, k, k, k).
+def _k4_entries() -> List[Entry]:
+    """kaaa's entries at m = 0, where runs (k, k+m, k+m, k+m) are (k, k, k, k).
 
     No kaaa base or generator has a negative m part, so a piece's points with
-    m = 0 are its bases with m = 0 over its generators with m = 0; a case with
-    no such base has no point there.  A case's own rows lose their m column,
-    and the kaaa base rows at m = 0 are k4's (``families.UPPER_BOUNDS``).
+    m = 0 are its bases with m = 0 over its generators with m = 0; an entry
+    with no such base has no point there.  An entry's own rows lose their m
+    column, and the kaaa base rows at m = 0 are k4's (``families.UPPER_BOUNDS``).
     """
-    shared, base = len(_base("kaaa")), _base("k4")
     m = FAMILIES["kaaa"].coords.index("m")  # the column that kaaa has and k4 lacks
     cut = lambda v: v[:m] + v[m + 1:]  # one slice for rows, bases and generators
-    cases = []
-    for spec in case_catalog("kaaa"):
-        piece = spec.piece
-        if any(v[m] < 0 for v in (*piece.numerator.terms, *piece.denominator)):
-            raise InternalInvariantError(f"{spec.case_id}: a base or generator has m < 0")
-        bases = {cut(v): coef for v, coef in piece.numerator.terms.items() if v[m] == 0}
-        if not bases:
-            continue
-        rows = tuple((const, cut(row)) for const, row in spec.region[:-shared])
-        face = _piece("k4", bases, tuple(cut(g) for g in piece.denominator if g[m] == 0))
-        parity = spec.parity and (spec.parity[0] - (spec.parity[0] > m), spec.parity[1])
-        cases.append(spec._replace(case_id="k4" + spec.case_id[4:], family="k4",
-                                   region=rows + base, piece=face, parity=parity))
-    return tuple(cases)
+    entries = []
+    for case_id, rows, parity, bases, gens in _kaaa_entries():
+        if any(v[m] < 0 for v in (*bases, *gens)):
+            raise InternalInvariantError(f"{case_id}: a base or generator has m < 0")
+        face = {cut(v): coef for v, coef in bases.items() if v[m] == 0}
+        if face:
+            entries.append(("k4" + case_id[4:], tuple((const, cut(row)) for const, row in rows),
+                            parity and (parity[0] - (parity[0] > m), parity[1]),
+                            face, [cut(g) for g in gens if g[m] == 0]))
+    return entries
 
 
-_CASES = {"three": _three_cases, "k4": _k4_cases, "kaaa": _kaaa_cases}
+_CASES = {
+    "three": lambda: _cases("three", _three_entries()),
+    "k4": lambda: _cases("k4", _k4_entries()),
+    "kaaa": lambda: _cases("kaaa", _kaaa_entries()),
+}
 
 
 @lru_cache(maxsize=None)

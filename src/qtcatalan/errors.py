@@ -90,7 +90,3 @@ class Frozen:
 
     def __reduce__(self):  # copy and pickle rebuild a value through __init__
         return type(self), self._values()
-
-    def _replace(self, **changes):
-        """A new value with ``changes`` to some fields, checked again by ``__init__``."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))

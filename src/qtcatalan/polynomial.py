@@ -161,13 +161,6 @@ class LaurentPoly(Frozen):
 
     __rmul__ = __mul__  # reached only by an int or a foreign operand
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.context == other.context
-            and self.terms == other.terms
-        )
-
     def __hash__(self) -> int:
         return hash((self.context, frozenset(self.terms.items())))
 
@@ -281,14 +274,17 @@ class LaurentPoly(Frozen):
                 factor = factor.strip()
                 if not factor:
                     raise UsageError(f"empty factor in {text!r}")
-                if re.fullmatch(r"-?\d+", factor):
-                    coef *= int(factor)
-                    continue
-                match = cls._FACTOR_RE.match(factor)
-                if not match:
+                number, match = re.fullmatch(r"-?\d+", factor), cls._FACTOR_RE.match(factor)
+                if not (number or match):
                     raise UsageError(f"cannot parse factor {factor!r}")
-                name, exp = match.group(1), match.group(2)
-                vec[context.index(name)] += int(exp) if exp is not None else 1
+                try:  # int() refuses a number past the interpreter's digit limit
+                    value = int(factor if number else match.group(2) or 1)
+                except ValueError as exc:
+                    raise UsageError(f"bad factor {factor!r} ({exc})") from None
+                if number:
+                    coef *= value
+                else:
+                    vec[context.index(match.group(1))] += value
             pairs.append((tuple(vec), coef))
         return cls(context, add_terms({}, pairs))
 

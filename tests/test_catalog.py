@@ -8,6 +8,7 @@ checked against them point by point; the frozen k4 displays are those of the
 paper's hand-written cones in ``k4_cones``, kept as an oracle.
 """
 
+import hashlib
 import itertools
 import math
 import re
@@ -21,6 +22,7 @@ import constraint_oracle
 import k4_cones
 import lattice_oracle
 import pytest
+from frozen_replace import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lattice_oracle import minor_gcd
@@ -103,6 +105,18 @@ def test_catalog_shapes():
     assert list(case_catalog("three")[-1].piece.numerator.terms.values()) == [-1]
     with pytest.raises(UsageError):
         case_catalog("nope")
+
+
+CATALOG_SHA256 = {  # of each catalog's repr: every id, row, parity test, base and generator, in order
+    "three": "68de885a8521ad2928f5abe1c799adc81be10024916984f33b924fb2c7f3ce2a",
+    "k4": "6a04a0fbf3005ff587ec8e39e4ed3c7c8661ccfbf3336f9262a9346a468f8f0e",
+    "kaaa": "e9312dcfaf37739216b9985833515b252bc2d03f5e1ba45c2cb11708300fcd13",
+}
+
+
+@pytest.mark.parametrize("family", ["three", "k4", "kaaa"])
+def test_the_catalog_data_is_pinned(family):
+    assert hashlib.sha256(repr(case_catalog(family)).encode()).hexdigest() == CATALOG_SHA256[family]
 
 
 # -- three-run family ---------------------------------------------------------
@@ -284,11 +298,10 @@ def test_no_kaaa_base_or_generator_has_a_negative_m_part():
 def test_a_kaaa_base_with_a_negative_m_part_is_an_invariant_error(monkeypatch):
     """The face m = 0 of a piece is its bases and generators with m = 0 only
     when nothing has a negative m part; the derivation refuses anything else."""
-    kaaa = list(case_catalog("kaaa"))
-    piece = kaaa[0].piece
-    moved = _piece("kaaa", {(1, -1, 0, 0, 0): 1}, piece.denominator)
-    kaaa[0] = kaaa[0]._replace(piece=moved)
-    monkeypatch.setattr(catalog, "case_catalog", lambda name: tuple(kaaa))
+    kaaa = catalog._kaaa_entries()
+    case_id, rows, parity, _, generators = kaaa[0]
+    kaaa[0] = (case_id, rows, parity, {(1, -1, 0, 0, 0): 1}, generators)
+    monkeypatch.setattr(catalog, "_kaaa_entries", lambda: kaaa)
     with pytest.raises(InternalInvariantError, match="m < 0"):
         catalog._CASES["k4"]()
 
@@ -524,9 +537,8 @@ def test_integer_constraints_are_the_fraction_constraints(const, coeffs):
 def test_every_catalog_constraint_is_the_fraction_constraint(monkeypatch, family):
     """Each constraint a catalog builds, checked call by call against the
     Fraction-only builders, and the catalog built by those builders equal
-    to the cached one.  k4 is derived from a kaaa catalog built the same way."""
+    to the cached one.  k4's entries are cut from kaaa's, built the same way."""
     calls = []
-    monkeypatch.setattr(catalog, "case_catalog", lambda name: catalog._CASES[name]())
 
     def checked(name):
         built, oracle = getattr(catalog, name), constraint_oracle.densified(name)
@@ -603,7 +615,7 @@ def test_every_mutated_catalog_breaks_the_partition(family, count):
     survivors, refused = [], []
     for name, i, changes in mutants:
         try:
-            replaced = () if changes is None else (cases[i]._replace(**changes),)
+            replaced = () if changes is None else (replace(cases[i], **changes),)
         except InternalInvariantError:  # its bases are all outside the flipped class
             refused.append(name)
             continue
@@ -1044,7 +1056,7 @@ def test_a_parity_case_with_an_odd_generator_is_an_invariant_error():
     correction = _piece("k4", {(0, 0, 0, 1): -1}, (odd_in_b,))
     for piece in (RationalGF(zctx, p2c1.piece.numerator, generators), gf_sum([p2c1.piece, correction])):
         with pytest.raises(InternalInvariantError, match="^k4.P2C1: a generator is odd in b$"):
-            p2c1._replace(piece=piece)
+            replace(p2c1, piece=piece)
         with pytest.raises(InternalInvariantError, match="^k4.P2C1: a generator is odd in b$"):
             CaseSpec(p2c1.case_id, "k4", p2c1.region, piece, p2c1.parity)
 
@@ -1057,7 +1069,7 @@ def test_a_parity_case_with_a_base_outside_its_class_is_an_invariant_error():
     odd = _piece("kaaa", {**piece.numerator.terms, (2, 0, 0, 3, 1): 1}, piece.denominator)
     refusal = "^kaaa.P3C1: a base is not even in b$"
     with pytest.raises(InternalInvariantError, match=refusal):
-        spec._replace(piece=odd)
+        replace(spec, piece=odd)
     with pytest.raises(InternalInvariantError, match=refusal):
         CaseSpec(spec.case_id, "kaaa", spec.region, odd, spec.parity)
 
@@ -1076,7 +1088,7 @@ def test_a_piece_base_that_is_not_integer_is_refused_before_any_kernel_is_compil
         with pytest.raises(DomainError, match="exponents"):
             LaurentPoly(zctx, terms)
         numerator = LaurentPoly._trusted(zctx, terms)
-        spec = p1c1a._replace(piece=RationalGF(zctx, numerator, generators))
+        spec = replace(p1c1a, piece=RationalGF(zctx, numerator, generators))
         with pytest.raises(DomainError, match="kernel numbers"):
             realized(spec)((1, 1, 1, 1))
     assert compiled == []

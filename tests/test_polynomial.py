@@ -28,6 +28,19 @@ def test_parse_and_str_round_trip():
         assert LaurentPoly.parse(QT, str(poly)) == poly
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty polynomial string"),
+    ("q + -", "dangling sign"),
+    ("q**t", "empty factor"),
+    ("q^x", "cannot parse factor"),
+    ("q^" + "9" * 5000, r"bad factor 'q\^9+' \(Exceeds the limit"),  # past int()'s digit limit
+    ("9" * 5000 + "*q", r"bad factor '9+' \(Exceeds the limit"),
+], ids=["empty", "dangling sign", "empty factor", "bad exponent", "long exponent", "long coefficient"])
+def test_a_malformed_string_is_a_usage_error(text, message):
+    with pytest.raises(UsageError, match=message):
+        P(text)
+
+
 def test_canonical_order():
     # ascending total degree, then descending lexicographic on exponents
     assert str(P("t^3 + q*t + q^3 + q*t^2 + q^2*t")) == "q*t + q^3 + q^2*t + q*t^2 + t^3"

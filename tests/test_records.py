@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from frozen_replace import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,14 +133,14 @@ def test_every_frozen_value_class_has_a_record():
 def test_a_replaced_case_is_checked_again_and_keeps_no_cached_member():
     spec = case_catalog("k4")[0]
     kernel = spec.membership_kernel
-    flipped = spec._replace(piece=-spec.piece)
+    flipped = replace(spec, piece=-spec.piece)
     assert flipped.piece == -spec.piece and flipped.case_id == spec.case_id
-    assert flipped != spec and flipped._replace(piece=spec.piece) == spec
+    assert flipped != spec and replace(flipped, piece=spec.piece) == spec
     assert "membership_kernel" not in vars(flipped) and spec.membership_kernel is kernel
     with pytest.raises(UsageError):
-        spec._replace(family="kaaa")
+        replace(spec, family="kaaa")
     with pytest.raises(TypeError):
-        spec._replace(colour="red")
+        replace(spec, colour="red")
 
 
 @pytest.mark.parametrize("make", [make for make, _ in RECORDS if isinstance(make(), Frozen)])
