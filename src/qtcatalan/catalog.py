@@ -27,7 +27,8 @@ passes the test.
 The four-equal-runs family k4 is the short-run family kaaa at m = 0, so its
 entries are kaaa's cut to that face: each kaaa entry with a base at m = 0
 gives one k4 entry, its own rows, bases and generators cut by one slice that
-drops column m.
+drops column m.  kaaa's entries are built once, into one immutable table that
+both families read.
 
 Lattice points map to generating-function monomials pointwise, through the
 family's closed-form statistics.
@@ -37,30 +38,34 @@ which the verification layer compares against the transcribed product
 formulas from :func:`printed_theorem`.
 
 The partition checks :func:`signed_multiplicity` and :func:`case_membership`
-run compiled kernels: each family's coverage table, and each distinct region
-with its parity test, becomes one Python function of straight-line integer
-code, built once; cases with the same region share one membership kernel.
+run compiled kernels, each one Python function of integer code, built once:
+each family's coverage table becomes one product per row direction and then a
+tree of ``if`` tests, each test shared by the bases below it written once
+(:func:`_coverage_kernel`); each distinct region with its parity test becomes
+one ``and`` chain, which cases with the same region share.
 The source of such a function is safe to compile.  It is assembled only from
 literal templates in this module, the synthetic names ``x0, x1, ...`` and
-``v0, v1, ...``, and numbers, a base's row values among them, written with
-``%d`` after an ``operator.index`` pass over each row or line of them
-(``CaseSpec.__init__`` reads a case's rows and parity test as ints, ``_piece``
-its bases, and ``_integers`` in ``_linear`` and ``_source`` each line).  No
-outside text reaches it: a point is the function's argument, which its first
-lines read once.  A plain tuple of ints of the family's width is unpacked; any
-other point goes through ``coordinates``, :func:`_coordinates` bound to the
-family, which raises its own error.  Only ``type``, ``int``, ``tuple``, ``len``
-and ``coordinates`` are in its namespace.
+``v0, v1, ...``, and numbers, values derived from a base's rows among them,
+written with ``%d`` after an ``operator.index`` pass over each row or line of
+them (``CaseSpec.__init__`` reads a case's rows and parity test as ints,
+``_piece`` its bases, and ``_integers`` in ``_linear`` and ``_source`` each
+line).  No outside text reaches it: a point is the function's argument, which
+its first lines read once.  A plain tuple of ints of the family's width is
+unpacked; any other point goes through ``coordinates``, :func:`_coordinates`
+bound to the family, which raises its own error.  Only ``type``, ``int``,
+``tuple``, ``len`` and ``coordinates`` are in its namespace.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping, Set
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, partial
 from operator import mul
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .cones import RationalGF, gf_substitute, gf_sum
 from .errors import Frozen, InternalInvariantError, UsageError, _integer, _integers
@@ -130,7 +135,7 @@ class CaseSpec(Frozen):
 
     @cached_property
     def membership_kernel(self) -> Callable[..., bool]:
-        """:func:`case_membership` as straight-line code, shared by every case
+        """:func:`case_membership` as one compiled ``and`` chain, shared by every case
         with the same family, rows and parity test."""
         return _membership_kernel(self.family, self.region, self.parity)
 
@@ -210,6 +215,12 @@ _B_EVEN, _B_ODD = ((FAMILIES["kaaa"].coords.index("b"), r) for r in (0, 1))  # p
 
 
 def _kaaa_entries() -> List[Entry]:
+    """kaaa's entries as a fresh list of the one table that kaaa and k4 read."""
+    return list(_kaaa_table())
+
+
+@cache
+def _kaaa_table() -> Tuple[Entry, ...]:
     ge, gt, eq = (partial(f, "kaaa") for f in (_ge, _gt, _eq))
     in_band = (gt(b=1), ge(k=2, a=-2, b=-1))  # 0 < b <= 2(k - a)
     above_band = gt(b=1, k=-2, a=2)  # b > 2(k - a)
@@ -378,8 +389,8 @@ def _kaaa_entries() -> List[Entry]:
             [_W_MBC, _W_B2C, _W_AC2, _W_AB, _W_ABC],
         ),
     ]
-    return [(case_id, rows, parity, dict.fromkeys(bases, 1), gens)
-            for case_id, rows, parity, bases, gens in entries]
+    return tuple((case_id, rows, parity, MappingProxyType(dict.fromkeys(bases, 1)), tuple(gens))
+                 for case_id, rows, parity, bases, gens in entries)
 
 
 # -- family "k4": coordinates (k, a, b, c), kaaa's face m = 0 -------------------
@@ -545,8 +556,8 @@ def printed_theorem(name: str) -> RationalGF:
 # inverse ``(P, T, L)`` that holds iff ``T point = T b`` and each entry of
 # ``P point - P b`` is nonnegative and divisible by ``L``.  A coverage table
 # keeps each distinct row of every ``P`` and ``T`` once, and each base as the
-# values of its rows, so a point costs one product per distinct row and then
-# only comparisons.
+# values of its rows.  Compiled, a point costs one product per row direction
+# and then only comparisons, each test that several bases share made once.
 
 RowValues = Tuple[Tuple[int, int], ...]  # (row index, the row's value at the base)
 Base = Tuple[int, RowValues, RowValues]  # signed coefficient, rows of P, rows of T
@@ -590,7 +601,7 @@ def _coverage(specs: Iterable[CaseSpec]) -> Coverage:
 
 @lru_cache(maxsize=None)
 def _family_kernel(family: str) -> Callable[..., int]:
-    """The family's coverage table as straight-line code; an unknown family is
+    """The family's coverage table as compiled code; an unknown family is
     a UsageError from :func:`case_catalog` before anything is built."""
     return _coverage_kernel(_coverage(case_catalog(family)), family)
 
@@ -600,7 +611,7 @@ def signed_multiplicity(family: str, point: Sequence[int]) -> int:
     return _family_kernel(family)(point)
 
 
-# -- straight-line kernels (see the module docstring for why the source is safe)
+# -- compiled kernels (see the module docstring for why the source is safe)
 
 
 def _source(template: str, numbers: Sequence[int]) -> str:
@@ -652,28 +663,70 @@ def _kernel(family: str, lines: Sequence[str], result: str) -> Callable[..., int
     return namespace.pop("kernel")
 
 
+# A base's tests on the value ``u`` of one direction (see ``_coverage_kernel``):
+# (kind, direction index, numbers), written by the kind's template.  Sorting
+# puts the equalities, which fail most often, first in each ``and`` chain.
+Test = Tuple[int, ...]
+_TESTS = ("v%d == %d", "v%d %% %d == %d", "v%d >= %d", "-v%d >= %d")
+
+
 def _coverage_kernel(coverage: Coverage, family: str) -> Callable[..., int]:
-    """The table's signed multiplicity: one line per distinct row, then one
-    guarded ``if`` per base.  Rows go by gcd, and a row that is an integer multiple
-    of an earlier one, ``-3*x2`` of ``x2`` say, is that row's value times the multiple."""
+    """The table's signed multiplicity: one product per row direction, then a
+    tree of shared tests (:func:`_tree`).
+
+    Each row is ``m`` times a primitive direction (first nonzero entry > 0)
+    with value ``u`` at the point, and ``m*w`` at a base, ``w`` an integer as
+    bases are integral.  So a cokernel test is ``u == w``, and a scaled test,
+    ``m*u >= m*w`` with ``L | m*(u - w)``, is ``u % M == w % M`` for
+    ``M = L // gcd(m, L)``, left out when ``M == 1``, and ``u >= w``, or
+    ``-u >= -w`` when ``m < 0``.
+    """
     rows, groups = coverage
-    lines, computed = [], {}  # direction -> (index, multiple) of its row computed by a product
-    for g, i, row in sorted((math.gcd(*row) or 1, i, row) for i, row in enumerate(rows)):
+    lines, directions, scales = [], {}, []  # direction -> its index; per row (index, m)
+    for row in rows:  # no row of a generator inverse is zero
+        g = math.gcd(*row)
         unit = tuple(x // g for x in row)
-        direction, g = max((unit, g), (tuple(-x for x in unit), -g))  # first nonzero entry > 0
-        j, h = computed.setdefault(direction, (i, g))
-        value = _source("%d*v%d", (g // h, j)) if j != i and g % h == 0 else _linear(row)
-        lines.append(_source("v%d = ", (i,)) + value)
-    lines.append("t = 0")
-    for lcm, bases in groups:
-        test = "v%d >= %d and v%d %% %d == %d" if lcm != 1 else "v%d >= %d"
-        for coef, scaled, cokernel in bases:
-            tests, numbers = [], []
+        direction, m = max((unit, g), (tuple(-x for x in unit), -g))  # first nonzero entry > 0
+        if direction not in directions:
+            directions[direction] = len(directions)
+            lines.append(_source("v%d = ", (directions[direction],)) + _linear(direction))
+        scales.append((directions[direction], m))
+    bases = []
+    for lcm, group in groups:
+        for coef, scaled, cokernel in group:
+            tests = {(0, scales[i][0], v // scales[i][1]) for i, v in cokernel}
             for i, v in scaled:
-                tests.append(test)
-                numbers += (i, v, i, lcm, v % lcm) if lcm != 1 else (i, v)
-            for i, v in cokernel:
-                tests.append("v%d == %d")
-                numbers += (i, v)
-            lines.append(_source(f"if {' and '.join(tests)}: t += %d", (*numbers, coef)))
-    return _kernel(family, lines, "t")
+                j, m = scales[i]
+                w, modulus = v // m, lcm // math.gcd(m, lcm)
+                if modulus != 1:
+                    tests.add((1, j, modulus, w % modulus))
+                tests.add((2, j, w) if m > 0 else (3, j, -w))
+            bases.append((coef, frozenset(tests)))
+    return _kernel(family, [*lines, "t = 0", *_tree(bases)], "t")
+
+
+def _tree(bases: Sequence[Tuple[int, FrozenSet[Test]]]) -> List[str]:
+    """Lines that add each base's coefficient to ``t`` when its tests hold.
+
+    The test held by the most bases (ties broken by the test itself) opens an
+    ``if`` with every test its bases share; their other tests make the block,
+    and the bases left are treated the same way.  A base with no test left
+    adds its coefficient at once, so a test held by one base alone ends as
+    ``if ...: t += c``; a block that adds nothing is dropped.
+    """
+    constant = sum(coef for coef, tests in bases if not tests)
+    lines = [_source("t += %d", (constant,))] if constant else []
+    bases = [(coef, tests) for coef, tests in bases if tests]
+    while bases:
+        counts = Counter(test for _, tests in bases for test in tests)
+        split = min(counts, key=lambda test: (-counts[test], test))
+        held = [(coef, tests) for coef, tests in bases if split in tests]
+        bases = [(coef, tests) for coef, tests in bases if split not in tests]
+        shared = frozenset.intersection(*(tests for _, tests in held))
+        body = _tree([(coef, tests - shared) for coef, tests in held])
+        condition = " and ".join(_source(_TESTS[kind], numbers) for kind, *numbers in sorted(shared))
+        if len(body) == 1 and not body[0].startswith("if "):
+            lines.append(f"if {condition}: {body[0]}")
+        elif body:
+            lines += [f"if {condition}:", *("    " + line for line in body)]
+    return lines

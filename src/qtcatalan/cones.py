@@ -183,7 +183,11 @@ def gf_substitute(
 
 
 def gf_equals(lhs: RationalGF, rhs: RationalGF) -> bool:
-    """Exact equality: the difference over the common denominator is zero."""
+    """Exact equality: the difference over the common denominator is zero;
+    an operand that is not a RationalGF is a UsageError."""
+    for gf in (lhs, rhs):
+        if not isinstance(gf, RationalGF):
+            raise UsageError(f"gf_equals compares RationalGFs, got a {type(gf).__name__}")
     return not (lhs - rhs).numerator
 
 

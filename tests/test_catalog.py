@@ -11,19 +11,24 @@ paper's hand-written cones in ``k4_cones``, kept as an oracle.
 import hashlib
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from fractions import Fraction
 from functools import cache, partial
 from io import StringIO
+from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import constraint_oracle
 import k4_cones
 import lattice_oracle
 import pytest
 from frozen_replace import replace
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from lattice_oracle import minor_gcd
 from lift_oracle import gf_sum as sequential_gf_sum
@@ -793,6 +798,130 @@ def test_every_kernel_is_compiled_from_the_module_s_alphabet(monkeypatch, family
                 assert kind in {"NEWLINE", "NL", "INDENT", "DEDENT", "ENDMARKER"}, (kind, text)
     products = re.findall(r"^ +v\d+ = .*x\d", sources[0], re.MULTILINE)
     assert len(products) == len(_directions(table[0])) == directions
+
+
+def _compiled(table, family):
+    """The table's family kernel and its source."""
+    sources = []
+
+    def compile_kernel(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    with mock.patch.object(catalog, "exec", compile_kernel, create=True):
+        kernel = _coverage_kernel(table, family)
+    return kernel, sources[0]
+
+
+def _repeated_tests(source):
+    """Each ``if`` of the test tree with a test that an enclosing ``if``, or
+    the same ``if``, already holds."""
+    repeated, enclosing = [], []  # (indent, tests) of the open ifs
+    for line in source.split("    t = 0\n", 1)[1].splitlines():
+        indent, text = len(line) - len(line.lstrip()), line.strip()
+        enclosing = [(depth, tests) for depth, tests in enclosing if depth < indent]
+        if text.startswith("if "):
+            tests = text[3:].split(":")[0].split(" and ")
+            held = {test for _, outer in enclosing for test in outer}
+            if len(set(tests)) < len(tests) or held & set(tests):
+                repeated.append(line)
+            enclosing.append((indent, tests))
+    return repeated
+
+
+FAMILY_SOURCES = """
+import sys
+from qtcatalan import catalog
+
+sources = []
+def compile_kernel(source, namespace):
+    sources.append(source)
+    exec(source, namespace)
+
+catalog.exec = compile_kernel
+for family in ("three", "k4", "kaaa"):
+    catalog._family_kernel(family)
+sys.stdout.write("\\0".join(sources))
+"""
+
+
+def test_a_family_kernel_s_source_depends_on_its_table_alone():
+    """The family kernels compile to the same bytes under two hash seeds, and
+    no ``if`` of a test tree repeats a test that it or an enclosing ``if`` holds."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    outputs = [
+        subprocess.run([sys.executable, "-c", FAMILY_SOURCES], env={**env, "PYTHONHASHSEED": seed},
+                       capture_output=True, text=True, timeout=60, check=True).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    sources = outputs[0].split("\0")
+    assert len(sources) == 3
+    for source in sources:
+        assert _repeated_tests(source) == [], source
+
+
+def _shared_cases(sets, pieces):
+    """k4 cases with empty regions: piece ``(set index, {base: coefficient})``
+    over generator set ``sets[index]``."""
+    return [CaseSpec("drawn", "k4", (), _piece("k4", bases, sets[index])) for index, bases in pieces]
+
+
+@st.composite
+def shared_tables(draw):
+    """Several pieces over one to three generator sets, and points to count.
+
+    Every set is a prefix of the same independent generators, each scaled by
+    1, 2, 3, 4 or 6, so the sets' rows are multiples of shared directions, and
+    a multiple often shares a factor with its set's L without being a multiple
+    of L; a set with fewer generators than coordinates has cokernel rows too.
+    Pieces that draw the same set share a group of the table.  The points are
+    those of [-BOX, BOX]^4, some within 10^30, and some a base plus huge
+    multiples of its piece's generators, plus a small offset."""
+    generators = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 4), min_size=4, max_size=4))
+    assume(minor_gcd(generators) != 0)
+    scales = st.tuples(*[st.sampled_from((1, 2, 3, 4, 6))] * 4)
+    sets = [tuple(tuple(k * x for x in g) for k, g in zip(scale, generators[:rank]))
+            for rank, scale in draw(st.lists(st.tuples(st.integers(1, 4), scales), min_size=1, max_size=3))]
+    bases = st.dictionaries(st.tuples(*[st.integers(-BOX, BOX)] * 4), st.sampled_from((-1, 1, 2)),
+                            min_size=1, max_size=3)
+    pieces = draw(st.lists(st.tuples(st.integers(0, len(sets) - 1), bases), min_size=2, max_size=5))
+    points = draw(st.lists(st.tuples(*[st.integers(-BIG, BIG)] * 4), max_size=3))
+    for index, piece_bases in pieces:
+        point = draw(st.sampled_from(sorted(piece_bases)))
+        for g in sets[index]:
+            n = draw(st.integers(0, BIG))
+            point = tuple(x + n * e for x, e in zip(point, g))
+        offset = draw(st.tuples(*[st.integers(-1, 1)] * 4))
+        points.append(tuple(x + d for x, d in zip(point, offset)))
+    return sets, pieces, points
+
+
+E4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_tables())
+@example((  # L = 6 and rows 3*x0, 2*x1: u = 2 at (2, 0, 0, 0) is 0 mod 2, not mod 6
+    [E4, ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))],
+    [(0, {(0, 0, 0, 0): 1}), (1, {(0, 0, 0, 0): -1})],
+    [(2, 0, 0, 0), (4, 3, 0, 0), (2, 0, 0, -BIG)],
+))
+@example((  # two pieces share x0 >= 0 and x1 == 0 only: x2 == 0 belongs to one of them
+    [E4[:2], E4[:1]],
+    [(0, {(0, 0, 0, 0): 1}), (1, {(0, 0, 0, 0): 1, (0, 0, 1, 0): -1})],
+    [(1, 0, 1, 0), (BIG, 0, 0, 0), (BIG, 0, 1, 0), (BIG, BIG, 0, 0)],
+))
+def test_the_test_tree_counts_what_the_table_interpreter_counts(drawn):
+    """A table of pieces that share generator sets, compiled into one test
+    tree, counts each point as ``lattice_oracle._multiplicity`` reads the
+    table, and the tree repeats no test that an enclosing ``if`` holds."""
+    sets, pieces, points = drawn
+    table = _coverage(_shared_cases(sets, pieces))
+    kernel, source = _compiled(table, "k4")
+    assert _repeated_tests(source) == []
+    for point in [*itertools.product(range(-BOX, BOX + 1), repeat=4), *points]:
+        assert kernel(point) == lattice_oracle._multiplicity(table, point), point
 
 
 K4_CASE = case_catalog("k4")[0]

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from lattice_oracle import minor_gcd
 from lattice_oracle import parallelepiped_points as fraction_parallelepiped_points
@@ -570,6 +570,22 @@ def test_gf_equals_ignores_a_shared_factor(numerator, denominator, v):
     scaled = RationalGF(Z3, base.numerator * factor, list(base.denominator) + [v])
     assert gf_equals(base, scaled)
     assert gf_equals(scaled, base)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    other=st.integers() | st.fractions() | st.none() | st.text(max_size=3)
+    | st.builds(LaurentPoly.parse, st.just(Z4), st.sampled_from(["0", "1", "y + z1"])),
+    gf_first=st.booleans(),
+)
+@example(other=3, gf_first=True)
+@example(other=3, gf_first=False)
+def test_gf_equals_refuses_an_operand_that_is_not_a_gf(other, gf_first):
+    """In either order, naming the operand's type."""
+    base = gf(Z4, "y + z1", ["y", "z1*z2"])
+    operands = (base, other) if gf_first else (other, base)
+    with pytest.raises(UsageError, match=f"got a {type(other).__name__}$"):
+        gf_equals(*operands)
 
 
 def test_gf_substitute_golden():
