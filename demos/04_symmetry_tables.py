@@ -7,8 +7,8 @@ coefficient grids where the asymmetry lives.
 
 from qtcatalan import (
     coefficient_grid,
-    is_qt_symmetric,
     lambda_catalan,
+    qt_swap,
     refined_catalan,
     symmetry_report,
 )
@@ -34,7 +34,7 @@ for partition in [(2, 1, 1, 1), (3, 1, 1, 1)]:
     total = lambda_catalan(partition)
     print(
         f"summed over rearrangements of {partition}: "
-        f"{'symmetric' if is_qt_symmetric(total) else 'NOT symmetric'}"
+        f"{'symmetric' if total == qt_swap(total) else 'NOT symmetric'}"
     )
 
 print()

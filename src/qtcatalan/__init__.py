@@ -53,7 +53,6 @@ _EXPORTS = {
     "LaurentPoly": "polynomial",
     "VariableContext": "polynomial",
     "coefficient_grid": "polynomial",
-    "is_qt_symmetric": "polynomial",
     "qt_swap": "polynomial",
     "substitute_monomials": "polynomial",
     "TheoremReport": "verify",

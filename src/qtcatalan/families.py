@@ -91,6 +91,11 @@ def _ceil_div(a: int, b: int) -> int:
 def stats_three(k1: int, k2: int, k3: int, r2: int, r3: int) -> Tuple[int, int]:
     """Area and bounce for a three-run path given the free ranks r2, r3."""
     _check_region("three", (k1, k2, k3, r2, r3))
+    return _three_stats(k1, k2, k3, r2, r3)
+
+
+def _three_stats(k1: int, k2: int, k3: int, r2: int, r3: int) -> Tuple[int, int]:
+    """The closed form of :func:`stats_three` on a point inside the region."""
     area = r2 + r3
     gap = r2 + k2 - r3
     if gap >= 2 * min(r2, k2):
@@ -105,6 +110,9 @@ def stats_kaaa(k: int, m: int, a: int, b: int, c: int) -> Tuple[int, int]:
 
     Coordinates relate to ranks by ``r2 = k - a``, ``r3 = 2k + m - a - b``,
     ``r4 = 3k + 2m - a - b - c``.  At m = 0 these are four equal runs of length k.
+    In the band ``b <= 2(k - a)`` one rule gives the bounce: odd b reads the
+    band at c - 1, and b = 0 and c = 0 are faces of the band, not cases of
+    their own.  Above the band, two more rules give it.
     """
     _check_region("kaaa", (k, m, a, b, c))
     return _kaaa_stats(k, m, a, b, c)
@@ -120,30 +128,14 @@ def _kaaa_stats(k: int, m: int, a: int, b: int, c: int) -> Tuple[int, int]:
     """The closed form of :func:`stats_kaaa` on a point inside the region."""
     area = 6 * k + 3 * m - 3 * a - 2 * b - c
     hb = _ceil_div(b, 2)
-    if b == 0:
-        if c == 0:
-            bounce = 3 * a
-        elif c <= 3 * (k - a):
-            bounce = 3 * a + _ceil_div(c, 3)
+    if b <= 2 * (k - a):
+        c -= b % 2
+        if c <= 3 * (k - a - hb):
+            bounce = 3 * a + 2 * hb + _ceil_div(c, 3)
+        elif c <= 3 * (k - hb) - a + 2 * m:
+            bounce = 2 * a + hb + k + _ceil_div(c - 3 * (k - a - hb), 2)
         else:
-            bounce = 2 * a + k + _ceil_div(c - 3 * (k - a), 2)
-    elif b <= 2 * (k - a):
-        if c == 0:
-            bounce = 3 * a + 2 * hb
-        elif b % 2 == 0:
-            if c <= 3 * (k - a - hb):
-                bounce = 3 * a + 2 * hb + _ceil_div(c, 3)
-            elif c <= 3 * (k - hb) - a + 2 * m:
-                bounce = 2 * a + hb + k + _ceil_div(c - 3 * (k - a - hb), 2)
-            else:
-                bounce = c - 2 * k + 4 * a + 4 * hb - m
-        else:
-            if c - 1 <= 3 * (k - a - hb):
-                bounce = 3 * a + 2 * hb + _ceil_div(c - 1, 3)
-            elif c - 1 <= 3 * (k - hb) - a + 2 * m:
-                bounce = 2 * a + hb + k + _ceil_div(c - 1 - 3 * (k - a - hb), 2)
-            else:
-                bounce = c - 1 - 2 * k + 4 * a + 4 * hb - m
+            bounce = c - 2 * k + 4 * a + 4 * hb - m
     else:
         if c <= 2 * (2 * k - a + m - b):
             bounce = 5 * a + 2 * b - 2 * k + _ceil_div(c, 2)

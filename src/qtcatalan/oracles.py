@@ -28,8 +28,14 @@ MAX_PATH_WORK = 10_000_000
 MAX_VERIFY_WORK = 25_000_000
 
 
-def check_path_work(vectors: Iterable[Sequence[int]], limit: int = MAX_PATH_WORK) -> None:
-    """Refuse, before any path is listed, vectors whose path work exceeds the limit."""
+def check_path_work(
+    vectors: Iterable[Sequence[int]], limit: int = MAX_PATH_WORK, subject: Optional[str] = None
+) -> None:
+    """Refuse, before any path is listed, vectors whose path work exceeds the limit.
+
+    The refusal names ``subject``, what the work is summed over, or else the
+    vector at which the sum passes the limit.
+    """
     work = 0
     for parts in vectors:
         kvec = KVector(parts)
@@ -42,10 +48,10 @@ def check_path_work(vectors: Iterable[Sequence[int]], limit: int = MAX_PATH_WORK
             low *= k + 1
         work += low if work + low > limit else count_paths(kvec) * kvec.n
         if work > limit:
-            label = kvec if kvec.m <= 20 else f"({kvec.m} runs, n = {kvec.n})"
-            raise UsageError(
-                f"run lengths {label} exceed the path work limit {limit} (paths times n)"
-            )
+            if subject is None:
+                label = kvec if kvec.m <= 20 else f"({kvec.m} runs, n = {kvec.n})"
+                subject = f"run lengths {label}"
+            raise UsageError(f"{subject} exceed the path work limit {limit} (paths times n)")
 
 
 def check_verify_work(name: str, bound: int) -> None:
@@ -74,7 +80,7 @@ def check_verify_work(name: str, bound: int) -> None:
     high = sum(top) * prod(prefix + 1 for prefix in itertools.accumulate(top[:-1]))
     if count * high > MAX_VERIFY_WORK:
         vectors = (fam.kvector(sizes) for sizes in fam.sizes(bound))
-        check_path_work(vectors, MAX_VERIFY_WORK)
+        check_path_work(vectors, MAX_VERIFY_WORK, f"the {name} members of bound {bound}")
 
 
 def refined_catalan(parts: Sequence[int], legs: Optional[LegTable] = None) -> LaurentPoly:

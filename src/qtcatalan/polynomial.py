@@ -336,10 +336,6 @@ def qt_swap(poly: LaurentPoly) -> LaurentPoly:
     return substitute_monomials(poly, poly.context, qt_images(poly.context))
 
 
-def is_qt_symmetric(poly: LaurentPoly) -> bool:
-    return poly == qt_swap(poly)
-
-
 def coefficient_grid(poly: LaurentPoly) -> list:
     """Matrix of coefficients: ``grid[i][j]`` is the coefficient of q^i t^j.
 

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import select
+import shlex
 import subprocess
 import sys
 import time
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 import qtcatalan.cones  # noqa: F401
 # and `verify` imports catalog on its first call, which the argv fuzz makes
 import qtcatalan.catalog  # noqa: F401
-from qtcatalan import cli, oracles
+from qtcatalan import cli, oracles, verify
 from qtcatalan.cli import grid_to_tsv, main
 from qtcatalan.errors import UsageError
 from qtcatalan.oracles import refined_catalan
@@ -153,6 +155,27 @@ def test_lastparam(capsys):
     assert code == 0 and out.strip() == "equal"
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """Each line of README's "Command line" block: its words, and the exit code its comment names."""
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+    for line in block.strip().splitlines():
+        command, _, comment = line.partition("#")
+        yield shlex.split(command), 1 if "exit 1" in comment else 0
+
+
+def test_the_readme_commands_run_as_documented(tmp_path, capsys):
+    path = tmp_path / "cone.txt"
+    path.write_text(CONE_FILE)
+    commands = list(readme_commands())
+    assert commands and all(words[0] == "qtcatalan" for words, _ in commands), commands
+    for words, code in commands:
+        argv = [str(path) if word == "FILE" else word for word in words[1:]]
+        assert run(capsys, *argv)[::2] == (code, ""), argv
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "catalan", "--k", "1,x")
     assert code == 2 and "error" in err
@@ -255,6 +278,19 @@ def test_verify_work_limit_admits_the_largest_documented_inputs(capsys):
     for name, bound in (("kaaa", 17), ("k4", 25), ("three", 40), ("k4", 10**30)):
         code, out, err = run(capsys, "verify", "--theorem", name, "--bound", str(bound))
         assert code == 2 and out == "" and str(oracles.MAX_VERIFY_WORK) in err, (name, bound)
+
+
+def test_the_verify_work_refusal_names_the_bound(capsys):
+    # the limit is on the sum over the bound's members (kaaa 17 is 26,356,800), so the
+    # refusal names the bound: the member at which the sum passes it, (16,17,17,17), has 916,895
+    for name, bound in (("kaaa", 17), ("k4", 25)):
+        code, out, err = run(capsys, "verify", "--theorem", name, "--bound", str(bound))
+        assert code == 2 and out == "", (name, err)
+        assert f"bound {bound}" in err and str(oracles.MAX_VERIFY_WORK) in err, err
+        assert "run lengths" not in err and not re.search(r"\(\d", err), err
+        with pytest.raises(UsageError) as refused:
+            verify.verify_theorem(name, bound)
+        assert err == f"error: {refused.value}\n"
 
 
 def test_verify_beyond_the_work_limit_exits_at_once():

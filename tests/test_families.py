@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
@@ -16,6 +17,7 @@ from qtcatalan.catalog import (
 )
 from qtcatalan.errors import DomainError, UsageError
 from qtcatalan.families import FAMILIES, UPPER_BOUNDS, family
+from qtcatalan.paths import KVector, LegTable, area_bounce_counts
 from qtcatalan.verify import series_matches_paths
 
 from classical import check_bounce_agreement
@@ -185,3 +187,20 @@ def test_unknown_family_is_a_usage_error(call):
 def test_path_route_does_not_import_the_cone_route(module):
     imported = package_imports(module)
     assert not imported & {"cones", "catalog", "lattice"}, imported
+
+
+# each family's closed form on a point inside its region, without the region check
+CLOSED_FORMS = {"three": families._three_stats, "kaaa": families._kaaa_stats}
+
+
+@pytest.mark.parametrize("name", ["three", "kaaa"])
+def test_the_closed_forms_count_each_member_s_paths_by_area_and_bounce(name):
+    # every member of size sum at most 12: kaaa's band, with its faces b = 0 and c = 0 and
+    # its odd b, at sizes that the path-by-path agreement check does not reach
+    fam, closed_form = FAMILIES[name], CLOSED_FORMS[name]
+    members = list(fam.sizes(12))
+    legs = LegTable(fam.kvector(sizes) for sizes in members)
+    for sizes in members:
+        parts = fam.kvector(sizes)
+        counts = Counter(closed_form(*point) for point in _table_points(name, sizes))
+        assert counts == area_bounce_counts(KVector(parts), legs), parts

@@ -252,6 +252,18 @@ def test_the_cli_holds_no_work_limit():
     assert not {name for name in assigned if name.endswith("_WORK")}
 
 
+def test_the_unchecked_closed_forms_call_only_ceil_div_and_min():
+    # no region check and no reading of the point through int or _integers, so the
+    # closed forms run unchanged on any values with integer arithmetic and comparisons
+    tree = ast.parse((PACKAGE / "families.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, allowed in (("_three_stats", {"_ceil_div", "min"}),
+                          ("_kaaa_stats", {"_ceil_div", "min"}),
+                          ("_ceil_div", set())):
+        called = {ast.unparse(node.func) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+        assert called <= allowed, (name, called - allowed)
+
+
 def test_no_module_imports_dataclasses():
     # dataclasses loads inspect, about a third of the package's import time
     for path in sorted(PACKAGE.glob("*.py")):

@@ -13,7 +13,6 @@ from qtcatalan.polynomial import (
     LaurentPoly,
     VariableContext,
     coefficient_grid,
-    is_qt_symmetric,
     qt_swap,
     substitute_monomials,
 )
@@ -143,19 +142,20 @@ def test_substitute_is_ring_homomorphism():
 
 
 def test_qt_symmetry():
-    assert is_qt_symmetric(P("q + t"))
-    assert is_qt_symmetric(P("q^4 + q^3*t + q^2*t^2 + q*t^3 + t^4 + q^2*t + q*t^2"))
-    assert not is_qt_symmetric(P("q^2 + t"))
+    for text in ("q + t", "q^4 + q^3*t + q^2*t^2 + q*t^3 + t^4 + q^2*t + q*t^2"):
+        assert P(text) == qt_swap(P(text))
+    assert P("q^2 + t") != qt_swap(P("q^2 + t"))
     rng = random.Random(3)
     for _ in range(30):
         p = _random_poly(rng, QT)
-        assert is_qt_symmetric(p) == (p == qt_swap(p))
+        assert qt_swap(qt_swap(p)) == p
+        assert p + qt_swap(p) == qt_swap(p + qt_swap(p))
 
 
 def test_qt_symmetry_requires_qt():
     ctx = VariableContext(("x", "y"))
     with pytest.raises(UsageError):
-        is_qt_symmetric(LaurentPoly.parse(ctx, "x"))
+        qt_swap(LaurentPoly.parse(ctx, "x"))
 
 
 def test_coefficient_grid_examples():
